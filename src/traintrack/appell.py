@@ -1,9 +1,10 @@
-"""Appell F2: double power series, Euler double integral, PDE residuals.
+"""Appell F2: row sum of Gauss functions, Euler double integral, PDE residuals.
 
 Three mutually independent routes to the same function are kept side by side
-on purpose: the Pochhammer double series, the double-exponential evaluation of
-the Euler integral, and the residual of the defining second-order system
-checked with Cauchy-integral derivatives.
+on purpose: the Burchnall–Chaundy row sum of the double series, whose rows are
+Gauss 2F1 values advanced by the contiguous recurrence in a, the
+double-exponential evaluation of the Euler integral, and the residual of the
+defining second-order system checked with Cauchy-integral derivatives.
 """
 
 from __future__ import annotations
@@ -79,18 +80,88 @@ class QuadratureControl:
             raise ValueError("target_tol must be positive")
 
 
-def _estimate_terms(rho: float, ctrl: SeriesControl) -> int:
-    if rho < 0.05:
-        return 16
-    n = int(np.ceil(np.log(ctrl.rel_tol * 1e-2) / np.log(rho))) + 16
-    return max(16, min(n, ctrl.max_terms))
+# Series are checked for convergence every _CHECK_EVERY terms.  A point stops
+# once its tail estimate is below _TAIL_SHARE * rel_tol * |sum| at two checks
+# in a row, so that truncation is a small share of the error next to the
+# rounding of the sum, and one term that happens to be small cannot stop it.
+_CHECK_EVERY = 4
+_TAIL_SHARE = 1e-2
 
 
-def f2_series_on_arrays(p: F2Params, x, y, c: SeriesControl | None = None):
-    """Double Pochhammer series, vectorized over broadcastable x, y arrays.
+def _converged(prev, last, total, ok_before, ctrl: SeriesControl):
+    """Tail estimates, where they are below tolerance, and which points stop.
 
-    Rows of constant first index are summed with a cumulative-product
-    recurrence; convergence requires |x| + |y| < 1 everywhere.
+    The tail after a term of size ``last`` is estimated as last * r / (1 - r),
+    r being the observed ratio per term: the geometric mean over the
+    _CHECK_EVERY terms since the one of size ``prev``.  It is inf while r >= 1.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = np.where(last == 0.0, 0.0, (last / prev) ** (1.0 / _CHECK_EVERY))
+        tail = np.where(r < 1.0, last * r / (1.0 - r), np.inf)
+    ok = tail <= _TAIL_SHARE * ctrl.rel_tol * np.abs(total) + ctrl.abs_floor
+    return tail, ok, ok & ok_before
+
+
+def _gauss_seeds(a, b, c, y, ctrl: SeriesControl):
+    """2F1(a, b; c; y) and 2F1(a + 1, b; c; y) from one pass of their series.
+
+    Where |1 - y| > 1 the Pfaff transformation to y / (y - 1), which is then
+    smaller than y and has no alternating signs, is summed instead.
+    """
+    pfaff = np.abs(1.0 - y) > 1.0
+    z = np.where(pfaff, y / (y - 1.0), y)
+    bz = np.where(pfaff, c - b, b)
+    t0, t1 = np.ones_like(y), np.ones_like(y)
+    s0, s1 = np.ones_like(y), np.ones_like(y)
+    prev = np.ones(y.shape)
+    ok = np.zeros(y.shape, dtype=bool)
+    for n in range(ctrl.max_terms):
+        f = (bz + n) * z / ((c + n) * (n + 1.0))
+        t0 = t0 * (f * (a + n))
+        t1 = t1 * (f * (a + 1.0 + n))
+        s0 += t0
+        s1 += t1
+        if (n + 1) % _CHECK_EVERY == 0:
+            last = np.maximum(np.abs(t0), np.abs(t1))
+            small = np.where(np.abs(s0) < np.abs(s1), s0, s1)
+            _, ok, done = _converged(prev, last, small, ok, ctrl)
+            prev = last
+            if done.all():
+                break
+            z = np.where(done, 0.0, z)  # a finished point adds zeros from here on
+    else:
+        raise ConvergenceError("2F1 seed series did not meet rel_tol within max_terms")
+    pref = np.where(pfaff, (1.0 - y) ** (-a), 1.0)
+    return pref * s0, np.where(pfaff, pref / (1.0 - y), 1.0) * s1
+
+
+def _f2_row_sum(p: F2Params, x, y, c: SeriesControl | None = None):
+    """F2 and its tail estimate by rows of Gauss functions (Burchnall–Chaundy).
+
+    F2 = sum_m (a)_m (b1)_m / ((c1)_m m!) x^m G_m with the ladder
+    G_m = 2F1(a + m, b2; c2; y).  G_0 and G_1 come from one series pass, and
+    Gauss's contiguous relation in a advances the ladder:
+
+        G_{m+1} = [(c2-a-m) G_{m-1} + (2(a+m) - c2 + (b2-a-m) y) G_m] / ((a+m)(1-y)).
+
+    The recurrence runs on V_m = x^m G_m, the ladder with the factor x^m of
+    its row coefficient folded in.  G_m grows like |1 - y|^-m (past 1e308
+    near m = 300 at y = 0.9), but V_m falls like the terms, since
+    |x| < min(1, |1 - y|) when |x| + |y| < 1.  Each point stops on its own
+    tail estimate, so its value does not depend on the other points of the
+    array.
+
+    Forward recurrence is the stable direction: its characteristic roots are
+    1 and 1 / (1 - y), and the ladder contains the solution growing like the
+    larger one unless 1 / Gamma(b2) (for |1 - y| < 1) or 1 / Gamma(c2 - b2)
+    (for |1 - y| > 1) vanishes (Gil, Segura and Temme, Numerical Methods for
+    Special Functions, ch. 4).  In those cases the ladder is the minimal
+    solution and forward recurrence adds errors of order eps times the
+    dominant one; but they enter the sum multiplied by x^m, which damps
+    them, and Miller's backward recurrence, tried there, gave no more
+    accurate sums.
+
+    Returns (values, tail estimates), both of the broadcast shape.
     """
     c = c or SeriesControl()
     x = np.asarray(x, dtype=complex)
@@ -108,29 +179,52 @@ def f2_series_on_arrays(p: F2Params, x, y, c: SeriesControl | None = None):
         complex(p.gamma1),
         complex(p.gamma2),
     )
-    n_total = _estimate_terms(rho, c)
-    total = np.zeros_like(xf)
-    t0 = np.ones_like(xf)  # term at (m, 0)
-    below = 0
-    for m in range(n_total):
-        length = max(8, n_total - m)
-        n = np.arange(length - 1)
-        coef = (a + m + n) * (b2 + n) / ((g2 + n) * (n + 1.0))
-        cp = np.cumprod(coef[:, None] * yf[None, :], axis=0)
-        total += t0 * (1.0 + cp.sum(axis=0))
-        row_mag = max(np.max(np.abs(t0)), np.max(np.abs(t0[None, :] * cp)))
-        if row_mag <= c.rel_tol * np.max(np.abs(total)) + c.abs_floor:
-            below += 1
-            if below >= 3:
-                return total.reshape(shape)
-        else:
-            below = 0
-        t0 = t0 * ((a + m) * (b1 + m) / ((g1 + m) * (m + 1.0))) * xf
-    raise ConvergenceError("F2 series tail bound not met within max_terms")
+    g0, g1_seed = _gauss_seeds(a, b2, g2, yf, c)
+    x1 = xf / (1.0 - yf)
+    x2, xy = xf * x1, yf * x1
+    v_prev, v = g0, xf * g1_seed  # V_0, V_1
+    coef = 1.0 + 0j  # (a)_m (b1)_m / ((c1)_m m!)
+    total, comp = g0.copy(), np.zeros_like(g0)  # Kahan-compensated sum
+    value, est = np.zeros_like(g0), np.zeros(xf.shape)
+    prev = np.abs(g0)
+    ok = done = np.zeros(xf.shape, dtype=bool)
+    for m in range(1, c.max_terms + 1):
+        coef *= (a + m - 1) * (b1 + m - 1) / ((g1 + m - 1) * m)
+        term = coef * v
+        add = term - comp
+        new_total = total + add
+        comp = (new_total - total) - add
+        total = new_total
+        if a + m == 0:  # (a)_k vanishes for k > m: every later row is zero
+            break
+        if m % _CHECK_EVERY == 0:
+            last = np.abs(term)
+            tail, ok, stop = _converged(prev, last, total, ok, c)
+            prev = last
+            stop &= ~done
+            value[stop], est[stop] = (total - comp)[stop], tail[stop]
+            done = done | stop
+            if done.all():
+                break
+        v_prev, v = v, ((g2 - a - m) / (a + m)) * (x2 * v_prev) + (
+            ((2 * (a + m) - g2) / (a + m)) * x1 + ((b2 - a - m) / (a + m)) * xy
+        ) * v
+    else:
+        raise ConvergenceError("F2 row sum tail bound not met within max_terms")
+    value = np.where(done, value, total - comp)  # sums ended by the a + m = 0 row
+    return value.reshape(shape), est.reshape(shape)
+
+
+def f2_series_on_arrays(p: F2Params, x, y, c: SeriesControl | None = None):
+    """Appell F2 by its Burchnall–Chaundy row sum, over broadcastable x, y arrays.
+
+    Convergence requires |x| + |y| < 1 everywhere; see ``_f2_row_sum``.
+    """
+    return _f2_row_sum(p, x, y, c)[0]
 
 
 def f2_series(p: F2Params, pt: ModuliPoint, c: SeriesControl | None = None) -> complex:
-    """F2 at a single point via the double power series (|x|+|y| < 1)."""
+    """F2 at a single point via the row sum (|x|+|y| < 1)."""
     return complex(f2_series_on_arrays(p, pt.x, pt.y, c))
 
 

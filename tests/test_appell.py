@@ -1,14 +1,19 @@
-"""Appell F2: series vs integral vs defining PDEs."""
+"""Appell F2: series vs integral vs defining PDEs, and the series vs mpmath."""
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from traintrack import (
+    ConvergenceError,
     DomainError,
     F2Params,
     Hyper2F1Params,
     LambdaPair,
     ModuliPoint,
+    SeriesControl,
     f2_euler_integral,
     f2_pde_residual,
     f2_series,
@@ -17,6 +22,7 @@ from traintrack import (
     period_basis,
     quadratic_criterion,
 )
+from traintrack.appell import _f2_row_sum
 
 CONFORMAL = F2Params.conformal_case()
 
@@ -36,6 +42,44 @@ def _random_interior_points(rng, n, cap=0.8):
             continue
         pts.append(ModuliPoint(x, y))
     return pts
+
+
+def _mp_f2(p, x, y, dps=20):
+    with mp.workdps(dps):
+        return complex(mp.appellf2(p.alpha, p.beta1, p.beta2, p.gamma1, p.gamma2, x, y))
+
+
+def _quadrant_points(rng, per_region):
+    """Points in the four sign quadrants and at complex phases, |x|+|y| <= 0.95.
+
+    In each region the norms |x| + |y| take one value from each of
+    ``per_region`` strata of [0.05, 0.95].
+    """
+    pts = []
+    for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1), None):
+        for j in range(per_region):
+            norm = 0.05 + 0.9 * (j + rng.uniform()) / per_region
+            t = rng.uniform(0.1, 0.9)
+            if signs is None:
+                px, py = np.exp(2j * np.pi * rng.uniform(size=2))
+            else:
+                px, py = signs
+            pts.append(ModuliPoint(complex(px * t * norm), complex(py * (1 - t) * norm)))
+    return pts
+
+
+_param = st.floats(0.1, 1.5)
+_bottom = st.floats(0.5, 2.5)
+_interior_point = st.builds(
+    lambda r, t, px, py: (
+        r * t * np.exp(2j * np.pi * px),
+        r * (1 - t) * np.exp(2j * np.pi * py),
+    ),
+    st.floats(0.0, 0.9),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+)
 
 
 class TestSeries:
@@ -66,11 +110,96 @@ class TestSeries:
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
     def test_array_evaluation_matches_scalar(self):
-        xs = np.array([0.1, 0.2 + 0.05j, -0.3])
-        ys = np.array([0.2, -0.1, 0.15 - 0.02j])
-        vals = f2_series_on_arrays(CONFORMAL, xs, ys)
-        for x, y, v in zip(xs, ys, vals):
-            assert abs(v - f2_series(CONFORMAL, ModuliPoint(x, y))) < 1e-13
+        # Each point's arithmetic is elementwise and it stops on its own tail
+        # estimate, so its value is bit for bit its value alone, whichever
+        # points share its array: easy ones next to deep ones.
+        xs = np.array([0.1, 0.2 + 0.05j, -0.3, 0.475, 0.089, 0.0, 0.01, -0.6])
+        ys = np.array([0.2, -0.1, 0.15 - 0.02j, 0.475, 0.9, 0.5, 0.0, -0.35j])
+        rng = _rng()
+        more = rng.uniform(-0.45, 0.45, 40) + 0.05j * rng.uniform(-1, 1, 40)
+        xs = np.concatenate([xs, more])
+        ys = np.concatenate([ys, rng.uniform(-0.45, 0.45, 40)])
+        alone = np.array([f2_series(CONFORMAL, ModuliPoint(*pt)) for pt in zip(xs, ys)])
+        for order in (np.arange(48), np.arange(48)[::-1], rng.permutation(48)):
+            vals = f2_series_on_arrays(CONFORMAL, xs[order], ys[order])
+            assert np.array_equal(vals, alone[order])
+        grid = f2_series_on_arrays(CONFORMAL, xs.reshape(6, 8), ys.reshape(6, 8))
+        assert np.array_equal(grid, alone.reshape(6, 8))
+
+    def test_against_mpmath_all_quadrants(self):
+        # same-sign points near |x| + |y| = 0.95 are the hardest for the series
+        rng = np.random.Generator(np.random.Philox(2024))
+        generic = F2Params(0.6, 0.35, 0.55, 1.3, 0.9)
+        for p, per_region in ((CONFORMAL, 9), (generic, 2)):
+            pts = _quadrant_points(rng, per_region)
+            xs = np.array([pt.x for pt in pts])
+            ys = np.array([pt.y for pt in pts])
+            vals = f2_series_on_arrays(p, xs, ys)
+            for pt, v in zip(pts, vals):
+                ref = _mp_f2(p, pt.x, pt.y)
+                assert abs(v - ref) <= 1e-13 * abs(ref), (p, pt)
+
+    def test_ladder_overflow_guard_near_y_one(self):
+        # |x| + |y| = 0.989: about 300 rows, where 2F1(1/2 + m, 1/2; 1; 0.9)
+        # grows like 10^m and would overflow
+        v = f2_series(CONFORMAL, ModuliPoint(0.089, 0.9))
+        ref = _mp_f2(CONFORMAL, 0.089, 0.9)
+        assert np.isfinite(v)
+        assert abs(v - ref) <= 1e-12 * abs(ref)
+
+    def test_minimal_ladder_closed_form(self):
+        # beta2 = gamma2: the ladder (1-y)^(-a-m) is the minimal solution of
+        # the recurrence for y < 0, and F2 = (1-y)^-a 2F1(a, b1; c1; x/(1-y))
+        a, b1, c1 = 0.7, 0.4, 1.2
+        p = F2Params(a, b1, 1.0, c1, 1.0)
+        for x, y in ((0.3, -0.6), (0.05, -0.94), (-0.5, -0.4), (0.39, -0.6 + 0.1j)):
+            with mp.workdps(30):
+                w = 1 - mp.mpc(y)
+                ref = complex(w**-a * mp.hyp2f1(a, b1, c1, x / w))
+            v = f2_series(p, ModuliPoint(x, y))
+            assert abs(v - ref) <= 1e-13 * abs(ref)
+
+    def test_tail_estimate_measures_truncation(self):
+        # with a loose tolerance truncation dominates rounding, so the
+        # reported estimate can be compared with the actual error
+        for x, y in ((0.36, -0.1881), (0.8, 0.15), (-0.7, 0.2), (0.2j, 0.7)):
+            v, est = _f2_row_sum(CONFORMAL, x, y, SeriesControl(rel_tol=1e-6))
+            actual = abs(complex(v) - _mp_f2(CONFORMAL, x, y))
+            assert 0.5 * actual <= float(est) <= 50 * actual
+
+    def test_terminating_alpha(self):
+        # alpha = -2: rows beyond m = 2 vanish and the ladder recurrence, which
+        # divides by alpha + m, must stop there
+        p = F2Params(-2.0, 0.5, 0.7, 1.0, 1.3)
+        for x, y in ((0.3, 0.2), (-0.6, 0.35j)):
+            ref = _mp_f2(p, x, y)
+            assert abs(f2_series(p, ModuliPoint(x, y)) - ref) <= 1e-14 * abs(ref)
+
+    def test_max_terms_exhausted(self):
+        with pytest.raises(ConvergenceError):
+            f2_series(CONFORMAL, ModuliPoint(0.45, 0.45), SeriesControl(max_terms=8))
+
+    @given(
+        st.tuples(_param, _param, _param, _bottom, _bottom),
+        _interior_point,
+    )
+    def test_swap_symmetry_property(self, params, point):
+        p = F2Params(*params)
+        x, y = point
+        a = f2_series(p, ModuliPoint(x, y))
+        b = f2_series(p.swapped(), ModuliPoint(y, x))
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+    @given(st.tuples(_param, _param, _param, _bottom, _bottom), _interior_point)
+    def test_collapse_to_2f1_property(self, params, point):
+        p = F2Params(*params)
+        z = point[0] + point[1]  # |z| <= 0.9
+        on_x = gauss_2f1(Hyper2F1Params(p.alpha, p.beta1, p.gamma1), z)
+        on_y = gauss_2f1(Hyper2F1Params(p.alpha, p.beta2, p.gamma2), z)
+        got_x = f2_series(p, ModuliPoint(z, 0.0))
+        got_y = f2_series(p, ModuliPoint(0.0, z))
+        assert abs(got_x - on_x) <= 1e-12 * max(1.0, abs(on_x))
+        assert abs(got_y - on_y) <= 1e-12 * max(1.0, abs(on_y))
 
     def test_parameter_pole_guard(self):
         with pytest.raises(DomainError):

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from traintrack import LambdaPair, period_basis, positivity_pairing
+from traintrack import F2Params, LambdaPair, period_basis, positivity_pairing
+from traintrack import verify
+from traintrack.appell import _f2_row_sum
 from traintrack.cli import main
 
 
@@ -35,6 +37,13 @@ class TestF2Eval:
     def test_complex_argument_with_i(self, capsys):
         rc = main(["f2-eval", "--x", "0.1+0.05i", "--y", "0.2"])
         assert rc == 0
+
+    def test_series_error_is_the_measured_tail(self, capsys):
+        rc = main(["f2-eval", "--x", "0.8", "--y", "0.15"])
+        assert rc == 0
+        printed = float(capsys.readouterr().out.splitlines()[1].split("<=")[1])
+        _, tail = _f2_row_sum(F2Params.conformal_case(), 0.8, 0.15)
+        assert printed == pytest.approx(float(tail), rel=1e-3)
 
 
 class TestVerify:
@@ -84,6 +93,32 @@ class TestVerify:
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 3
         assert "tau1_re" in rows[0] and "tau1_im" in rows[0]
+
+    def test_modular_probe_residuals_are_measured(self, tmp_path):
+        out = tmp_path / "r.json"
+        rc = main(["verify", "modular", "--samples", "1", "--output", str(out)])
+        assert rc == 1  # the [[1,0],[2,1]] slot-2 probe fails by design
+        cases = json.loads(out.read_text())["cases"]
+        probes = [c for c in cases if "slot" in c["inputs"]]
+        failing = [c["inputs"] for c in probes if not c["passed"]]
+        assert failing == [{"generator": [1, 0, 2, 1], "slot": 2}]
+        for case in probes:
+            if case["passed"]:
+                mult = case["outputs"]["multiplier"]
+                eps = complex(mult["re"], mult["im"])
+                assert case["residual"] == abs(eps - 1.0) < 1e-10
+            else:
+                ratios = [complex(r["re"], r["im"]) for r in case["outputs"]["ratios"]]
+                mean = sum(ratios) / len(ratios)
+                spread = max(abs(r - mean) for r in ratios)
+                assert case["residual"] == pytest.approx(spread)
+
+    def test_modular_probe_scores_the_phase(self, monkeypatch):
+        monkeypatch.setattr(verify, "multiplier_probe", lambda g, slot, pts: -1.0 + 0j)
+        report = verify.suite_modular(verify.RunConfig(sample_count=1))
+        probes = [c for c in report.cases if "slot" in c.inputs]
+        assert len(probes) == 4
+        assert all(not c.passed and c.residual == 2.0 for c in probes)
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
