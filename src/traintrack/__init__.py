@@ -62,7 +62,6 @@ from .pfaffian import (
     tensor_system,
 )
 from .special import (
-    EllipticModulus,
     Hyper2F1Params,
     SeriesControl,
     deriv_K,

@@ -17,13 +17,14 @@ import numpy as np
 from .appell import F2Params, ModuliPoint, _f2_row_sum, f2_euler_integral
 from .errors import ConvergenceError, DomainError
 from .factorization import (
+    SIGMA,
     LambdaPair,
     invert_T,
     map_T,
     period_basis,
     positivity_pairing,
 )
-from .modular import mirror_map
+from .modular import lambda_hauptmodul, mirror_map
 from .pfaffian import gamma2_membership, monodromy_2f1, system_2f1
 from .special import Hyper2F1Params
 from .verify import SUITES, RunConfig, run_all, run_suite
@@ -132,12 +133,15 @@ def _report_rows(report_dict):
     return rows
 
 
-def _write_report(report_dict, path, fmt) -> str:
+def _write_report(payload, rows, path, fmt, columns=()) -> None:
+    """Write payload as JSON, or rows as CSV, to path or else to stdout.
+
+    The CSV header is the sorted union of the row keys and ``columns``.
+    """
     if fmt == "json":
-        text = json.dumps(report_dict, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        rows = _report_rows(report_dict)
-        fieldnames = sorted({k for row in rows for k in row})
+        fieldnames = sorted({k for row in rows for k in row}.union(columns))
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
@@ -147,7 +151,8 @@ def _write_report(report_dict, path, fmt) -> str:
     if path:
         with open(path, "w") as fh:
             fh.write(text)
-    return text
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_verify(args) -> int:
@@ -160,8 +165,6 @@ def cmd_verify(args) -> int:
         tolerances=tolerances,
         sample_count=args.samples,
         rng_seed=args.seed,
-        output_path=args.output,
-        output_format=args.format,
     )
     started = time.perf_counter()
     if args.suite == "all":
@@ -185,9 +188,7 @@ def cmd_verify(args) -> int:
                     print("failing case:", json.dumps(rep.to_dict()["cases"][case.index]))
                     break
         passed = rep.passed
-    text = _write_report(report_dict, args.output, args.format)
-    if not args.output:
-        sys.stdout.write(text)
+    _write_report(report_dict, _report_rows(report_dict), args.output, args.format)
     print(
         f"wall clock: {1000.0 * (time.perf_counter() - started):.0f} ms",
         file=sys.stderr,
@@ -214,8 +215,6 @@ def cmd_traintrack(args) -> int:
         return 2
     pv = period_basis(lp)
     vec = pv.as_array()
-    from .factorization import SIGMA
-
     raw = -np.conj(vec) @ SIGMA @ vec
     value = positivity_pairing(pv)
     tp = mirror_map(lp)
@@ -261,29 +260,13 @@ def cmd_scan(args) -> int:
                 elif args.quantity == "pairing":
                     row["pairing"] = positivity_pairing(period_basis(lp))
                 else:
-                    from .modular import lambda_hauptmodul
-
                     val = lambda_hauptmodul(tp.tau1)
                     row["lambda_map_re"], row["lambda_map_im"] = val.real, val.imag
                 row["status"] = "ok"
             except DomainError as exc:
                 row["status"] = f"domain_error: {exc}"
             rows.append(row)
-    fieldnames = sorted({k for row in rows for k in row}) or ["status"]
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_report(rows, rows, args.output, args.format, columns=("status",))
     return 0
 
 

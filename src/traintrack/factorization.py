@@ -65,64 +65,54 @@ class PeriodVector:
         return np.array([self.pi0, self.pi1, self.pi2, self.pi3], dtype=complex)
 
 
-def map_T(lp: LambdaPair) -> ModuliPoint:
-    """x = 4 L1 L2 / (L1+L2)^2,  y = -(1-L1^2)(1-L2^2) / (L1+L2)^2."""
-    l1, l2 = complex(lp.lambda1), complex(lp.lambda2)
-    s2 = (l1 + l2) ** 2
-    return ModuliPoint(
-        4.0 * l1 * l2 / s2, -(1.0 - l1 * l1) * (1.0 - l2 * l2) / s2
-    )
-
-
 def _map_T_arrays(l1, l2):
     s2 = (l1 + l2) ** 2
     return 4.0 * l1 * l2 / s2, -(1.0 - l1 * l1) * (1.0 - l2 * l2) / s2
 
 
-def _closest(prev, cand_a, cand_b):
-    pick_a = np.abs(cand_a - prev) <= np.abs(cand_b - prev)
-    return np.where(pick_a, cand_a, cand_b)
+def map_T(lp: LambdaPair) -> ModuliPoint:
+    """x = 4 L1 L2 / (L1+L2)^2,  y = -(1-L1^2)(1-L2^2) / (L1+L2)^2."""
+    return ModuliPoint(*_map_T_arrays(complex(lp.lambda1), complex(lp.lambda2)))
 
 
-def invert_T_arrays(x, y, steps: int = 32):
-    """Branch-tracked inverse of T, anchored at (x,y)=(0,0) -> (L1,L2)=(0,1).
+def _on_cut(radicand):
+    return (radicand.imag == 0) & (radicand.real <= 0)
+
+
+def invert_T_arrays(x, y):
+    """Inverse of T on the branch through (x,y)=(0,0) -> (L1,L2)=(0,1), in closed form.
 
     Substituting p = L1 L2 = x s^2 / 4 (s = L1 + L2) turns T into the
-    quadratic (x^2/16) w^2 + (x/2 + y - 1) w + 1 = 0 in w = s^2; roots are
-    tracked by continuity along the straight segment from the origin.
+    quadratic (x^2/16) w^2 + (x/2 + y - 1) w + 1 = 0 in w = s^2.  Two
+    identities make every root explicit:
+
+        b^2 - x^2/4 = (1 - y)(1 - x - y)       (b = x/2 + y - 1)
+        s^2 - 4 L1 L2 = s^2 (1 - x)
+
+    so with the principal roots u = sqrt(1-y), v = sqrt(1-x-y), r = sqrt(1-x),
+
+        s = 2 / (u + v),   L1 = s x / (2 (1 + r)),   L2 = s (1 + r) / 2.
+
+    Cut rule: each principal root is continuous along the segment t (x, y),
+    t in [0, 1], unless x, y or x + y is real and >= 1, and Re u, Re v > 0
+    keeps u + v away from zero; so the formula is the continuation of the
+    base branch along that segment.  T ramifies on x = 1, y = 1 and
+    x + y = 1, and where the segment meets one of these cuts the branch is
+    not determined: BranchTrackingError.
     """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    x = np.broadcast_to(x, shape).astype(complex)
-    y = np.broadcast_to(y, shape).astype(complex)
-    w = np.ones(shape, dtype=complex)
-    s = np.ones(shape, dtype=complex)
-    d = np.ones(shape, dtype=complex)
-    for k in range(1, steps + 1):
-        t = k / steps
-        xt, yt = t * x, t * y
-        a = xt * xt / 16.0
-        b = xt / 2.0 + yt - 1.0
-        disc = np.sqrt(b * b - 4.0 * a)
-        if np.any(np.abs(disc) < 1e-14 * np.maximum(np.abs(b), 1.0)):
-            raise BranchTrackingError("discriminant degenerates along the track")
-        # stable pairing: q/a is the far root, 1/q the near one (c = 1)
-        q = np.where(
-            np.abs(b + disc) >= np.abs(b - disc), -(b + disc) / 2.0, -(b - disc) / 2.0
+    x, y = np.broadcast_arrays(
+        np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    )
+    ry, rxy, rx = 1.0 - y, 1.0 - x - y, 1.0 - x
+    if np.any(_on_cut(ry) | _on_cut(rxy) | _on_cut(rx)):
+        raise BranchTrackingError(
+            "x, y or x + y is real and >= 1: the segment from the base point "
+            "meets a branch cut of T^-1"
         )
-        tiny = np.abs(a) < 1e-30
-        with np.errstate(divide="ignore", invalid="ignore"):
-            far = np.where(tiny, 1.0 / q, q / np.where(tiny, 1.0, a))
-        near = 1.0 / q
-        w = _closest(w, near, far)
-        sq = np.sqrt(w)
-        s = _closest(s, sq, -sq)
-        p = xt * w / 4.0
-        dd = np.sqrt(s * s - 4.0 * p)
-        d = _closest(d, dd, -dd)
-    l1 = (s - d) / 2.0
-    l2 = (s + d) / 2.0
+    r = np.sqrt(rx)
+    s = 2.0 / (np.sqrt(ry) + np.sqrt(rxy))
+    l1 = s * x / (2.0 * (1.0 + r))
+    l2 = s * (1.0 + r) / 2.0
     xr, yr = _map_T_arrays(l1, l2)
     err = np.max(np.abs(xr - x) + np.abs(yr - y))
     if err > 1e-10 * max(1.0, float(np.max(np.abs(x) + np.abs(y)))):
@@ -133,9 +123,9 @@ def invert_T_arrays(x, y, steps: int = 32):
     return l1, l2
 
 
-def invert_T(pt: ModuliPoint, steps: int = 32) -> LambdaPair:
-    """Inverse of T on the neighborhood of (0,0) reachable from (L1,L2)=(0,1)."""
-    l1, l2 = invert_T_arrays(pt.x, pt.y, steps=steps)
+def invert_T(pt: ModuliPoint) -> LambdaPair:
+    """Inverse of T on the branch continued from (L1,L2)=(0,1); see invert_T_arrays."""
+    l1, l2 = invert_T_arrays(pt.x, pt.y)
     return LambdaPair(complex(l1), complex(l2))
 
 
@@ -189,13 +179,13 @@ def period_basis(lp: LambdaPair) -> PeriodVector:
     return PeriodVector(complex(p0), complex(p1), complex(p2), complex(p3))
 
 
-def period_component_fn(index: int, steps: int = 32):
+def period_component_fn(index: int):
     """Vectorized handle (x, y) -> Pi_index(invert_T(x, y)) for PDE checks."""
     if index not in (0, 1, 2, 3):
         raise ValueError("index must be 0..3")
 
     def handle(x, y):
-        l1, l2 = invert_T_arrays(x, y, steps=steps)
+        l1, l2 = invert_T_arrays(x, y)
         return periods_from_lambdas(l1, l2)[index]
 
     return handle

@@ -65,11 +65,10 @@ class PathSpec:
     radius: float = 0.0
     turns: float = 1.0
     start_angle: float = 0.0
-    steps_hint: int = 256
 
     @classmethod
-    def polyline(cls, points: Sequence[complex], steps_hint: int = 256) -> "PathSpec":
-        return cls(waypoints=tuple(complex(p) for p in points), steps_hint=steps_hint)
+    def polyline(cls, points: Sequence[complex]) -> "PathSpec":
+        return cls(waypoints=tuple(complex(p) for p in points))
 
     @classmethod
     def circle(
@@ -78,14 +77,12 @@ class PathSpec:
         radius: float,
         turns: float = 1.0,
         start_angle: float = 0.0,
-        steps_hint: int = 256,
     ) -> "PathSpec":
         return cls(
             center=complex(center),
             radius=float(radius),
             turns=float(turns),
             start_angle=float(start_angle),
-            steps_hint=steps_hint,
         )
 
     def segments(self):

@@ -16,7 +16,6 @@ from .errors import ConvergenceError, DomainError, SingularityError
 __all__ = [
     "SeriesControl",
     "Hyper2F1Params",
-    "EllipticModulus",
     "gamma_fn",
     "ellint_K",
     "ellint_E",
@@ -51,18 +50,6 @@ class Hyper2F1Params:
     def __post_init__(self):
         if _is_nonpositive_integer(self.gamma):
             raise DomainError("gamma is a non-positive integer (series pole)")
-
-
-@dataclass(frozen=True)
-class EllipticModulus:
-    """Argument of K in the squared-modulus convention, principal branch."""
-
-    m: complex
-    principal_branch: bool = True
-
-    def __post_init__(self):
-        if complex(self.m) == 1:
-            raise SingularityError("K has a logarithmic singularity at m = 1")
 
 
 def _is_nonpositive_integer(z) -> bool:
@@ -134,11 +121,9 @@ def _agm_sequence(m, want_sum=False):
 def ellint_K(m) -> complex:
     """Complete elliptic integral of the first kind, K(m) = (pi/2) 2F1(1/2,1/2;1|m).
 
-    Computed by the complex AGM on the principal branch; accepts scalars,
-    arrays or an :class:`EllipticModulus`.
+    Computed by the complex AGM on the principal branch; accepts scalars
+    or arrays.
     """
-    if isinstance(m, EllipticModulus):
-        m = m.m
     arr = np.asarray(m, dtype=complex)
     if np.any(arr == 1):
         raise SingularityError("K(m) is singular at m = 1")

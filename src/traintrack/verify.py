@@ -72,8 +72,6 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     sample_count: int | None = None
     rng_seed: int = 0
-    output_path: str | None = None
-    output_format: str = "json"
 
     def __post_init__(self):
         if self.sample_count is not None and self.sample_count < 1:
@@ -81,8 +79,6 @@ class RunConfig:
         for name, tol in self.tolerances.items():
             if tol <= 0:
                 raise ValueError(f"tolerance for {name} must be positive")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError("output_format must be 'json' or 'csv'")
 
     def tol(self, suite: str) -> float:
         return self.tolerances.get(suite, DEFAULT_TOLERANCES[suite])

@@ -94,6 +94,13 @@ class TestVerify:
         assert len(rows) == 3
         assert "tau1_re" in rows[0] and "tau1_im" in rows[0]
 
+    def test_all_csv_has_one_row_per_suite(self, tmp_path):
+        out = tmp_path / "r.csv"
+        main(["verify", "all", "--samples", "1", "--format", "csv", "--output", str(out)])
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [r["suite"] for r in rows] == list(verify.SUITES)
+        assert [int(r["index"]) for r in rows] == list(range(len(verify.SUITES)))
+
     def test_modular_probe_residuals_are_measured(self, tmp_path):
         out = tmp_path / "r.json"
         rc = main(["verify", "modular", "--samples", "1", "--output", str(out)])
@@ -173,7 +180,7 @@ class TestScan:
         )
         assert rc == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l]
-        assert len(lines) == 1  # header only
+        assert lines == ["status"]  # header only
 
     def test_degenerate_rows_marked(self, capsys):
         rc = main(

@@ -1,10 +1,12 @@
 """Change of variables T, the period basis, and the bilinear pairing."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from traintrack import (
     SIGMA,
+    BranchTrackingError,
     DomainError,
     F2Params,
     LambdaPair,
@@ -90,6 +92,49 @@ class TestInvertT:
             )
             image = map_T(invert_T(pt))
             assert abs(image.x - pt.x) + abs(image.y - pt.y) < 1e-12
+
+    # x, y or x + y real and >= 1: the segment from the base point meets a cut
+    CUT_POINTS = [(1.2, 0.1), (0.1, 1.5), (0.78, 0.28)]
+
+    @pytest.mark.parametrize("x, y", CUT_POINTS)
+    def test_cut_raises(self, x, y):
+        with pytest.raises(BranchTrackingError):
+            invert_T(ModuliPoint(complex(x), complex(y)))
+
+    @pytest.mark.parametrize("x, y", CUT_POINTS)
+    def test_one_sided_limits_are_conjugate(self, x, y):
+        eps = 1e-9j
+        above = invert_T(ModuliPoint(x + eps, y + eps))
+        below = invert_T(ModuliPoint(x - eps, y - eps))
+        for a, b in ((above.lambda1, below.lambda1), (above.lambda2, below.lambda2)):
+            assert abs(a - b.conjugate()) < 1e-14 * abs(a)
+        assert max(abs(above.lambda1.imag), abs(above.lambda2.imag)) > 1e-3
+
+    def test_against_refined_roots(self):
+        # 200 seeded points with |x| + |y| <= 0.99 in the four sign quadrants
+        # and at complex phases, each against a 40-digit Newton refinement of
+        # T(L) = (x, y) started from the returned pair
+        rng = np.random.Generator(np.random.Philox(2024))
+        points = []
+        for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1), (None, None)):
+            for _ in range(40):
+                t, a = rng.uniform(0.0, 0.99), rng.uniform(0.0, 1.0)
+                if sx is None:
+                    px, py = np.exp(2j * np.pi * rng.uniform(size=2))
+                else:
+                    px, py = sx, sy
+                points.append((complex(px * t * a), complex(py * t * (1.0 - a))))
+        with mp.workdps(40):
+            for x, y in points:
+                lp = invert_T(ModuliPoint(x, y))
+
+                def residual(l1, l2):
+                    s2 = (l1 + l2) ** 2
+                    return [4 * l1 * l2 / s2 - x, -(1 - l1 * l1) * (1 - l2 * l2) / s2 - y]
+
+                ref = mp.findroot(residual, (mp.mpc(lp.lambda1), mp.mpc(lp.lambda2)))
+                for got, want in zip((lp.lambda1, lp.lambda2), ref):
+                    assert abs(got - complex(want)) <= 2e-15 * abs(complex(want))
 
 
 class TestGaugeScalar:
