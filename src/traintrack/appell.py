@@ -241,13 +241,12 @@ def _euler_prefactor(p: F2Params) -> complex:
     )
 
 
-def f2_euler_integral(
-    p: F2Params, pt: ModuliPoint, q: QuadratureControl | None = None
-) -> complex:
-    """F2 via the Euler double integral over the unit square.
+def _f2_euler(p: F2Params, pt: ModuliPoint, q: QuadratureControl | None = None):
+    """F2 by the Euler integral, and how far it moved at the last level.
 
-    Requires Re(gamma_i) > Re(beta_i) > 0 and the linear factor
-    1 - x t2 - y t1 to be zero-free on the closed square.
+    Returns (value, delta): delta is the last-level delta of
+    ``integrate_01_2d`` times |prefactor|, the change of the F2 value between
+    the last two tanh-sinh levels.
     """
     q = q or QuadratureControl()
     for b, g in ((p.beta1, p.gamma1), (p.beta2, p.gamma2)):
@@ -269,10 +268,22 @@ def f2_euler_integral(
             * (1.0 - x * t2 - y * t1) ** (-a)
         )
 
-    val, _ = integrate_01_2d(
+    val, delta = integrate_01_2d(
         integrand, target_tol=q.target_tol, level_max=q.level_max
     )
-    return complex(_euler_prefactor(p) * val)
+    pref = _euler_prefactor(p)
+    return complex(pref * val), float(abs(pref) * delta)
+
+
+def f2_euler_integral(
+    p: F2Params, pt: ModuliPoint, q: QuadratureControl | None = None
+) -> complex:
+    """F2 via the Euler double integral over the unit square.
+
+    Requires Re(gamma_i) > Re(beta_i) > 0 and the linear factor
+    1 - x t2 - y t1 to be zero-free on the closed square.
+    """
+    return _f2_euler(p, pt, q)[0]
 
 
 def default_pde_radii(pt: ModuliPoint, scale: float = 0.4):

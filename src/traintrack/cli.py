@@ -14,11 +14,11 @@ import time
 
 import numpy as np
 
-from .appell import F2Params, ModuliPoint, _f2_row_sum, f2_euler_integral
+from .appell import F2Params, ModuliPoint, _f2_euler, _f2_row_sum
 from .errors import ConvergenceError, DomainError
 from .factorization import (
-    SIGMA,
     LambdaPair,
+    _pairing,
     invert_T,
     map_T,
     period_basis,
@@ -111,8 +111,7 @@ def cmd_f2_eval(args) -> int:
         value, err = _f2_row_sum(params, pt.x, pt.y)
         value, err = complex(value), float(err)
     else:
-        value = f2_euler_integral(params, pt)
-        err = 1e-11 * max(1.0, abs(value))
+        value, err = _f2_euler(params, pt)
     print(f"F2({args.method}) = {_fmt_complex(value)}")
     print(f"estimated_error <= {err:.3e}")
     return 0
@@ -213,10 +212,7 @@ def cmd_traintrack(args) -> int:
             file=sys.stderr,
         )
         return 2
-    pv = period_basis(lp)
-    vec = pv.as_array()
-    raw = -np.conj(vec) @ SIGMA @ vec
-    value = positivity_pairing(pv)
+    value, raw = _pairing(period_basis(lp))
     tp = mirror_map(lp)
     print(f"pairing = {value:.15e}")
     print(f"imag_residue = {abs(raw.imag):.3e}")

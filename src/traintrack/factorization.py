@@ -50,8 +50,13 @@ class LambdaPair:
 
     @property
     def in_theorem_domain(self) -> bool:
-        l1, l2 = complex(self.lambda1), complex(self.lambda2)
-        return abs(l1 * l1) < 1.0 and abs(1.0 - l2 * l2) < 1.0
+        return bool(_in_theorem_domain(self.lambda1, self.lambda2))
+
+
+def _in_theorem_domain(l1, l2):
+    """Elementwise |L1^2| < 1 and |1 - L2^2| < 1, where the periods are tracked."""
+    l1, l2 = np.asarray(l1, dtype=complex), np.asarray(l2, dtype=complex)
+    return (np.abs(l1 * l1) < 1.0) & (np.abs(1.0 - l2 * l2) < 1.0)
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,11 @@ def invert_T_arrays(x, y):
     x, y = np.broadcast_arrays(
         np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
     )
-    ry, rxy, rx = 1.0 - y, 1.0 - x - y, 1.0 - x
+    ry, rx = 1.0 - y, 1.0 - x
+    # numpy orders complex numbers by real part first: subtracting the larger
+    # one from 1 first is exact (Sterbenz) when its real part lies in
+    # [1/2, 2], which keeps that rounding out of a small radicand 1 - x - y
+    rxy = (1.0 - np.maximum(x, y)) - np.minimum(x, y)
     if np.any(_on_cut(ry) | _on_cut(rxy) | _on_cut(rx)):
         raise BranchTrackingError(
             "x, y or x + y is real and >= 1: the segment from the base point "
@@ -145,28 +154,35 @@ def _k_or_inf(m):
     """
     arr = np.asarray(m, dtype=complex)
     ones = arr == 1
-    if not np.any(ones):
+    if not np.count_nonzero(ones):
         return ellint_K(arr)
     k = ellint_K(np.where(ones, 0.0, arr))
     return np.where(ones, complex(np.inf, 0.0), k)
 
 
 def periods_from_lambdas(l1, l2):
-    """The four period components as arrays, no domain validation."""
-    l1 = np.asarray(l1, dtype=complex)
-    l2 = np.asarray(l2, dtype=complex)
-    k1 = _k_or_inf(l1 * l1)
-    k1c = _k_or_inf(1.0 - l1 * l1)
-    k2 = _k_or_inf(l2 * l2)
-    k2c = _k_or_inf(1.0 - l2 * l2)
+    """The four period components as arrays, no domain validation.
+
+    The moduli L1^2, 1 - L1^2, L2^2, 1 - L2^2 of every point go to K in one
+    call.  Scalars are computed as arrays of one element, so a point's
+    components do not depend on the other points passed with it.
+    """
+    l1, l2 = np.broadcast_arrays(
+        np.asarray(l1, dtype=complex), np.asarray(l2, dtype=complex)
+    )
+    shape = l1.shape
+    l1, l2 = l1.ravel(), l2.ravel()
+    sq1, sq2 = l1 * l1, l2 * l2
+    k1, k1c, k2, k2c = _k_or_inf(np.array((sq1, 1.0 - sq1, sq2, 1.0 - sq2)))
     pref = 4.0 / np.pi**2 * (l1 + l2)
     with np.errstate(invalid="ignore"):
-        return (
+        periods = (
             pref * k1 * k2c,
             1j * pref * k1c * k2c,
             1j * pref * k1 * k2,
             -pref * k1c * k2,
         )
+    return tuple(p.reshape(shape) for p in periods)
 
 
 def period_basis(lp: LambdaPair) -> PeriodVector:
@@ -197,13 +213,18 @@ def quadratic_relation(pv: PeriodVector) -> complex:
     return complex(v @ SIGMA @ v)
 
 
-def positivity_pairing(pv: PeriodVector, imag_tol: float = 1e-12) -> float:
-    """The real pairing (-i)^2 Pi^dagger Sigma Pi = -Pi^dagger Sigma Pi."""
+def _pairing(pv: PeriodVector, imag_tol: float = 1e-12):
+    """The real pairing -Pi^dagger Sigma Pi, and the complex product it is read from."""
     v = pv.as_array()
     val = -np.conj(v) @ SIGMA @ v
     if abs(val.imag) > imag_tol * max(1.0, abs(val)):
         raise DomainError(f"pairing has imaginary residue {val.imag:.3e}")
-    return float(val.real)
+    return float(val.real), val
+
+
+def positivity_pairing(pv: PeriodVector, imag_tol: float = 1e-12) -> float:
+    """The real pairing (-i)^2 Pi^dagger Sigma Pi = -Pi^dagger Sigma Pi."""
+    return _pairing(pv, imag_tol)[0]
 
 
 def traintrack_value(z1: complex, z2: complex) -> float:

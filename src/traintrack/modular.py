@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConstantRatioError
-from .factorization import LambdaPair, periods_from_lambdas
+from .factorization import LambdaPair, _in_theorem_domain
 from .special import ellint_K
 
 __all__ = [
@@ -103,16 +103,34 @@ def lambda_hauptmodul(t) -> complex:
     return theta2(t) ** 4 / theta3(t) ** 4
 
 
-def mirror_map(lp: LambdaPair) -> TauPair:
-    """Canonical coordinates tau1 = i K(1-L1^2)/K(L1^2), tau2 = i K(L2^2)/K(1-L2^2)."""
-    l1, l2 = complex(lp.lambda1), complex(lp.lambda2)
-    if not lp.in_theorem_domain:
+def mirror_map_arrays(l1, l2):
+    """tau1 = i K(1-L1^2)/K(L1^2), tau2 = i K(L2^2)/K(1-L2^2) over broadcastable arrays.
+
+    The four moduli of every pair go to K in one call; scalars are computed
+    as arrays of one element, so a pair's coordinates do not depend on the
+    other pairs passed with it.  DomainError if any pair lies outside
+    |L1^2| < 1, |1 - L2^2| < 1 or any coordinate leaves the upper half-plane.
+    """
+    l1, l2 = np.broadcast_arrays(
+        np.asarray(l1, dtype=complex), np.asarray(l2, dtype=complex)
+    )
+    shape = l1.shape
+    l1, l2 = l1.ravel(), l2.ravel()
+    if not _in_theorem_domain(l1, l2).all():
         raise DomainError("lambda pair outside the tracked domain")
-    t1 = 1j * ellint_K(1.0 - l1 * l1) / ellint_K(l1 * l1)
-    t2 = 1j * ellint_K(l2 * l2) / ellint_K(1.0 - l2 * l2)
-    if t1.imag <= 0 or t2.imag <= 0:
+    sq1, sq2 = l1 * l1, l2 * l2
+    k1c, k1, k2, k2c = ellint_K(np.array((1.0 - sq1, sq1, sq2, 1.0 - sq2)))
+    t1 = 1j * k1c / k1
+    t2 = 1j * k2 / k2c
+    if (t1.imag <= 0).any() or (t2.imag <= 0).any():
         raise DomainError("mirror map left the upper half-plane")
-    return TauPair(t1, t2)
+    return t1.reshape(shape), t2.reshape(shape)
+
+
+def mirror_map(lp: LambdaPair) -> TauPair:
+    """Canonical coordinates of one pair; see ``mirror_map_arrays``."""
+    t1, t2 = mirror_map_arrays(lp.lambda1, lp.lambda2)
+    return TauPair(complex(t1), complex(t2))
 
 
 def inverse_mirror(tp: TauPair) -> LambdaPair:
@@ -134,11 +152,6 @@ def pi0_modular(tp: TauPair) -> complex:
         theta2(tp.tau1) ** 2 * theta3(tp.tau2) ** 2
         + theta4(tp.tau2) ** 2 * theta3(tp.tau1) ** 2
     )
-
-
-def pi0_from_lambdas(lp: LambdaPair) -> complex:
-    """K-product form of the holomorphic period, for cross-checking."""
-    return complex(periods_from_lambdas(lp.lambda1, lp.lambda2)[0])
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .appell import F2Params, ModuliPoint
 from .errors import ConvergenceError, DomainError, SingularityError
@@ -235,7 +234,11 @@ def integrate_pfaffian(
 
     Uses an adaptive high-order Runge-Kutta stepper with the maximum step
     capped at a quarter of the path clearance from the singular points.
+    scipy is imported here, on first use: it is most of the import time of
+    the package, and only transport needs it.
     """
+    from scipy.integrate import solve_ivp
+
     initial = np.asarray(initial, dtype=complex)
     clearance = _path_clearance(s, path)
     if clearance < _CLEARANCE:

@@ -93,55 +93,77 @@ def gamma_fn(z: complex) -> complex:
 def _right_sqrt(w):
     """Square root with non-negative real part, ties broken upward."""
     s = np.sqrt(np.asarray(w, dtype=complex))
-    flip = (s.real < 0) | ((s.real == 0) & (s.imag < 0))
-    return np.where(flip, -s, s)
+    # the principal root has Re >= 0 already; a tie (Re = 0) needs w on the
+    # non-positive real axis, where -0.0j gives the downward root -i sqrt|w|
+    tie = s.real == 0
+    if np.count_nonzero(tie):
+        s = np.where(tie & (s.imag < 0), -s, s)
+    return s
 
 
 _AGM_MAX_ITER = 64
 
 
 def _agm_sequence(m, want_sum=False):
-    """AGM(1, sqrt(1-m)); optionally accumulates sum(2^(n-1) c_n^2) for E."""
-    m = np.asarray(m, dtype=complex)
+    """AGM(1, sqrt(1-m)) over a 1-d array; optionally sum(2^(n-1) c_n^2) for E.
+
+    Each element stops on its own test |a - b| <= 4e-16 |a|: converged
+    elements leave the working arrays, so an element's result does not
+    depend on the other elements of the array.
+    """
     a = np.ones_like(m)
     b = _right_sqrt(1.0 - m)
-    total = m / 2.0 if want_sum else None
+    total = m / 2.0 if want_sum else np.zeros_like(m)
+    agm, sums = np.empty_like(m), np.empty_like(m)
+    live = np.arange(m.size)  # positions of the elements still iterating
     pow2 = 0.5
     for _ in range(_AGM_MAX_ITER):
-        if np.all(np.abs(a - b) <= 4e-16 * np.abs(a)):
-            return (a, total)
-        c = (a - b) / 2.0
-        a, b = (a + b) / 2.0, _right_sqrt(a * b)
+        done = np.abs(a - b) <= 4e-16 * np.abs(a)
+        stopped = np.count_nonzero(done)
+        if stopped == live.size:
+            agm[live], sums[live] = a, total
+            return agm, sums
+        if stopped:
+            agm[live[done]], sums[live[done]] = a[done], total[done]
+            keep = ~done
+            live, a, b, total = live[keep], a[keep], b[keep], total[keep]
         if want_sum:
+            c = (a - b) / 2.0
             pow2 *= 2.0
             total = total + pow2 * c * c
+        a, b = (a + b) / 2.0, _right_sqrt(a * b)
     raise ConvergenceError("AGM iteration stalled (branch-straddling input?)")
+
+
+def _like_input(out, arr):
+    """A flat result back in the shape of the input; a complex for a scalar."""
+    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def ellint_K(m) -> complex:
     """Complete elliptic integral of the first kind, K(m) = (pi/2) 2F1(1/2,1/2;1|m).
 
     Computed by the complex AGM on the principal branch; accepts scalars
-    or arrays.
+    or arrays.  Every element stops its AGM on its own convergence test,
+    and scalars are computed as arrays of one element, so
+    ``ellint_K(m)[i]`` equals ``ellint_K(m[i])`` bit for bit; one call on
+    many moduli pays numpy's per-call overhead once.
     """
     arr = np.asarray(m, dtype=complex)
-    if np.any(arr == 1):
+    if np.count_nonzero(arr == 1):
         raise SingularityError("K(m) is singular at m = 1")
-    agm, _ = _agm_sequence(arr)
-    out = np.pi / (2.0 * agm)
-    return complex(out) if np.isscalar(m) or np.ndim(m) == 0 else out
+    agm, _ = _agm_sequence(arr.ravel())
+    return _like_input(np.pi / (2.0 * agm), arr)
 
 
 def ellint_E(m) -> complex:
-    """Complete elliptic integral of the second kind (same m convention as K)."""
+    """Complete elliptic integral of the second kind; m and the AGM as for K."""
     arr = np.asarray(m, dtype=complex)
-    scalar = np.isscalar(m) or np.ndim(m) == 0
-    ones = arr == 1
-    safe = np.where(ones, 0.0, arr)
-    agm, total = _agm_sequence(safe, want_sum=True)
-    out = np.pi / (2.0 * agm) * (1.0 - total)
-    out = np.where(ones, 1.0 + 0j, out)
-    return complex(out) if scalar else out
+    flat = arr.ravel()
+    ones = flat == 1
+    agm, total = _agm_sequence(np.where(ones, 0.0, flat), want_sum=True)
+    out = np.where(ones, 1.0 + 0j, np.pi / (2.0 * agm) * (1.0 - total))
+    return _like_input(out, arr)
 
 
 def deriv_K(m) -> complex:

@@ -18,8 +18,9 @@ from .appell import F2Params, ModuliPoint, f2_series_on_arrays
 from .errors import NonConstantRatioError
 from .factorization import (
     LambdaPair,
+    PeriodVector,
     map_T,
-    period_basis,
+    periods_from_lambdas,
     positivity_pairing,
     quadratic_relation,
 )
@@ -28,9 +29,8 @@ from .modular import (
     TauPair,
     inverse_mirror,
     lambda_hauptmodul,
-    mirror_map,
+    mirror_map_arrays,
     multiplier_probe,
-    pi0_from_lambdas,
     pi0_modular,
     theta3,
 )
@@ -164,6 +164,18 @@ def sample_theorem_domain(rng, n: int, norm_cap: float = 0.95):
     return out
 
 
+def _lambda_arrays(pairs):
+    """The lambda1 and lambda2 values of the pairs, as two lists."""
+    pairs = list(pairs)
+    return [lp.lambda1 for lp in pairs], [lp.lambda2 for lp in pairs]
+
+
+def _tau_pairs(l1s, l2s):
+    """The mirror-map TauPair of every lambda pair, from one array call."""
+    t1, t2 = mirror_map_arrays(l1s, l2s)
+    return [TauPair(a, b) for a, b in zip(t1.tolist(), t2.tolist())]
+
+
 def _finish(suite, cfg, cases, extra_pass=True, started=None):
     max_residual = max((c.residual for c in cases), default=0.0)
     passed = extra_pass and all(c.passed for c in cases)
@@ -189,14 +201,16 @@ def suite_factorization(cfg: RunConfig) -> VerificationReport:
     tol = cfg.tol("factorization")
     rng = _rng(cfg.rng_seed)
     samples = sample_theorem_domain(rng, cfg.samples("factorization"))
+    pi0_values = periods_from_lambdas(*_lambda_arrays(lp for lp, _ in samples))[0]
     f2_values = f2_series_on_arrays(
         F2Params.conformal_case(),
         [pt.x for _, pt in samples],
         [pt.y for _, pt in samples],
     )
     cases = []
-    for i, ((lp, pt), f2) in enumerate(zip(samples, f2_values.tolist())):
-        pi0 = period_basis(lp).pi0
+    for i, ((lp, pt), pi0, f2) in enumerate(
+        zip(samples, pi0_values.tolist(), f2_values.tolist())
+    ):
         resid = abs(pi0 - f2) / abs(pi0)
         cases.append(
             CaseRecord(
@@ -215,10 +229,14 @@ def suite_bilinear(cfg: RunConfig) -> VerificationReport:
     started = time.perf_counter()
     tol = cfg.tol("bilinear")
     rng = _rng(cfg.rng_seed)
+    pairs = [
+        LambdaPair(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
+        for _ in range(cfg.samples("bilinear"))
+    ]
+    periods = np.stack(periods_from_lambdas(*_lambda_arrays(pairs)), axis=1)
     cases = []
-    for i in range(cfg.samples("bilinear")):
-        lp = LambdaPair(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
-        pv = period_basis(lp)
+    for i, (lp, row) in enumerate(zip(pairs, periods.tolist())):
+        pv = PeriodVector(*row)
         quad = quadratic_relation(pv)
         scale = abs(pv.pi0 * pv.pi3) + abs(pv.pi1 * pv.pi2)
         resid = abs(quad) / scale
@@ -240,10 +258,12 @@ def suite_mirror(cfg: RunConfig) -> VerificationReport:
     started = time.perf_counter()
     tol = cfg.tol("mirror")
     rng = _rng(cfg.rng_seed)
+    pairs = [
+        LambdaPair(rng.uniform(0.05, 0.7), rng.uniform(0.4, 0.95))
+        for _ in range(cfg.samples("mirror"))
+    ]
     cases = []
-    for i in range(cfg.samples("mirror")):
-        lp = LambdaPair(rng.uniform(0.05, 0.7), rng.uniform(0.4, 0.95))
-        tp = mirror_map(lp)
+    for i, (lp, tp) in enumerate(zip(pairs, _tau_pairs(*_lambda_arrays(pairs)))):
         l1sq = complex(lp.lambda1) ** 2
         l2sq = complex(lp.lambda2) ** 2
         r1 = abs(lambda_hauptmodul(tp.tau1) - l1sq)
@@ -287,19 +307,26 @@ def suite_modular(cfg: RunConfig) -> VerificationReport:
     started = time.perf_counter()
     tol = cfg.tol("modular")
     rng = _rng(cfg.rng_seed)
-    cases = []
-    idx = 0
+    pairs, taus, lams = [], [], []
     for _ in range(cfg.samples("modular")):
-        lp = LambdaPair(rng.uniform(0.05, 0.7), rng.uniform(0.4, 0.95))
-        tp = mirror_map(lp)
-        bridge = abs(pi0_modular(tp) - pi0_from_lambdas(lp))
+        pairs.append(LambdaPair(rng.uniform(0.05, 0.7), rng.uniform(0.4, 0.95)))
         while True:
             tau = rng.uniform(-0.9, 0.9) + 1j * rng.uniform(0.5, 2.0)
             lam = lambda_hauptmodul(tau)
             # the K/theta identity needs lambda(tau) off the cut [1, oo) of K
             if not (lam.real > 0.95 and abs(lam.imag) < 0.01):
                 break
-        ktheta = abs(ellint_K(lam) - np.pi / 2 * theta3(tau) ** 2)
+        taus.append(tau)
+        lams.append(lam)
+    l1s, l2s = _lambda_arrays(pairs)
+    pi0_values = periods_from_lambdas(l1s, l2s)[0].tolist()
+    k_values = ellint_K(np.array(lams, dtype=complex)).tolist()
+    cases = []
+    for idx, (lp, tp, pi0, tau, k) in enumerate(
+        zip(pairs, _tau_pairs(l1s, l2s), pi0_values, taus, k_values)
+    ):
+        bridge = abs(pi0_modular(tp) - pi0)
+        ktheta = abs(k - np.pi / 2 * theta3(tau) ** 2)
         resid = max(bridge, ktheta)
         cases.append(
             CaseRecord(
@@ -310,7 +337,7 @@ def suite_modular(cfg: RunConfig) -> VerificationReport:
                 resid < tol,
             )
         )
-        idx += 1
+    idx = len(cases)
     probe_samples = _weight_probe_samples(rng)
     for g in _WEIGHT_GENERATORS:
         for slot in (1, 2):

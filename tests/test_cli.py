@@ -6,8 +6,8 @@ import json
 import pytest
 
 from traintrack import F2Params, LambdaPair, period_basis, positivity_pairing
-from traintrack import verify
-from traintrack.appell import _f2_row_sum
+from traintrack import appell, verify
+from traintrack.appell import _euler_prefactor, _f2_row_sum
 from traintrack.cli import main
 
 
@@ -44,6 +44,25 @@ class TestF2Eval:
         printed = float(capsys.readouterr().out.splitlines()[1].split("<=")[1])
         _, tail = _f2_row_sum(F2Params.conformal_case(), 0.8, 0.15)
         assert printed == pytest.approx(float(tail), rel=1e-3)
+
+
+    def test_integral_error_is_the_last_level_delta(self, capsys, monkeypatch):
+        deltas = []
+
+        def recording(*args, **kwargs):
+            value, delta = integrate(*args, **kwargs)
+            deltas.append(delta)
+            return value, delta
+
+        integrate = appell.integrate_01_2d
+        monkeypatch.setattr(appell, "integrate_01_2d", recording)
+        rc = main(["f2-eval", "--x", "0.6", "--y", "0.3", "--method", "integral"])
+        assert rc == 0
+        printed = capsys.readouterr().out.splitlines()[1].split("<=")[1].strip()
+        (delta,) = deltas
+        assert delta > 0
+        want = abs(_euler_prefactor(F2Params.conformal_case())) * delta
+        assert printed == f"{want:.3e}"
 
 
 class TestVerify:
@@ -143,6 +162,19 @@ class TestTraintrack:
         want = positivity_pairing(period_basis(LambdaPair(0.1, 0.9)))
         assert printed == pytest.approx(want, rel=1e-12)
         assert "tau1" in out and "lambda1" in out
+
+    def test_output_is_pinned(self, capsys):
+        # the pairing product is computed once; the printed text is unchanged
+        rc = main(["traintrack", "--z1", "0.36", "--z2", "1.1881"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "pairing = 1.442836281274017e+01\n"
+            "imag_residue = 0.000e+00\n"
+            "lambda1 = +1.000000000000000e-01+0.000000000000000e+00j\n"
+            "lambda2 = +9.000000000000000e-01+0.000000000000000e+00j\n"
+            "tau1 = +0.000000000000000e+00+2.346815544873750e+00j\n"
+            "tau2 = +0.000000000000000e+00+1.378294551956531e+00j\n"
+        )
 
     def test_base_point_limit_warning(self, capsys):
         rc = main(["traintrack", "--z1", "0", "--z2", "1"])

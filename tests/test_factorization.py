@@ -21,6 +21,7 @@ from traintrack import (
     quadratic_relation,
     traintrack_value,
 )
+from traintrack.factorization import periods_from_lambdas
 from traintrack.verify import sample_theorem_domain
 
 
@@ -137,6 +138,22 @@ class TestInvertT:
                     assert abs(got - complex(want)) <= 2e-15 * abs(complex(want))
 
 
+    def test_rounding_of_one_minus_x_minus_y(self):
+        # y near 1 leaves 1 - x - y small: subtracting y from 1 first keeps
+        # the rounding of 1 - x out of it (L2 was off by 1.8e-15 relative)
+        x, y = 0.0194, 0.979
+        lp = invert_T(ModuliPoint(x, y))
+        with mp.workdps(40):
+
+            def residual(l1, l2):
+                s2 = (l1 + l2) ** 2
+                return [4 * l1 * l2 / s2 - x, -(1 - l1 * l1) * (1 - l2 * l2) / s2 - y]
+
+            ref = mp.findroot(residual, (mp.mpc(lp.lambda1), mp.mpc(lp.lambda2)))
+        want = complex(ref[1])
+        assert abs(lp.lambda2 - want) <= 1e-15 * abs(want)
+
+
 class TestGaugeScalar:
     def test_conformal_unit(self):
         assert gauge_scalar(LambdaPair(0.1, 0.9), 0.5, 0.5) == pytest.approx(1.0)
@@ -171,6 +188,27 @@ class TestPeriodBasis:
     def test_domain_violation(self):
         with pytest.raises(DomainError):
             period_basis(LambdaPair(1.5, 0.9))
+
+    def test_boundary_pair_keeps_finite_pi0(self):
+        # at (0, 1) two moduli are 1, where K is infinite: only Pi0 is finite
+        # (the complex products with K = inf give nan+infj or nan+nanj), and
+        # the regular point sharing the call is unaffected
+        p0, p1, p2, p3 = periods_from_lambdas([0.0, 0.1], [1.0, 0.9])
+        assert abs(p0[0] - 1.0) < 1e-15
+        assert not any(np.isfinite(p[0]) for p in (p1, p2, p3))
+        pv = period_basis(LambdaPair(0.1, 0.9))
+        assert [p[1] for p in (p0, p1, p2, p3)] == list(pv.as_array())
+
+    def test_batch_equals_per_point_calls(self):
+        # one call on all points gives each point its scalar periods, bit for bit
+        pairs = [lp for lp, _ in sample_theorem_domain(_rng(), 200)]
+        l1 = np.array([lp.lambda1 for lp in pairs], dtype=complex)
+        l2 = np.array([lp.lambda2 for lp in pairs], dtype=complex)
+        batch = np.stack(periods_from_lambdas(l1, l2), axis=-1)
+        single = np.array([period_basis(lp).as_array() for lp in pairs])
+        assert np.array_equal(batch.view(np.uint64), single.view(np.uint64))
+        grid = periods_from_lambdas(l1.reshape(10, 20), l2.reshape(10, 20))
+        assert np.array_equal(np.stack(grid, axis=-1).reshape(200, 4), batch)
 
 
 class TestBilinear:

@@ -21,6 +21,7 @@ from traintrack import (
     theta4,
 )
 from traintrack.factorization import period_basis
+from traintrack.modular import mirror_map_arrays
 
 
 def _rng():
@@ -105,6 +106,31 @@ class TestMirrorMap:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             mirror_map(LambdaPair(1.2, 0.9))
+
+    def test_array_core_matches_scalar_wrapper(self):
+        # one call on 120 pairs, half of them complex, gives every pair the
+        # coordinates of its own scalar call, bit for bit, in any shape
+        rng = _rng()
+        pairs = [_domain_pair(rng) for _ in range(60)] + [
+            LambdaPair(
+                complex(rng.uniform(0.05, 0.7), rng.uniform(-0.06, 0.06)),
+                complex(rng.uniform(0.62, 0.95), rng.uniform(-0.06, 0.06)),
+            )
+            for _ in range(60)
+        ]
+        l1 = np.array([lp.lambda1 for lp in pairs], dtype=complex)
+        l2 = np.array([lp.lambda2 for lp in pairs], dtype=complex)
+        t1, t2 = mirror_map_arrays(l1, l2)
+        single = [mirror_map(lp) for lp in pairs]
+        assert t1.tolist() == [tp.tau1 for tp in single]
+        assert t2.tolist() == [tp.tau2 for tp in single]
+        g1, g2 = mirror_map_arrays(l1.reshape(8, 15), l2.reshape(8, 15))
+        assert g1.shape == (8, 15) and g1.ravel().tolist() == t1.tolist()
+        assert g2.ravel().tolist() == t2.tolist()
+
+    def test_array_core_domain_guard(self):
+        with pytest.raises(DomainError):
+            mirror_map_arrays([0.1, 1.2], [0.9, 0.9])
 
 
 class TestInverseMirror:

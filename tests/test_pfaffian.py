@@ -1,7 +1,14 @@
 """Connection matrices, transport, flatness and monodromy."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import traintrack
 
 from traintrack import (
     DomainError,
@@ -227,3 +234,21 @@ class TestGamma2Membership:
     def test_non_integral_raises(self):
         with pytest.raises(ValueError):
             gamma2_membership(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def test_scipy_is_imported_only_by_transport():
+    # scipy.integrate is most of the import time and only transport needs it
+    code = (
+        "import sys, traintrack, traintrack.cli, traintrack.verify\n"
+        "assert 'scipy' not in sys.modules, 'imported with the package'\n"
+        "traintrack.monodromy_2f1(\n"
+        "    traintrack.system_2f1(traintrack.Hyper2F1Params(0.5, 0.5, 1.0)), 0.0)\n"
+        "assert 'scipy.integrate' in sys.modules\n"
+    )
+    src = str(Path(traintrack.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,7 @@
 """Gamma, elliptic integrals and Gauss 2F1 against independent oracles."""
 
+import cmath
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,52 @@ class TestEllintE:
                 - np.pi / 2
             )
             assert abs(resid) < 1e-12
+
+
+def _agm_steps(m):
+    """Steps of AGM(1, sqrt(1 - m)) to the 4e-16 relative stop, in cmath."""
+    a, b = 1.0, cmath.sqrt(1.0 - m)
+    for n in range(64):
+        if abs(a - b) <= 4e-16 * abs(a):
+            return n
+        a, b = (a + b) / 2.0, cmath.sqrt(a * b)
+    return 64
+
+
+class TestBatchIndependence:
+    """One call on many moduli gives each element its own scalar value."""
+
+    def _moduli(self):
+        # 2,400 seeded moduli: complex, hugging the cut [1, oo) from both
+        # sides, negative reals and tiny |m|, in a shuffled order, so that
+        # AGMs that stop after few and after many steps share each batch
+        rng = _rng()
+        m = np.concatenate(
+            [
+                rng.uniform(-3.0, 3.0, 1600) + 1j * rng.uniform(-2.0, 2.0, 1600),
+                rng.uniform(1.01, 4.0, 400)
+                + 1j * rng.choice([1e-9, -1e-9, 1e-3, -1e-3], 400),
+                rng.uniform(-6.0, 0.99, 200) + 0j,
+                10.0 ** rng.uniform(-12.0, -1.0, 200)
+                * np.exp(2j * np.pi * rng.uniform(size=200)),
+            ]
+        )
+        rng.shuffle(m)
+        assert {_agm_steps(complex(v)) for v in m} == {1, 2, 3, 4, 5}
+        return m
+
+    @staticmethod
+    def _bits(z):
+        return np.asarray(z, dtype=complex).view(np.uint64)
+
+    @pytest.mark.parametrize("fn", [ellint_K, ellint_E], ids=["K", "E"])
+    def test_batch_equals_per_element_calls(self, fn):
+        m = self._moduli()
+        single = np.array([fn(complex(v)) for v in m])
+        assert np.array_equal(self._bits(fn(m)), self._bits(single))
+        grid = fn(m.reshape(40, 60))
+        assert grid.shape == (40, 60)
+        assert np.array_equal(self._bits(grid), self._bits(single.reshape(40, 60)))
 
 
 class TestGauss2F1:
