@@ -244,9 +244,9 @@ def _euler_prefactor(p: F2Params) -> complex:
 def _f2_euler(p: F2Params, pt: ModuliPoint, q: QuadratureControl | None = None):
     """F2 by the Euler integral, and how far it moved at the last level.
 
-    Returns (value, delta): delta is the last-level delta of
-    ``integrate_01_2d`` times |prefactor|, the change of the F2 value between
-    the last two tanh-sinh levels.
+    Returns (value, error): the error of ``integrate_01_2d`` times
+    |prefactor|, the change of the F2 value between the last two tanh-sinh
+    levels plus the rounding of the last one.
     """
     q = q or QuadratureControl()
     for b, g in ((p.beta1, p.gamma1), (p.beta2, p.gamma2)):
@@ -268,11 +268,11 @@ def _f2_euler(p: F2Params, pt: ModuliPoint, q: QuadratureControl | None = None):
             * (1.0 - x * t2 - y * t1) ** (-a)
         )
 
-    val, delta = integrate_01_2d(
+    val, err = integrate_01_2d(
         integrand, target_tol=q.target_tol, level_max=q.level_max
     )
     pref = _euler_prefactor(p)
-    return complex(pref * val), float(abs(pref) * delta)
+    return complex(pref * val), float(abs(pref) * err)
 
 
 def f2_euler_integral(

@@ -80,10 +80,6 @@ def map_T(lp: LambdaPair) -> ModuliPoint:
     return ModuliPoint(*_map_T_arrays(complex(lp.lambda1), complex(lp.lambda2)))
 
 
-def _on_cut(radicand):
-    return (radicand.imag == 0) & (radicand.real <= 0)
-
-
 def invert_T_arrays(x, y):
     """Inverse of T on the branch through (x,y)=(0,0) -> (L1,L2)=(0,1), in closed form.
 
@@ -104,32 +100,38 @@ def invert_T_arrays(x, y):
     base branch along that segment.  T ramifies on x = 1, y = 1 and
     x + y = 1, and where the segment meets one of these cuts the branch is
     not determined: BranchTrackingError.
+
+    Scalars are computed as arrays of one element, so a point's preimage
+    does not depend on the other points passed with it.
     """
     x, y = np.broadcast_arrays(
         np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
     )
-    ry, rx = 1.0 - y, 1.0 - x
+    shape = x.shape
+    x, y = x.ravel(), y.ravel()
     # numpy orders complex numbers by real part first: subtracting the larger
     # one from 1 first is exact (Sterbenz) when its real part lies in
     # [1/2, 2], which keeps that rounding out of a small radicand 1 - x - y
-    rxy = (1.0 - np.maximum(x, y)) - np.minimum(x, y)
-    if np.any(_on_cut(ry) | _on_cut(rxy) | _on_cut(rx)):
+    radicands = np.concatenate(
+        (1.0 - y, 1.0 - x, (1.0 - np.maximum(x, y)) - np.minimum(x, y))
+    )
+    if ((radicands.imag == 0) & (radicands.real <= 0)).any():
         raise BranchTrackingError(
             "x, y or x + y is real and >= 1: the segment from the base point "
             "meets a branch cut of T^-1"
         )
-    r = np.sqrt(rx)
-    s = 2.0 / (np.sqrt(ry) + np.sqrt(rxy))
+    u, r, v = np.sqrt(radicands).reshape(3, x.size)
+    s = 2.0 / (u + v)
     l1 = s * x / (2.0 * (1.0 + r))
     l2 = s * (1.0 + r) / 2.0
     xr, yr = _map_T_arrays(l1, l2)
-    err = np.max(np.abs(xr - x) + np.abs(yr - y))
-    if err > 1e-10 * max(1.0, float(np.max(np.abs(x) + np.abs(y)))):
+    err = (np.abs(xr - x) + np.abs(yr - y)).max()
+    if err > 1e-10 * max(1.0, float((np.abs(x) + np.abs(y)).max())):
         raise BranchTrackingError(
             f"round trip through T failed (residual {err:.2e}); "
             "point outside the tracked neighborhood"
         )
-    return l1, l2
+    return l1.reshape(shape), l2.reshape(shape)
 
 
 def invert_T(pt: ModuliPoint) -> LambdaPair:

@@ -60,7 +60,15 @@ def integrate_01(f, target_tol: float = 1e-12, level_min: int = 3, level_max: in
 
 
 def integrate_01_2d(f, target_tol: float = 1e-11, level_min: int = 3, level_max: int = 8):
-    """Tensor tanh-sinh rule over (0,1)^2; f(x1, 1-x1, x2, 1-x2) broadcastable."""
+    """Tensor tanh-sinh rule over (0,1)^2; f(x1, 1-x1, x2, 1-x2) broadcastable.
+
+    Returns (value, error).  The levels stop once two agree to target_tol;
+    the error is their difference plus a first-order estimate of the
+    rounding of the last level, eps * sum_ij |w_i| c_i |f_ij| |w_j| c_j.
+    There c = 1 + |s| counts the rounding of the sum and of each node: a
+    node is exp of the rounded exponent s = pi sinh(t), whose absolute
+    rounding error, about eps |s|, becomes a relative error of x, 1 - x, w.
+    """
     prev = None
     for level in range(level_min, level_max + 1):
         x, omx, w = tanh_sinh_nodes(level)
@@ -69,7 +77,9 @@ def integrate_01_2d(f, target_tol: float = 1e-11, level_min: int = 3, level_max:
         if prev is not None:
             err = abs(val - prev)
             if err <= target_tol * max(1.0, abs(val)):
-                return val, err
+                wc = np.abs(w) * (1.0 + np.abs(np.log(x) - np.log(omx)))
+                rounding = np.finfo(float).eps * (wc @ np.abs(vals) @ wc)
+                return val, err + rounding
         prev = val
     raise ConvergenceError("2d tanh-sinh quadrature did not reach target_tol")
 

@@ -22,7 +22,7 @@ from traintrack import (
     period_basis,
     quadratic_criterion,
 )
-from traintrack.appell import _f2_row_sum
+from traintrack.appell import _f2_euler, _f2_row_sum
 
 CONFORMAL = F2Params.conformal_case()
 
@@ -230,6 +230,17 @@ class TestEulerIntegral:
             a = f2_series(CONFORMAL, pt)
             b = f2_euler_integral(CONFORMAL, pt)
             assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [(0.6, 0.3), (0.8, 0.15), (0.36, -0.1881), (-0.7, -0.2), (0.5 + 0.3j, 0.2),
+         (0.05, 0.9), (-0.45, 0.5)],
+    )
+    def test_error_covers_mpmath(self, x, y):
+        # the last-level delta alone read 0 to 3.6e-16 here, against errors
+        # of 1.1e-15 to 2.0e-15: the rounding of the last level dominates
+        value, err = _f2_euler(CONFORMAL, ModuliPoint(x, y))
+        assert abs(value - _mp_f2(CONFORMAL, x, y)) <= err
 
     def test_parameter_precondition(self):
         bad = F2Params(0.5, 1.5, 0.5, 1.0, 1.0)  # Re(gamma1) < Re(beta1)

@@ -21,7 +21,7 @@ from traintrack import (
     quadratic_relation,
     traintrack_value,
 )
-from traintrack.factorization import periods_from_lambdas
+from traintrack.factorization import invert_T_arrays, periods_from_lambdas
 from traintrack.verify import sample_theorem_domain
 
 
@@ -137,6 +137,21 @@ class TestInvertT:
                 for got, want in zip((lp.lambda1, lp.lambda2), ref):
                     assert abs(got - complex(want)) <= 2e-15 * abs(complex(want))
 
+
+    def test_scalar_equals_array_element(self):
+        # a scalar runs in the same array loops as a batch, bit for bit
+        rng = np.random.Generator(np.random.Philox(31))
+        xs, ys = [], []
+        while len(xs) < 1000:
+            x, y = rng.uniform(-0.95, 0.95, 2) + 1j * rng.uniform(-0.95, 0.95, 2)
+            if abs(x) + abs(y) < 0.95:
+                xs.append(x)
+                ys.append(y)
+        l1, l2 = invert_T_arrays(np.array(xs), np.array(ys))
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            lp = invert_T(ModuliPoint(x, y))
+            got = np.array([lp.lambda1, lp.lambda2])
+            assert np.array_equal(got.view(np.uint64), np.array([l1[i], l2[i]]).view(np.uint64))
 
     def test_rounding_of_one_minus_x_minus_y(self):
         # y near 1 leaves 1 - x - y small: subtracting y from 1 first keeps

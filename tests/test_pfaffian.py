@@ -11,11 +11,13 @@ import pytest
 import traintrack
 
 from traintrack import (
+    ConvergenceError,
     DomainError,
     F2Params,
     Hyper2F1Params,
     ModuliPoint,
     PathSpec,
+    PfaffianSystem1D,
     a_2f1,
     a_f2,
     ellint_K,
@@ -28,6 +30,8 @@ from traintrack import (
 )
 from traintrack.appell import f2_series_on_arrays
 from traintrack.pfaffian import (
+    a_2f1_arrays,
+    a_f2_arrays,
     flatness_residual,
     horizontality_residual_1d,
     horizontality_residual_f2,
@@ -101,6 +105,66 @@ class TestAF2:
     def test_singular_locus_raises(self):
         with pytest.raises(DomainError):
             a_f2(CONFORMAL, ModuliPoint(0.0, 0.2))
+
+
+class TestArrayCores:
+    """One array call equals the per-point calls, in 1-d and 2-d shapes."""
+
+    GENERIC = F2Params(0.6, 0.35, 0.55, 1.3, 0.9)
+
+    @staticmethod
+    def _points(shape):
+        rng = _rng()
+        n = int(np.prod(shape))
+        u = rng.uniform(0.1, 0.45, n) + 1j * rng.uniform(-0.1, 0.1, n)
+        v = rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 0.4, n)
+        v = v + 1j * rng.uniform(-0.1, 0.1, n) * (np.arange(n) % 2)
+        return u.reshape(shape), v.reshape(shape)
+
+    def _cases(self):
+        legendre = system_2f1(LEGENDRE)
+        f2 = system_f2(self.GENERIC)
+        ts = tensor_system(legendre, system_2f1(Hyper2F1Params(0.3, 0.7, 1.2)))
+        line_x = restrict_to_line(f2, 0.2 + 0.01j, "x")
+        line_y = restrict_to_line(ts, 0.3, "y")
+        pair = lambda ax_ay: np.stack(ax_ay, axis=-3)
+        return {
+            "a_2f1": lambda u, v: a_2f1_arrays(LEGENDRE, u),
+            "a_f2": lambda u, v: pair(a_f2_arrays(self.GENERIC, u, v)),
+            "system_2f1": lambda u, v: legendre.coefficient(u),
+            "system_f2_x": f2.coefficient_x,
+            "system_f2_y": f2.coefficient_y,
+            "tensor_u": ts.coefficient_x,
+            "tensor_v": ts.coefficient_y,
+            "line_x": lambda u, v: line_x.coefficient(u),
+            "line_y": lambda u, v: line_y.coefficient(v),
+        }
+
+    def _per_point(self, name, u, v):
+        if name == "a_2f1":
+            return a_2f1(LEGENDRE, u)
+        if name == "a_f2":
+            return np.stack(a_f2(self.GENERIC, ModuliPoint(u, v)))
+        return self._cases()[name](u, v)
+
+    @pytest.mark.parametrize("shape", [(30,), (5, 6)])
+    def test_array_call_equals_per_point_calls(self, shape):
+        u, v = self._points(shape)
+        for name, fn in self._cases().items():
+            stack = fn(u, v)
+            d = stack.shape[-1]
+            assert stack.shape[: len(shape)] == shape, name
+            for i, (ui, vi) in enumerate(zip(u.flat, v.flat)):
+                one = self._per_point(name, complex(ui), complex(vi))
+                got = stack.reshape(-1, *stack.shape[len(shape) :])[i]
+                assert got.shape == one.shape and one.shape[-1] == d, name
+                assert np.max(np.abs(got - one)) <= 1e-15 * np.max(np.abs(one)), name
+
+    def test_singular_point_in_a_batch_raises(self):
+        with pytest.raises(DomainError):
+            a_2f1_arrays(LEGENDRE, [0.3, 1.0])
+        with pytest.raises(DomainError):
+            a_f2_arrays(CONFORMAL, [0.2, 0.4], [0.1, 0.6])
 
 
 class TestTensorSystem:
@@ -187,6 +251,52 @@ class TestTransport:
         )
         assert np.max(np.abs(end_one - end_two)) < 1e-10
 
+    def test_transport_equals_legendre_basis(self):
+        # Off the cuts (-inf, 0] and [1, inf) the Legendre basis is analytic,
+        # so transporting its value at p to q gives its value at q.  Polylines
+        # stay in the strip 0 < Re z < 1 or in one open half-plane; arcs stay
+        # in the strip.
+        rng = _rng()
+        s = system_2f1(LEGENDRE)
+        paths = []
+        for i in range(12):
+            n = 2 + i % 3
+            if i % 2:
+                re, im = rng.uniform(0.05, 0.95, n), rng.uniform(-0.6, 0.6, n)
+            else:
+                re = rng.uniform(-0.8, 1.8, n)
+                im = (1 if i % 4 else -1) * rng.uniform(0.05, 0.6, n)
+            paths.append(PathSpec.polyline(re + 1j * im))
+        for _ in range(10):
+            center = complex(rng.uniform(0.4, 0.6), rng.uniform(-0.2, 0.2))
+            paths.append(
+                PathSpec.circle(
+                    center,
+                    rng.uniform(0.1, 0.35),
+                    rng.uniform(-1.0, 1.0),
+                    rng.uniform(0.0, 2.0 * np.pi),
+                )
+            )
+        for path in paths:
+            p, q = path.sample(2)[[0, -1]]
+            out = integrate_pfaffian(s, path, legendre_basis_matrix(p))
+            want = legendre_basis_matrix(q)
+            assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_system_without_singular_points(self):
+        # dY/dz = 2z Y, Y = exp(z^2): steps are capped by the segment length,
+        # and the first one, whose series has a zero term 1, goes on past it
+        gauss = PfaffianSystem1D(1, lambda z: 2.0 * np.asarray(z)[..., None, None], ())
+        out = integrate_pfaffian(gauss, PathSpec.polyline([0.0, 1.5j]), np.eye(1))
+        assert abs(out[0, 0] - np.exp(-2.25)) < 1e-14 * np.exp(-2.25)
+
+    def test_step_that_cannot_converge_raises(self):
+        # dY/dz = 200 Y is entire, so one step spans the segment; its series
+        # there needs over 200 terms, beyond the 48 a step may use
+        stiff = PfaffianSystem1D(1, lambda z: np.full(np.shape(z) + (1, 1), 200.0), ())
+        with pytest.raises(ConvergenceError):
+            integrate_pfaffian(stiff, PathSpec.polyline([0.0, 1.0]), np.eye(1))
+
     def test_clearance_violation(self):
         s = system_2f1(LEGENDRE)
         with pytest.raises(DomainError):
@@ -221,6 +331,14 @@ class TestMonodromy:
         assert abs(np.trace(m0 @ m1)) >= 2
 
 
+    @pytest.mark.parametrize("base", [0.2 + 0.05j, 0.35 + 0.01j, 0.7 - 0.1j, 0.9 + 0.02j])
+    def test_generators_from_basepoints(self, base):
+        s = system_2f1(LEGENDRE)
+        for around, want in ((0.0, [[1, 2], [0, 1]]), (1.0, [[1, 0], [-2, 1]])):
+            m = monodromy_2f1(s, around, basepoint=base)
+            assert np.max(np.abs(m - np.array(want))) <= 1e-12
+
+
 class TestGamma2Membership:
     def test_identity(self):
         assert gamma2_membership(np.eye(2))
@@ -236,14 +354,17 @@ class TestGamma2Membership:
             gamma2_membership(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
-def test_scipy_is_imported_only_by_transport():
-    # scipy.integrate is most of the import time and only transport needs it
+def test_scipy_is_never_imported():
+    # numpy is the only numerical dependency: scipy loads neither with the
+    # package, nor for transport, nor for a verify run
     code = (
         "import sys, traintrack, traintrack.cli, traintrack.verify\n"
         "assert 'scipy' not in sys.modules, 'imported with the package'\n"
         "traintrack.monodromy_2f1(\n"
         "    traintrack.system_2f1(traintrack.Hyper2F1Params(0.5, 0.5, 1.0)), 0.0)\n"
-        "assert 'scipy.integrate' in sys.modules\n"
+        "assert 'scipy' not in sys.modules, 'imported by transport'\n"
+        "traintrack.verify.run_all(traintrack.verify.RunConfig(sample_count=1))\n"
+        "assert 'scipy' not in sys.modules, 'imported by verify'\n"
     )
     src = str(Path(traintrack.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
