@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularityError
-from .quadrature import cauchy_derivs_2d, integrate_01_2d
+from .quadrature import LEVEL_MAX_2D, cauchy_derivs_2d, integrate_01_2d
 from .special import SeriesControl, _is_nonpositive_integer, gamma_fn
 
 __all__ = [
@@ -74,8 +74,12 @@ class QuadratureControl:
     target_tol: float = 1e-11
 
     def __post_init__(self):
-        if not 1 <= self.level_max <= 14:
-            raise ValueError("level_max must lie in 1..14")
+        if not 4 <= self.level_max <= LEVEL_MAX_2D:
+            raise ValueError(
+                f"level_max must lie in 4..{LEVEL_MAX_2D}: the rule starts at level 3"
+                " and needs two levels, and a level-8 grid holds up to 3,073^2"
+                " complex values (151 MB)"
+            )
         if self.target_tol <= 0:
             raise ValueError("target_tol must be positive")
 
@@ -241,35 +245,61 @@ def _euler_prefactor(p: F2Params) -> complex:
     )
 
 
-def _f2_euler(p: F2Params, pt: ModuliPoint, q: QuadratureControl | None = None):
-    """F2 by the Euler integral, and how far it moved at the last level.
+def _distance_from_one(x: complex, y: complex) -> float:
+    """Distance from 1 to the parallelogram {x s + y t : s, t in [0, 1]}.
 
+    It is 0 where 1 = x s + y t has a real solution in the square, and
+    otherwise the least distance to the four edges, which also covers the
+    collinear case, where the parallelogram is a segment.
+    """
+    det = (x.conjugate() * y).imag
+    if det != 0.0 and 0.0 <= y.imag / det <= 1.0 and 0.0 <= -x.imag / det <= 1.0:
+        return 0.0
+    dist = np.inf
+    for a, e in ((0.0, x), (0.0, y), (x, y), (y, x)):  # edges a + u e, 0 <= u <= 1
+        u = ((1.0 - a) * e.conjugate()).real / abs(e) ** 2 if e else 0.0
+        dist = min(dist, abs(1.0 - a - min(max(u, 0.0), 1.0) * e))
+    return dist
+
+
+def _f2_euler(p: F2Params, pt: ModuliPoint, q: QuadratureControl | None = None):
+    """F2 by the Euler integral, and the error bound of its quadrature.
+
+    The endpoint powers t^(b-1) (1-t)^(g-b-1) go into the weights of
+    ``integrate_01_2d``, and the kernel is (1 - x t2 - y t1)^-a.  With d
+    the distance from 1 to the values of x t2 + y t1 on the square, its
+    modulus is at most max(d^-Re(a), (1 + |x| + |y|)^-Re(a)) e^(pi |Im a|).
     Returns (value, error): the error of ``integrate_01_2d`` times
-    |prefactor|, the change of the F2 value between the last two tanh-sinh
-    levels plus the rounding of the last one.
+    |prefactor|.
     """
     q = q or QuadratureControl()
     for b, g in ((p.beta1, p.gamma1), (p.beta2, p.gamma2)):
         if not (complex(g).real > complex(b).real > 0):
             raise DomainError("Euler integral needs Re(gamma) > Re(beta) > 0")
-    x, y = complex(pt.x), complex(pt.y)
-    tt = np.linspace(0.0, 1.0, 201)
-    lin = 1.0 - x * tt[None, :] - y * tt[:, None]
-    if np.min(np.abs(lin)) < 1e-9:
+    x, y, a = complex(pt.x), complex(pt.y), complex(p.alpha)
+    dist = _distance_from_one(x, y)
+    if dist < 1e-9:
         raise SingularityError("1 - x t2 - y t1 vanishes on the unit square")
-    a, b1, b2, g1, g2 = p.alpha, p.beta1, p.beta2, p.gamma1, p.gamma2
+    bound = max(dist**-a.real, (1.0 + abs(x) + abs(y)) ** -a.real) * np.exp(
+        np.pi * abs(a.imag)
+    )
+    real = x.imag == y.imag == a.imag == 0.0
 
-    def integrand(t1, omt1, t2, omt2):
-        return (
-            t1 ** (b2 - 1.0)
-            * omt1 ** (g2 - b2 - 1.0)
-            * t2 ** (b1 - 1.0)
-            * omt2 ** (g1 - b1 - 1.0)
-            * (1.0 - x * t2 - y * t1) ** (-a)
-        )
+    def kernel(t1, t2):
+        re = 1.0 - x.real * t2 - y.real * t1
+        if real:  # then re >= dist > 0 on the square
+            return np.exp(-a.real * np.log(re))
+        # log|z| + i arg z, as numpy's complex log is several times slower
+        im = -x.imag * t2 - y.imag * t1
+        return np.exp(-a * (0.5 * np.log(re * re + im * im) + 1j * np.arctan2(im, re)))
 
+    b1, b2, g1, g2 = p.beta1, p.beta2, p.gamma1, p.gamma2
     val, err = integrate_01_2d(
-        integrand, target_tol=q.target_tol, level_max=q.level_max
+        kernel,
+        ((b2 - 1.0, g2 - b2 - 1.0), (b1 - 1.0, g1 - b1 - 1.0)),
+        bound,
+        target_tol=q.target_tol,
+        level_max=q.level_max,
     )
     pref = _euler_prefactor(p)
     return complex(pref * val), float(abs(pref) * err)

@@ -7,6 +7,7 @@ placed on m in [1, oo).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,10 @@ def gamma_fn(z: complex) -> complex:
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise SingularityError(f"gamma pole at z = {z}")
+    if z.imag == 0.0:
+        # math.gamma is within 4 eps on the real axis; the Lanczos sum below
+        # loses up to 16 eps on (0, 3) and far more through the reflection
+        return complex(math.gamma(z.real))
     if z.real < 0.5:
         return np.pi / (np.sin(np.pi * z) * gamma_fn(1.0 - z))
     z -= 1.0

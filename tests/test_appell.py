@@ -1,5 +1,8 @@
 """Appell F2: series vs integral vs defining PDEs, and the series vs mpmath."""
 
+import importlib.util
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -13,7 +16,9 @@ from traintrack import (
     Hyper2F1Params,
     LambdaPair,
     ModuliPoint,
+    QuadratureControl,
     SeriesControl,
+    SingularityError,
     f2_euler_integral,
     f2_pde_residual,
     f2_series,
@@ -22,7 +27,10 @@ from traintrack import (
     period_basis,
     quadratic_criterion,
 )
+from traintrack import appell
 from traintrack.appell import _f2_euler, _f2_row_sum
+
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 CONFORMAL = F2Params.conformal_case()
 
@@ -251,6 +259,82 @@ class TestEulerIntegral:
         # 1 - x t2 - y t1 vanishes on the square when x + y = 1 with x, y > 0
         with pytest.raises(DomainError):
             f2_euler_integral(CONFORMAL, ModuliPoint(0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [(0.9, 0.3), (0.6, 0.6), (0.7 + 0.05j, 0.5 - 0.05j), (1.3, 0.0),
+         (0.5, 0.5), (1.1, -0.05), (0.55, 0.5)],
+    )
+    def test_zero_of_the_linear_factor_is_found(self, x, y):
+        # zeros between the points of a grid scan, and on an edge of the square
+        with pytest.raises(SingularityError):
+            _f2_euler(CONFORMAL, ModuliPoint(x, y))
+
+    def test_benchmark_points_are_not_singular(self):
+        spec = importlib.util.spec_from_file_location("workloads", _BENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for x, y in workloads.WORKLOADS["f2_hard"].items(0):
+            _, err = _f2_euler(CONFORMAL, ModuliPoint(x, y))
+            assert err < 1e-13
+
+    @pytest.mark.parametrize(
+        "p, x, y",
+        [(F2Params(0.6, 0.35, 0.55, 1.3, 0.9), 0.2, 0.1),
+         (F2Params(0.7, 0.3, 0.4, 1.1, 0.8), -0.3, 0.4 + 0.2j)],
+    )
+    def test_endpoint_exponents_below_minus_half(self, p, x, y):
+        # the endpoint powers overflowed at the outermost nodes when they
+        # were applied to the integrand instead of the weights
+        value, err = _f2_euler(p, ModuliPoint(x, y))
+        ref = _mp_f2(p, x, y, dps=30)
+        assert abs(value - ref) <= 1e-13 * abs(ref)
+        assert abs(value - ref) <= err
+
+    @pytest.mark.parametrize(
+        "p, x, y",
+        [(F2Params(0.5 + 0.2j, 0.5, 0.5, 1.0, 1.0), 0.3, -0.2),
+         (F2Params(0.7 - 0.3j, 0.4, 0.6, 1.3, 1.1), -0.4, 0.35),
+         (F2Params(0.6 + 0.1j, 0.5, 0.5, 1.0, 1.0), 0.2 + 0.3j, -0.1)],
+    )
+    def test_complex_alpha(self, p, x, y):
+        value, err = _f2_euler(p, ModuliPoint(x, y))
+        ref = _mp_f2(p, x, y, dps=30)
+        assert abs(value - ref) <= min(err, 1e-13 * abs(ref))
+
+    @pytest.mark.parametrize(
+        "a, x, y",
+        [(0.5, 0.6, 0.3), (0.5, -0.7, -0.2), (1.5, 0.5 + 0.3j, 0.2), (-0.4, 0.8, -0.15),
+         (0.5 + 0.2j, 0.3, -0.6j)],
+    )
+    def test_kernel_bound(self, a, x, y, monkeypatch):
+        # the bound passed to the quadrature covers |1 - x t2 - y t1|^-a on
+        # the closed square, and is tight for real a > 0
+        bounds = []
+
+        def recording(kernel, exponents, bound, **kwargs):
+            bounds.append(bound)
+            return integrate(kernel, exponents, bound, **kwargs)
+
+        integrate = appell.integrate_01_2d
+        monkeypatch.setattr(appell, "integrate_01_2d", recording)
+        _f2_euler(F2Params(a, 0.5, 0.5, 1.0, 1.0), ModuliPoint(x, y))
+        t = np.linspace(0.0, 1.0, 401)
+        top = np.max(np.abs((1.0 - x * t[None, :] - y * t[:, None]) ** -a))
+        (bound,) = bounds
+        assert top <= bound
+        if complex(a).imag == 0 and complex(a).real > 0:
+            assert bound <= 1.01 * top
+
+    def test_level_max_range(self):
+        for bad in (3, 9):
+            with pytest.raises(ValueError, match="151 MB"):
+                QuadratureControl(level_max=bad)
+        pt = ModuliPoint(0.2, 0.1)
+        want = f2_series(CONFORMAL, pt)
+        for good in (4, 8):
+            got = f2_euler_integral(CONFORMAL, pt, QuadratureControl(level_max=good))
+            assert abs(got - want) < 1e-12
 
 
 class TestPdeResidual:

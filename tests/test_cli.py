@@ -64,6 +64,14 @@ class TestF2Eval:
         want = abs(_euler_prefactor(F2Params.conformal_case())) * delta
         assert printed == f"{want:.3e}"
 
+    def test_integral_with_endpoint_exponents_below_minus_half(self, capsys):
+        argv = ["f2-eval", "--alpha", "0.6", "--beta1", "0.35", "--beta2", "0.55",
+                "--gamma1", "1.3", "--gamma2", "0.9", "--x", "0.2", "--y", "0.1",
+                "--method", "integral"]
+        assert main(argv) == 0
+        value = complex(capsys.readouterr().out.splitlines()[0].split("=")[1].strip())
+        assert abs(value - 1.079258198965056174) < 1e-13  # mpmath appellf2
+
 
 class TestVerify:
     def test_factorization_passes(self, capsys, tmp_path):

@@ -1,0 +1,116 @@
+"""The nested, truncated 2-D tanh-sinh rule of ``integrate_01_2d``."""
+
+from collections import Counter
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from traintrack import ConvergenceError
+from traintrack.quadrature import _axis, integrate_01_2d
+
+
+def _one(t1, t2):
+    return np.ones(np.broadcast_shapes(t1.shape, t2.shape))
+
+
+def _kernel(x, y, a):
+    return lambda t1, t2: np.exp(-a * np.log(1.0 - x * t2 - y * t1))
+
+
+def _kept(p, q, level_min, level):
+    """Kept nodes and weights of one axis at ``level``, floor set at level_min."""
+    floor = _axis(p, q, level_min)[-1]
+    return _axis(p, q, level, floor)
+
+
+@pytest.mark.parametrize(
+    "exps1, exps2",
+    [
+        ((-0.5, -0.5), (-0.5, -0.5)),
+        ((-0.9, 1.5), (0.0, 0.0)),
+        ((0.0, -0.9), (1.5, -0.9)),
+        ((1.5, 0.0), (-0.5, -0.5)),
+        ((-0.9, -0.9), (1.5, 1.5)),
+        ((0.3 + 0.4j, -0.2 - 1j), (-0.5, 0.0)),
+    ],
+)
+def test_constant_kernel_gives_beta_product(exps1, exps2):
+    value, err = integrate_01_2d(_one, (exps1, exps2), 1.0)
+    with mp.workdps(30):
+        want = complex(
+            mp.beta(exps1[0] + 1, exps1[1] + 1) * mp.beta(exps2[0] + 1, exps2[1] + 1)
+        )
+    assert abs(value - want) <= err
+    assert err <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "x, y, a",
+    [(0.6, 0.3, 0.5), (0.5 + 0.3j, 0.2 + 0j, 0.5 + 0.1j), (-0.7 + 0j, -0.2 + 0j, 0.5)],
+)
+@pytest.mark.parametrize("level", [4, 5, 6])
+def test_nested_sum_equals_fresh_grid(x, y, a, level):
+    # a target of 1 stops at the second level, the one asked for
+    exps = ((-0.5, -0.5), (-0.3, 0.2))
+    kernel = _kernel(x, y, a)
+    value, _ = integrate_01_2d(
+        kernel, exps, 10.0, target_tol=1.0, level_min=level - 1, level_max=level
+    )
+    x1, w1, *_ = _kept(*exps[0], level - 1, level)
+    x2, w2, *_ = _kept(*exps[1], level - 1, level)
+    fresh = w1 @ kernel(x1[:, None], x2[None, :]) @ w2
+    assert value == fresh
+
+
+def test_kernel_sees_each_kept_pair_once():
+    seen = []
+
+    def recording(t1, t2):
+        t1, t2 = np.broadcast_arrays(t1, t2)
+        seen.extend(zip(t1.ravel().tolist(), t2.ravel().tolist()))
+        return np.abs(t1 - t2)  # a kink: no two levels agree to the bit
+
+    exps = ((-0.5, -0.5), (0.2, -0.7))
+    with pytest.raises(ConvergenceError):  # a target of 0 runs levels 3 to 5
+        integrate_01_2d(recording, exps, 1.0, target_tol=0.0, level_min=3, level_max=5)
+    x1 = _kept(*exps[0], 3, 5)[0]
+    x2 = _kept(*exps[1], 3, 5)[0]
+    # as multisets: the nodes next to t = 1 round to the same 1.0
+    want = Counter((u, v) for u in x1.tolist() for v in x2.tolist())
+    assert len(seen) == x1.size * x2.size
+    assert Counter(seen) == want
+
+
+@pytest.mark.parametrize("p, q", [(-0.5, -0.5), (-0.9, 1.5), (0.4 + 0.3j, -0.6)])
+def test_kept_nodes_nest(p, q):
+    floor = _axis(p, q, 3)[-1]
+    below = _axis(p, q, 3, floor)
+    for level in (4, 5, 6):
+        here = _axis(p, q, level, floor)
+        x, new = here[0], here[3]
+        assert np.array_equal(x[~new], below[0])  # bit for bit, in order
+        assert new.sum() > 0
+        below = here
+
+
+def test_truncation_keeps_fewer_nodes():
+    floor = _axis(-0.5, -0.5, 3)[-1]
+    sizes = [_axis(-0.5, -0.5, level, floor)[0].size for level in (3, 4)]
+    assert sizes == [67, 133]  # of 97 and 193 nodes on |t| <= 6
+
+
+def test_dropped_nodes_enter_the_error():
+    exps = ((-0.5, -0.5), (0.0, -0.9))
+    _, err = integrate_01_2d(_one, exps, 1.0)
+    _, err_big = integrate_01_2d(_one, exps, 1e30)
+    # the rule stops at level 4 here; D = D1 (S2 + D2) + S1 D2 at that level
+    (_, w1, _, _, d1, _), (_, w2, _, _, d2, _) = (_kept(*e, 3, 4) for e in exps)
+    s1, s2 = np.abs(w1).sum(), np.abs(w2).sum()
+    assert d1 > 0 and d2 > 0
+    assert err_big - err == pytest.approx((1e30 - 1.0) * (d1 * (s2 + d2) + s1 * d2))
+
+
+def test_weights_that_do_not_decay_raise():
+    with pytest.raises(ConvergenceError):
+        integrate_01_2d(_one, ((-1.0, 0.0), (0.0, 0.0)), 1.0)

@@ -2,6 +2,8 @@
 
 import cmath
 
+import mpmath
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,15 @@ class TestGamma:
             gamma_fn(0.0)
         with pytest.raises(SingularityError):
             gamma_fn(-3.0)
+
+    def test_real_axis_against_mpmath(self):
+        # the Lanczos sum lost up to 16 eps here (1.1e-15 at z = 0.95), and
+        # the Euler prefactor of F2 multiplies six of these values
+        zs = [0.95, 0.5, 1.0] + list(_rng().uniform(-3.0, 3.0, 200))
+        for z in zs:
+            with mpmath.workdps(30):
+                want = float(mpmath.gamma(z))
+            assert abs(gamma_fn(z) - want) <= 4 * np.finfo(float).eps * abs(want)
 
     def test_reflection_region(self):
         # Gamma(-1/2) = -2 sqrt(pi), reached through the reflection formula.
