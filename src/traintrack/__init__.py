@@ -37,13 +37,14 @@ from .factorization import (
 )
 from .modular import (
     ModularGroupElement,
-    Tau,
     TauPair,
     inverse_mirror,
+    inverse_mirror_arrays,
     lambda_hauptmodul,
     mirror_map,
     multiplier_probe,
     pi0_modular,
+    pi0_modular_arrays,
     theta2,
     theta3,
     theta4,

@@ -42,12 +42,6 @@ class F2Params:
             if _is_nonpositive_integer(g):
                 raise DomainError("gamma1/gamma2 must not be non-positive integers")
 
-    @property
-    def conformal(self) -> bool:
-        ref = (0.5, 0.5, 0.5, 1.0, 1.0)
-        vals = (self.alpha, self.beta1, self.beta2, self.gamma1, self.gamma2)
-        return all(abs(complex(v) - r) < 1e-12 for v, r in zip(vals, ref))
-
     @classmethod
     def conformal_case(cls) -> "F2Params":
         return cls(0.5, 0.5, 0.5, 1.0, 1.0)
@@ -316,17 +310,17 @@ def f2_euler_integral(
     return _f2_euler(p, pt, q)[0]
 
 
-def default_pde_radii(pt: ModuliPoint, scale: float = 0.4):
-    """Bi-circle radii keeping clear of the singular locus x,y in {0,1}, x+y=1."""
+def default_pde_radii(pt: ModuliPoint):
+    """Bi-circle radii, 0.4 of the distance to the singular locus x,y in {0,1}, x+y=1."""
     x, y = complex(pt.x), complex(pt.y)
     margin = min(abs(x), abs(1 - x), abs(y), abs(1 - y), abs(1 - x - y))
     if margin <= 0:
         raise SingularityError("point lies on the singular locus")
-    r = scale * margin
+    r = 0.4 * margin
     return r, r
 
 
-def f2_pde_residual(F, p: F2Params, pt: ModuliPoint, radius=None, n_nodes: int = 32):
+def f2_pde_residual(F, p: F2Params, pt: ModuliPoint, radius=None):
     """Normalized residuals of the two defining PDEs at pt.
 
     F must be analytic on the bi-circle of the given radii (a pair, or one
@@ -341,7 +335,7 @@ def f2_pde_residual(F, p: F2Params, pt: ModuliPoint, radius=None, n_nodes: int =
         rx = ry = float(radius)
     else:
         rx, ry = radius
-    d = cauchy_derivs_2d(F, x, y, rx, ry, n_nodes=n_nodes, max_order=2)
+    d = cauchy_derivs_2d(F, x, y, rx, ry, max_order=2)
     f, fx, fy = d[0, 0], d[1, 0], d[0, 1]
     fxx, fyy, fxy = d[2, 0], d[0, 2], d[1, 1]
     a, b1, b2, g1, g2 = p.alpha, p.beta1, p.beta2, p.gamma1, p.gamma2

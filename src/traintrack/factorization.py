@@ -215,18 +215,18 @@ def quadratic_relation(pv: PeriodVector) -> complex:
     return complex(v @ SIGMA @ v)
 
 
-def _pairing(pv: PeriodVector, imag_tol: float = 1e-12):
+def _pairing(pv: PeriodVector):
     """The real pairing -Pi^dagger Sigma Pi, and the complex product it is read from."""
     v = pv.as_array()
     val = -np.conj(v) @ SIGMA @ v
-    if abs(val.imag) > imag_tol * max(1.0, abs(val)):
+    if abs(val.imag) > 1e-12 * max(1.0, abs(val)):
         raise DomainError(f"pairing has imaginary residue {val.imag:.3e}")
     return float(val.real), val
 
 
-def positivity_pairing(pv: PeriodVector, imag_tol: float = 1e-12) -> float:
+def positivity_pairing(pv: PeriodVector) -> float:
     """The real pairing (-i)^2 Pi^dagger Sigma Pi = -Pi^dagger Sigma Pi."""
-    return _pairing(pv, imag_tol)[0]
+    return _pairing(pv)[0]
 
 
 def traintrack_value(z1: complex, z2: complex) -> float:

@@ -47,6 +47,7 @@ _CLEARANCE = 1e-3
 _NODES = 48
 _STEP = 0.35
 _RING = np.exp(2j * np.pi * np.arange(_NODES) / _NODES)
+_FLATNESS_NODES = 24
 
 
 @dataclass(frozen=True)
@@ -302,8 +303,6 @@ def integrate_pfaffian(
     s: PfaffianSystem1D,
     path: PathSpec,
     initial: np.ndarray,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
 ) -> np.ndarray:
     """Parallel-transport `initial` along the path; returns the endpoint matrix.
 
@@ -313,11 +312,11 @@ def integrate_pfaffian(
     along the path.  It samples A once on the ring |w - z| = R/2 at 48 nodes,
     reads the Taylor coefficients of A off one FFT, and runs the recurrence
     (k + 1) Y_{k+1} = sum_{j<=k} A_j Y_{k-j}.  The series is summed once two
-    consecutive terms fall to the tail target 1e-2 (rtol max|Y| + atol):
+    consecutive terms fall to the tail target 1e-2 (1e-12 max|Y| + 1e-14):
     their geometric decay then leaves a tail below the target, so many steps
-    still keep the accumulated error under rtol.  A step whose 48 terms do
-    not reach the target raises ConvergenceError; a path closer than 1e-3 to
-    a singular point raises DomainError.
+    still keep the accumulated error under 1e-12 relative.  A step whose 48
+    terms do not reach the target raises ConvergenceError; a path closer
+    than 1e-3 to a singular point raises DomainError.
     """
     state = np.array(initial, dtype=complex)
     clearance = _path_clearance(s, path)
@@ -333,7 +332,7 @@ def integrate_pfaffian(
             dt = _STEP * radius / length
             t_next = 1.0 if t + dt >= 1.0 else t + dt
             z_next = complex(pos(t_next))
-            target = 1e-2 * (rtol * float(np.max(np.abs(state))) + atol)
+            target = 1e-2 * (1e-12 * float(np.max(np.abs(state))) + 1e-14)
             state = _taylor_step(s.coefficient, z, z_next - z, radius, state, target)
             t, z = t_next, z_next
     return state
@@ -389,15 +388,15 @@ def gamma2_membership(m: np.ndarray, int_tol: float = 1e-8) -> bool:
 
 
 def flatness_residual(
-    sys2d: PfaffianSystem2D, x0: complex, y0: complex, radius: float = 0.05, n_nodes: int = 24
+    sys2d: PfaffianSystem2D, x0: complex, y0: complex, radius: float = 0.05
 ) -> float:
     """Curvature d_y A_x - d_x A_y + [A_x, A_y], normalized, at a point."""
-    theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
+    theta = 2.0 * np.pi * np.arange(_FLATNESS_NODES) / _FLATNESS_NODES
     ring = radius * np.exp(1j * theta)
     ax_stack = sys2d.coefficient_x(x0, y0 + ring)
     ay_stack = sys2d.coefficient_y(x0 + ring, y0)
-    day_dx = np.fft.fft(ay_stack, axis=0)[1] / (n_nodes * radius)
-    dax_dy = np.fft.fft(ax_stack, axis=0)[1] / (n_nodes * radius)
+    day_dx = np.fft.fft(ay_stack, axis=0)[1] / (_FLATNESS_NODES * radius)
+    dax_dy = np.fft.fft(ax_stack, axis=0)[1] / (_FLATNESS_NODES * radius)
     ax0 = sys2d.coefficient_x(x0, y0)
     ay0 = sys2d.coefficient_y(x0, y0)
     curv = dax_dy - day_dx + ax0 @ ay0 - ay0 @ ax0
@@ -411,11 +410,11 @@ def flatness_residual(
 
 
 def horizontality_residual_1d(
-    s: PfaffianSystem1D, f, z0: complex, radius: float, n_nodes: int = 32
+    s: PfaffianSystem1D, f, z0: complex, radius: float
 ) -> float:
     """Residual of d(f, z f')^T = A (f, z f')^T dz for a scalar solution f."""
     z0 = complex(z0)
-    d = cauchy_derivs_1d(f, z0, radius, n_nodes=n_nodes, max_order=2)
+    d = cauchy_derivs_1d(f, z0, radius, max_order=2)
     vec = np.array([d[0], z0 * d[1]])
     dvec = np.array([d[1], d[1] + z0 * d[2]])
     resid = dvec - s.coefficient(z0) @ vec
@@ -423,13 +422,11 @@ def horizontality_residual_1d(
     return float(np.max(np.abs(resid)) / scale)
 
 
-def horizontality_residual_f2(
-    p: F2Params, F, pt: ModuliPoint, radius, n_nodes: int = 32
-) -> float:
+def horizontality_residual_f2(p: F2Params, F, pt: ModuliPoint, radius) -> float:
     """Residual of the 4x4 system on the section built from a scalar solution F."""
     x, y = complex(pt.x), complex(pt.y)
     rx, ry = (radius, radius) if np.isscalar(radius) else radius
-    d = cauchy_derivs_2d(F, x, y, rx, ry, n_nodes=n_nodes, max_order=3)
+    d = cauchy_derivs_2d(F, x, y, rx, ry, max_order=3)
     vec = np.array([d[0, 0], x * d[1, 0], y * d[0, 1], x * y * d[1, 1]])
     dvec_dx = np.array(
         [

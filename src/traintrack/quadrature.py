@@ -40,6 +40,7 @@ _T_MAX = 6.1  # exp(pi*sinh(t)) stays finite in double precision
 _T_2D = 6.0
 _LOG_KEEP = np.log(1e-20)
 LEVEL_MAX_2D = 8
+_CAUCHY_NODES = 32
 
 
 def tanh_sinh_nodes(level: int):
@@ -184,33 +185,33 @@ def _call_on_grid(f, *grids):
     return vec(*grids)
 
 
-def cauchy_derivs_1d(f, z0: complex, r: float, n_nodes: int = 32, max_order: int = 4):
+def cauchy_derivs_1d(f, z0: complex, r: float, max_order: int = 4):
     """Derivatives f^(k)(z0), k = 0..max_order, by trapezoid on a circle.
 
-    f is sampled on n_nodes equispaced points of the circle |z - z0| = r and
-    the Taylor coefficients are read off the FFT; the circle must stay inside
+    f is sampled on 32 equispaced points of the circle |z - z0| = r and the
+    Taylor coefficients are read off the FFT; the circle must stay inside
     the domain of analyticity.
     """
-    theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
+    theta = 2.0 * np.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES
     z = z0 + r * np.exp(1j * theta)
     vals = _call_on_grid(f, z)
-    coeff = np.fft.fft(vals) / n_nodes
+    coeff = np.fft.fft(vals) / _CAUCHY_NODES
     return np.array(
         [factorial(k) * coeff[k] / r**k for k in range(max_order + 1)]
     )
 
 
-def cauchy_derivs_2d(f, x0, y0, rx: float, ry: float, n_nodes: int = 32, max_order: int = 3):
+def cauchy_derivs_2d(f, x0, y0, rx: float, ry: float, max_order: int = 3):
     """Mixed partials d^(m+k) F / dx^m dy^k at (x0, y0) on a bi-circle.
 
-    Returns a (max_order+1, max_order+1) array D with D[m, k] the partial of
-    order m in x and k in y.
+    32 nodes on each circle.  Returns a (max_order+1, max_order+1) array D
+    with D[m, k] the partial of order m in x and k in y.
     """
-    theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
+    theta = 2.0 * np.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES
     zx = x0 + rx * np.exp(1j * theta)
     zy = y0 + ry * np.exp(1j * theta)
     vals = _call_on_grid(f, zx[:, None], zy[None, :])
-    coeff = np.fft.fft2(vals) / n_nodes**2
+    coeff = np.fft.fft2(vals) / _CAUCHY_NODES**2
     out = np.empty((max_order + 1, max_order + 1), dtype=complex)
     for m in range(max_order + 1):
         for k in range(max_order + 1):

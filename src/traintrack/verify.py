@@ -8,8 +8,6 @@ null, so identical configurations produce byte-identical files.
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,11 +25,11 @@ from .factorization import (
 from .modular import (
     ModularGroupElement,
     TauPair,
-    inverse_mirror,
+    inverse_mirror_arrays,
     lambda_hauptmodul,
     mirror_map_arrays,
     multiplier_probe,
-    pi0_modular,
+    pi0_modular_arrays,
     theta3,
 )
 from .pfaffian import (
@@ -104,7 +102,6 @@ class VerificationReport:
     max_residual: float
     tolerance: float
     passed: bool
-    duration_ms: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -128,9 +125,6 @@ class VerificationReport:
             "duration_ms": None,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
 
 def _jsonable(obj):
     if isinstance(obj, dict):
@@ -149,8 +143,8 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def sample_theorem_domain(rng, n: int, norm_cap: float = 0.95):
-    """Random factorized coordinates with the mapped point inside |x|+|y| < cap."""
+def sample_theorem_domain(rng, n: int):
+    """Random factorized coordinates with the mapped point inside |x|+|y| < 0.95."""
     out = []
     while len(out) < n:
         l1 = rng.uniform(0.03, 0.5) + 1j * rng.uniform(-0.06, 0.06)
@@ -159,7 +153,7 @@ def sample_theorem_domain(rng, n: int, norm_cap: float = 0.95):
         if not lp.in_theorem_domain:
             continue
         pt = map_T(lp)
-        if pt.series_norm < norm_cap:
+        if pt.series_norm < 0.95:
             out.append((lp, pt))
     return out
 
@@ -170,16 +164,9 @@ def _lambda_arrays(pairs):
     return [lp.lambda1 for lp in pairs], [lp.lambda2 for lp in pairs]
 
 
-def _tau_pairs(l1s, l2s):
-    """The mirror-map TauPair of every lambda pair, from one array call."""
-    t1, t2 = mirror_map_arrays(l1s, l2s)
-    return [TauPair(a, b) for a, b in zip(t1.tolist(), t2.tolist())]
-
-
-def _finish(suite, cfg, cases, extra_pass=True, started=None):
+def _finish(suite, cfg, cases):
     max_residual = max((c.residual for c in cases), default=0.0)
-    passed = extra_pass and all(c.passed for c in cases)
-    duration = None if started is None else 1000.0 * (time.perf_counter() - started)
+    passed = all(c.passed for c in cases)
     return VerificationReport(
         suite=suite,
         config={
@@ -191,13 +178,11 @@ def _finish(suite, cfg, cases, extra_pass=True, started=None):
         max_residual=float(max_residual),
         tolerance=cfg.tol(suite),
         passed=passed,
-        duration_ms=duration,
     )
 
 
 def suite_factorization(cfg: RunConfig) -> VerificationReport:
     """Central identity: Pi0 equals the conformal F2 row sum under T."""
-    started = time.perf_counter()
     tol = cfg.tol("factorization")
     rng = _rng(cfg.rng_seed)
     samples = sample_theorem_domain(rng, cfg.samples("factorization"))
@@ -221,12 +206,11 @@ def suite_factorization(cfg: RunConfig) -> VerificationReport:
                 resid < tol,
             )
         )
-    return _finish("factorization", cfg, cases, started=started)
+    return _finish("factorization", cfg, cases)
 
 
 def suite_bilinear(cfg: RunConfig) -> VerificationReport:
     """Quadratic relation Pi^T Sigma Pi = 0 and positivity of the pairing."""
-    started = time.perf_counter()
     tol = cfg.tol("bilinear")
     rng = _rng(cfg.rng_seed)
     pairs = [
@@ -250,40 +234,36 @@ def suite_bilinear(cfg: RunConfig) -> VerificationReport:
                 resid < tol and pairing > 0,
             )
         )
-    return _finish("bilinear", cfg, cases, started=started)
+    return _finish("bilinear", cfg, cases)
 
 
 def suite_mirror(cfg: RunConfig) -> VerificationReport:
     """Hauptmodul round trips of the canonical coordinates."""
-    started = time.perf_counter()
     tol = cfg.tol("mirror")
     rng = _rng(cfg.rng_seed)
     pairs = [
         LambdaPair(rng.uniform(0.05, 0.7), rng.uniform(0.4, 0.95))
         for _ in range(cfg.samples("mirror"))
     ]
-    cases = []
-    for i, (lp, tp) in enumerate(zip(pairs, _tau_pairs(*_lambda_arrays(pairs)))):
-        l1sq = complex(lp.lambda1) ** 2
-        l2sq = complex(lp.lambda2) ** 2
-        r1 = abs(lambda_hauptmodul(tp.tau1) - l1sq)
-        r2 = abs(1.0 - lambda_hauptmodul(tp.tau2) - l2sq)
-        back = inverse_mirror(tp)
-        r3 = max(
-            abs(complex(back.lambda1) - complex(lp.lambda1)),
-            abs(complex(back.lambda2) - complex(lp.lambda2)),
+    l1, l2 = (np.array(v, dtype=complex) for v in _lambda_arrays(pairs))
+    t1, t2 = mirror_map_arrays(l1, l2)
+    back1, back2 = inverse_mirror_arrays(t1, t2)
+    r1 = np.abs(lambda_hauptmodul(t1) - l1 * l1)
+    r2 = np.abs(1.0 - lambda_hauptmodul(t2) - l2 * l2)
+    resids = np.maximum.reduce([r1, r2, np.abs(back1 - l1), np.abs(back2 - l2)])
+    cases = [
+        CaseRecord(
+            i,
+            {"lambda1": lp.lambda1, "lambda2": lp.lambda2},
+            {"tau1": tau1, "tau2": tau2},
+            resid,
+            resid < tol,
         )
-        resid = max(r1, r2, r3)
-        cases.append(
-            CaseRecord(
-                i,
-                {"lambda1": lp.lambda1, "lambda2": lp.lambda2},
-                {"tau1": tp.tau1, "tau2": tp.tau2},
-                float(resid),
-                resid < tol,
-            )
+        for i, (lp, tau1, tau2, resid) in enumerate(
+            zip(pairs, t1.tolist(), t2.tolist(), resids.tolist())
         )
-    return _finish("mirror", cfg, cases, started=started)
+    ]
+    return _finish("mirror", cfg, cases)
 
 
 _WEIGHT_GENERATORS = (
@@ -304,7 +284,6 @@ def _weight_probe_samples(rng, n=5):
 
 def suite_modular(cfg: RunConfig) -> VerificationReport:
     """Theta expression of Pi0, the K/theta identity, and the weight probes."""
-    started = time.perf_counter()
     tol = cfg.tol("modular")
     rng = _rng(cfg.rng_seed)
     pairs, taus, lams = [], [], []
@@ -319,14 +298,14 @@ def suite_modular(cfg: RunConfig) -> VerificationReport:
         taus.append(tau)
         lams.append(lam)
     l1s, l2s = _lambda_arrays(pairs)
-    pi0_values = periods_from_lambdas(l1s, l2s)[0].tolist()
-    k_values = ellint_K(np.array(lams, dtype=complex)).tolist()
+    pi0 = periods_from_lambdas(l1s, l2s)[0]
+    bridges = np.abs(pi0_modular_arrays(*mirror_map_arrays(l1s, l2s)) - pi0)
+    k_from_theta = np.pi / 2 * theta3(np.array(taus)) ** 2
+    kthetas = np.abs(ellint_K(np.array(lams, dtype=complex)) - k_from_theta)
     cases = []
-    for idx, (lp, tp, pi0, tau, k) in enumerate(
-        zip(pairs, _tau_pairs(l1s, l2s), pi0_values, taus, k_values)
+    for idx, (lp, tau, bridge, ktheta) in enumerate(
+        zip(pairs, taus, bridges.tolist(), kthetas.tolist())
     ):
-        bridge = abs(pi0_modular(tp) - pi0)
-        ktheta = abs(k - np.pi / 2 * theta3(tau) ** 2)
         resid = max(bridge, ktheta)
         cases.append(
             CaseRecord(
@@ -354,12 +333,11 @@ def suite_modular(cfg: RunConfig) -> VerificationReport:
                 ok = False
             cases.append(CaseRecord(idx, inputs, outputs, float(resid), ok))
             idx += 1
-    return _finish("modular", cfg, cases, started=started)
+    return _finish("modular", cfg, cases)
 
 
 def suite_monodromy(cfg: RunConfig) -> VerificationReport:
     """Loops around z = 0 and z = 1 in the Legendre K-basis."""
-    started = time.perf_counter()
     tol = cfg.tol("monodromy")
     sys1 = system_2f1(Hyper2F1Params(0.5, 0.5, 1.0))
     cases = []
@@ -386,7 +364,7 @@ def suite_monodromy(cfg: RunConfig) -> VerificationReport:
                 int_resid < tol and member and unipotent,
             )
         )
-    return _finish("monodromy", cfg, cases, started=started)
+    return _finish("monodromy", cfg, cases)
 
 
 def _flatness_points(rng, n):
@@ -403,7 +381,6 @@ def _flatness_points(rng, n):
 
 def suite_flatness(cfg: RunConfig) -> VerificationReport:
     """Curvature of the derived 4x4 connection and section horizontality."""
-    started = time.perf_counter()
     tol = cfg.tol("flatness")
     rng = _rng(cfg.rng_seed)
     conformal = F2Params.conformal_case()
@@ -428,7 +405,7 @@ def suite_flatness(cfg: RunConfig) -> VerificationReport:
                 resid < tol,
             )
         )
-    return _finish("flatness", cfg, cases, started=started)
+    return _finish("flatness", cfg, cases)
 
 
 _SUITE_FUNCTIONS = {

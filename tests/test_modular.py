@@ -1,21 +1,24 @@
 """Theta constants, the Hauptmodul, the mirror map and the weight probes."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from traintrack import (
+    ConvergenceError,
     DomainError,
     LambdaPair,
     ModularGroupElement,
     NonConstantRatioError,
-    Tau,
     TauPair,
     ellint_K,
     inverse_mirror,
+    inverse_mirror_arrays,
     lambda_hauptmodul,
     mirror_map,
     multiplier_probe,
     pi0_modular,
+    pi0_modular_arrays,
     theta2,
     theta3,
     theta4,
@@ -30,6 +33,12 @@ def _rng():
 
 def _random_tau(rng):
     return complex(rng.uniform(-0.9, 0.9), rng.uniform(0.4, 2.0))
+
+
+def _tau_array(rng, n, im_min, im_max):
+    """n tau with Re in [-1.5, 1.5] and Im log-uniform in [im_min, im_max]."""
+    im = np.exp(rng.uniform(np.log(im_min), np.log(im_max), n))
+    return rng.uniform(-1.5, 1.5, n) + 1j * im
 
 
 def _domain_pair(rng):
@@ -59,14 +68,55 @@ class TestTheta:
 
     def test_lower_half_plane_rejected(self):
         with pytest.raises(DomainError):
-            Tau(-1j)
+            theta3(-1j)
         with pytest.raises(DomainError):
             theta3(0.5)
+        with pytest.raises(DomainError):
+            theta2(np.array([1j, 0.2 - 1e-3j, 2j]))
 
-    def test_nome_cache(self):
-        t = Tau(0.3 + 1.1j)
-        assert t.q == pytest.approx(np.exp(1j * np.pi * t.value))
-        assert abs(theta3(t) - theta3(t.value)) == 0.0
+    def test_cut_belongs_to_re_tau_one(self):
+        # Re tau is reduced to (-1, 1], so Re tau = -1 and 3 take the values
+        # at Re tau = 1, bit for bit
+        for f in (theta2, theta3, theta4):
+            assert f(-1 + 1j) == f(1 + 1j) == f(3 + 1j)
+        assert abs(theta2(1 + 1j) - theta2(0.999999 + 1j)) < 1e-5
+
+    def test_too_close_to_the_real_axis(self):
+        # 512 terms of a series reach down to Im tau of about 4.7e-5
+        with pytest.raises(ConvergenceError):
+            theta3(1e-5j)
+        with pytest.raises(ConvergenceError):
+            theta3(np.array([1j, 0.3 + 1e-5j]))
+
+    def test_against_mpmath(self):
+        # mpmath's jtheta(2) takes the principal q^(1/4), as the kernel does
+        # for Re tau in (-1, 1].  The tolerance scales with theta3(i Im tau),
+        # the sum of the terms' moduli: theta4 alone can be exponentially small.
+        edges = np.array([0.999, -0.999, 1.001, -1.001]) + 1e-3j
+        tau = np.concatenate([edges, _tau_array(_rng(), 60, 1e-3, 3.0)])
+        got = np.array([theta2(tau), theta3(tau), theta4(tau)])
+        with mp.workdps(30):
+            for i, t in enumerate(tau.tolist()):
+                q = mp.exp(1j * mp.pi * mp.mpc(t))
+                scale = 1e-14 * float(mp.jtheta(3, 0, mp.exp(-mp.pi * t.imag)))
+                for row, k in enumerate((2, 3, 4)):
+                    want = complex(mp.jtheta(k, 0, q))
+                    assert abs(got[row, i] - want) < scale, (k, t)
+
+    def test_array_calls_match_one_element_calls(self):
+        # Im tau over [0.03, 3] keeps k up to 4 to 40: the term counts differ
+        rng = _rng()
+        t1, t2 = _tau_array(rng, 40, 0.03, 3.0), _tau_array(rng, 40, 0.03, 3.0)
+        for f in (theta2, theta3, theta4, lambda_hauptmodul):
+            singles = [f(t) for t in t1.tolist()]
+            assert all(type(v) is complex for v in singles)
+            assert f(t1).tolist() == singles
+            assert f(t1.reshape(5, 8)).ravel().tolist() == singles
+        pairs = [TauPair(a, b) for a, b in zip(t1.tolist(), t2.tolist())]
+        l1, l2 = inverse_mirror_arrays(t1, t2)
+        assert l1.tolist() == [inverse_mirror(tp).lambda1 for tp in pairs]
+        assert l2.tolist() == [inverse_mirror(tp).lambda2 for tp in pairs]
+        assert pi0_modular_arrays(t1, t2).tolist() == [pi0_modular(tp) for tp in pairs]
 
 
 class TestHauptmodul:
