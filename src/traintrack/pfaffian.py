@@ -10,6 +10,7 @@ point; the scalar functions wrap the array ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 from .appell import F2Params, ModuliPoint
 from .errors import ConvergenceError, DomainError, SingularityError
 from .quadrature import cauchy_derivs_1d, cauchy_derivs_2d
-from .special import Hyper2F1Params, deriv_K, ellint_K
+from .special import Hyper2F1Params, ellint_E, ellint_K
 
 __all__ = [
     "PfaffianSystem1D",
@@ -42,10 +43,12 @@ __all__ = [
 ]
 
 _CLEARANCE = 1e-3
-# Taylor stepper: ring nodes (also the most terms a step may use), and the
-# longest step as a fraction of the clearance R of its centre.
+# Taylor steps: ring nodes (also the most terms a step may use), the
+# longest step as a fraction of the clearance R of its centre, and the
+# Frobenius norm below which a propagator term is small.
 _NODES = 48
 _STEP = 0.35
+_TAIL = 1e-14
 _RING = np.exp(2j * np.pi * np.arange(_NODES) / _NODES)
 _FLATNESS_NODES = 24
 
@@ -107,7 +110,8 @@ class PathSpec:
             def pos(t, c=c, r=r, phi0=phi0, dphi=dphi):
                 return c + r * np.exp(1j * (phi0 + dphi * t))
 
-            yield pos, abs(dphi) * r
+            if dphi * r != 0.0:
+                yield pos, abs(dphi) * r
             return
         pts = self.waypoints
         for z0, z1 in zip(pts[:-1], pts[1:]):
@@ -119,12 +123,49 @@ class PathSpec:
 
             yield pos, abs(z1 - z0)
 
+    def clearance(self, points) -> float:
+        """Exact least distance from the path to the points; inf for none.
+
+        For an arc, a point whose angle about the centre lies in the arc's
+        range is as far from the arc as from its circle; any other point is
+        nearest one of the arc's ends.  A polyline is its segments, and a
+        path without pieces its base point.
+        """
+        if self.center is not None:
+            c, r = self.center, self.radius
+            phi0, dphi = self.start_angle, 2.0 * math.pi * self.turns
+            ends = c + r * np.exp(1j * np.array([phi0, phi0 + dphi]))
+
+            def dist(p):
+                w = p - c
+                turn = math.copysign(1.0, dphi) * (math.atan2(w.imag, w.real) - phi0)
+                if turn % (2.0 * math.pi) <= abs(dphi):
+                    return abs(abs(w) - r)
+                return float(np.min(np.abs(p - ends)))
+
+        else:
+            # a segment from every waypoint to the next; the last, of length
+            # 0, is the base point of a path without pieces
+            pts = self.waypoints
+            pieces = list(zip(pts, pts[1:] + pts[-1:]))
+
+            def dist(p):
+                near = []
+                for z0, z1 in pieces:
+                    dz = z1 - z0
+                    t = ((p - z0) * dz.conjugate()).real / abs(dz) ** 2 if dz else 0.0
+                    near.append(abs(p - z0 - min(max(t, 0.0), 1.0) * dz))
+                return min(near)
+
+        return min((dist(complex(p)) for p in points), default=math.inf)
+
     def sample(self, n: int = 2048) -> np.ndarray:
         t = np.linspace(0.0, 1.0, n)
         pieces = [np.asarray(pos(t), dtype=complex) for pos, _ in self.segments()]
         if not pieces:
-            base = self.waypoints[0] if self.waypoints else self.center
-            return np.array([complex(base)])
+            if self.waypoints:
+                return np.array([complex(self.waypoints[0])])
+            return np.array([self.center + self.radius * np.exp(1j * self.start_angle)])
         return np.concatenate(pieces)
 
 
@@ -255,50 +296,6 @@ def restrict_to_line(
     return PfaffianSystem1D(sys2d.dimension, coeff, tuple(singular_points))
 
 
-def _path_clearance(s: PfaffianSystem1D, path: PathSpec) -> float:
-    pts = path.sample()
-    if not s.singular_points:
-        return np.inf
-    sing = np.asarray(s.singular_points, dtype=complex)
-    return float(np.min(np.abs(pts[:, None] - sing[None, :])))
-
-
-def _taylor_step(coefficient, z: complex, h: complex, radius: float, y, target: float):
-    """Y(z + h) from Y(z) = y by the Taylor series of dY/dz = A Y at z.
-
-    A is analytic on the disc |w - z| < radius.  Its samples on the ring of
-    radius rho = radius/2 give, by one FFT, the coefficients A_j rho^j, up to
-    aliasing of order 2^-_NODES.  In the variable u = (w - z)/h the series
-    terms are Y_k h^k, and (k + 1) Y_{k+1} h^{k+1} = sum_j (h A_j h^j)
-    (Y_{k-j} h^{k-j}); with |h| <= _STEP * radius they decay like 0.35^k.
-    """
-    n = _NODES
-    d = y.shape[0]
-    rho = 0.5 * radius
-    a = np.fft.fft(coefficient(z + rho * _RING), axis=0)
-    a *= (h / n) * (h / rho) ** np.arange(n)[:, None, None]
-    # [hA_0, h^2 A_1, ...] side by side, so one matmul forms each new term
-    a_row = a.transpose(1, 0, 2).reshape(d, n * d)
-    # term k in rows (n-1-k)d ... (n-k)d - 1: terms k, k-1, ..., 0 are one
-    # contiguous block of rows
-    terms = np.empty((n,) + y.shape, dtype=complex)
-    terms[-1] = y
-    rows = terms.reshape(n * d, -1)
-    below = 0
-    for k in range(n - 1):
-        top = (n - 1 - k) * d
-        new = rows[top - d : top]
-        np.matmul(a_row[:, : (k + 1) * d], rows[top:], out=new)
-        new /= k + 1
-        below = below + 1 if np.vdot(new, new).real <= target * target else 0
-        if below == 2:
-            return terms[n - 2 - k :].sum(axis=0)
-    raise ConvergenceError(
-        f"Taylor step at z = {z:.6g} did not reach its tail target "
-        f"{target:.1e} in {n} terms"
-    )
-
-
 def integrate_pfaffian(
     s: PfaffianSystem1D,
     path: PathSpec,
@@ -306,25 +303,31 @@ def integrate_pfaffian(
 ) -> np.ndarray:
     """Parallel-transport `initial` along the path; returns the endpoint matrix.
 
-    A Taylor-series stepper for the linear system dY/dz = A(z) Y.  A step
-    from a point z of the path with clearance R from the singular points
-    (the length of the path piece if there are none) goes at most 0.35 R
-    along the path.  It samples A once on the ring |w - z| = R/2 at 48 nodes,
-    reads the Taylor coefficients of A off one FFT, and runs the recurrence
-    (k + 1) Y_{k+1} = sum_{j<=k} A_j Y_{k-j}.  The series is summed once two
-    consecutive terms fall to the tail target 1e-2 (1e-12 max|Y| + 1e-14):
-    their geometric decay then leaves a tail below the target, so many steps
-    still keep the accumulated error under 1e-12 relative.  A step whose 48
-    terms do not reach the target raises ConvergenceError; a path closer
+    A Taylor-series method for the linear system dY/dz = A(z) Y, in four
+    stages.  The plan: a step from a point z of the path with clearance R
+    from the singular points (the length of the path piece if there are
+    none) goes h, at most 0.35 R, along the path; the steps depend on the
+    path alone.  The coefficients: one call of ``s.coefficient`` samples A on
+    the rings |w - z| = R/2 of all S steps, S x 48 points, and one FFT reads
+    off the Taylor coefficients A_j.  The propagators: each step is the
+    matrix P = sum_k Y_k h^k, the series of the solution that starts from
+    the identity, and the recurrence (k + 1) Y_{k+1} = sum_{j<=k} A_j Y_{k-j}
+    runs for all steps at once.  A term is small when its Frobenius norm is
+    at most 1e-14; a step is done after two small terms in a row, and the
+    batch stops once every step is done (steps done earlier keep adding
+    terms, which only adds accuracy).  The endpoint is P_S ... P_1 initial.
+
+    A step not done after 48 terms raises ConvergenceError; a path closer
     than 1e-3 to a singular point raises DomainError.
     """
     state = np.array(initial, dtype=complex)
-    clearance = _path_clearance(s, path)
+    clearance = path.clearance(s.singular_points)
     if clearance < _CLEARANCE:
         raise DomainError(
             f"path clearance {clearance:.2e} below the required {_CLEARANCE:.0e}"
         )
     sing = [complex(p) for p in s.singular_points]
+    plan = []
     for pos, length in path.segments():
         t, z = 0.0, complex(pos(0.0))
         while t < 1.0:
@@ -332,19 +335,62 @@ def integrate_pfaffian(
             dt = _STEP * radius / length
             t_next = 1.0 if t + dt >= 1.0 else t + dt
             z_next = complex(pos(t_next))
-            target = 1e-2 * (1e-12 * float(np.max(np.abs(state))) + 1e-14)
-            state = _taylor_step(s.coefficient, z, z_next - z, radius, state, target)
+            plan.append((z, z_next - z, radius))
             t, z = t_next, z_next
+    if not plan:
+        return state
+
+    n, d, steps = _NODES, s.dimension, len(plan)
+    z, h, radius = np.array(plan).T
+    rho = 0.5 * radius.real
+    # the ring of radius rho samples A_j rho^j, up to aliasing of order
+    # 2^-48; in the variable u = (w - z)/h the terms are Y_k h^k, and
+    # (k + 1) Y_{k+1} h^{k+1} = sum_j (h A_j h^j)(Y_{k-j} h^{k-j})
+    a = np.fft.fft(s.coefficient(z[:, None] + rho[:, None] * _RING), axis=1)
+    a *= ((h / n)[:, None] * (h / rho)[:, None] ** np.arange(n))[..., None, None]
+    # per step, [hA_0, h^2 A_1, ...] side by side, so one matmul forms a term
+    a_row = a.transpose(0, 2, 1, 3).reshape(steps, d, n * d)
+    # term k in rows (n-1-k)d ... (n-k)d - 1: terms k, k-1, ..., 0 are one
+    # contiguous block of rows
+    terms = np.empty((steps, n, d, d), dtype=complex)
+    terms[:, -1] = np.eye(d)
+    rows = terms.reshape(steps, n * d, d)
+    # each term's real and imaginary parts as one vector, for its norm
+    flat = terms.view(float).reshape(steps, n, 2 * d * d)
+    small = done = np.zeros(steps, dtype=bool)
+    for k in range(n - 1):
+        top = (n - 1 - k) * d
+        new = rows[:, top - d : top]
+        np.matmul(a_row[:, :, : (k + 1) * d], rows[:, top:], out=new)
+        new /= k + 1
+        was_small = small
+        parts = flat[:, n - 2 - k]
+        small = np.einsum("si,si->s", parts, parts) <= _TAIL**2
+        done = done | (was_small & small)
+        if np.count_nonzero(done) == steps:
+            break
+    else:
+        raise ConvergenceError(
+            f"Taylor step at z = {z[np.argmin(done)]:.6g} did not reach its "
+            f"tail target {_TAIL:.0e} in {n} terms"
+        )
+    for p in terms[:, n - 2 - k :].sum(axis=1):
+        state = p @ state
     return state
 
 
 def legendre_basis_matrix(z: complex) -> np.ndarray:
-    """Fundamental matrix with columns the sections of (2/pi)K(z), (2i/pi)K(1-z)."""
+    """Fundamental matrix with columns the sections of (2/pi)K(z), (2i/pi)K(1-z).
+
+    K and E are taken at m = z and m = 1 - z in one call each, and
+    dK/dm = (E - (1-m) K) / (2 m (1-m)); z = 0 or 1 raises SingularityError.
+    """
     z = complex(z)
-    f1 = 2.0 / np.pi * ellint_K(z)
-    d1 = 2.0 / np.pi * deriv_K(z)
-    f2 = 2j / np.pi * ellint_K(1.0 - z)
-    d2 = -2j / np.pi * deriv_K(1.0 - z)
+    m = np.array([z, 1.0 - z])
+    k = ellint_K(m)
+    dk = (ellint_E(m) - (1.0 - m) * k) / (2.0 * m * (1.0 - m))
+    f1, f2 = 2.0 / np.pi * k[0], 2j / np.pi * k[1]
+    d1, d2 = 2.0 / np.pi * dk[0], -2j / np.pi * dk[1]
     return np.array([[f1, f2], [z * d1, z * d2]], dtype=complex)
 
 

@@ -18,6 +18,7 @@ from traintrack import (
     ModuliPoint,
     PathSpec,
     PfaffianSystem1D,
+    SingularityError,
     a_2f1,
     a_f2,
     ellint_K,
@@ -45,6 +46,35 @@ LEGENDRE = Hyper2F1Params(0.5, 0.5, 1.0)
 
 def _rng():
     return np.random.Generator(np.random.Philox(4242))
+
+
+def _paths_off_the_cuts():
+    """Seeded paths off the cuts (-inf, 0] and [1, inf) of the Legendre basis.
+
+    Polylines stay in the strip 0 < Re z < 1 or in one open half-plane; arcs
+    stay in the strip.
+    """
+    rng = _rng()
+    paths = []
+    for i in range(12):
+        n = 2 + i % 3
+        if i % 2:
+            re, im = rng.uniform(0.05, 0.95, n), rng.uniform(-0.6, 0.6, n)
+        else:
+            re = rng.uniform(-0.8, 1.8, n)
+            im = (1 if i % 4 else -1) * rng.uniform(0.05, 0.6, n)
+        paths.append(PathSpec.polyline(re + 1j * im))
+    for _ in range(10):
+        center = complex(rng.uniform(0.4, 0.6), rng.uniform(-0.2, 0.2))
+        paths.append(
+            PathSpec.circle(
+                center,
+                rng.uniform(0.1, 0.35),
+                rng.uniform(-1.0, 1.0),
+                rng.uniform(0.0, 2.0 * np.pi),
+            )
+        )
+    return paths
 
 
 class TestA2F1:
@@ -213,6 +243,20 @@ class TestTensorSystem:
         m0 = monodromy_2f1(s1, 0.0)
         assert np.max(np.abs(m - np.kron(m0, np.eye(2)))) < 1e-9
 
+    @pytest.mark.parametrize("v0", [0.3, 0.6 + 0.2j, 0.45 - 0.35j])
+    def test_tensor_transport_equals_kron_of_legendre_bases(self, v0):
+        # On the line v = v0 the 4x4 system transports kron(Phi(u), Phi(v0)),
+        # Phi the Legendre basis, which is analytic off the cuts
+        s1 = system_2f1(LEGENDRE)
+        line = restrict_to_line(tensor_system(s1, s1), v0, "x", (0.0, 1.0))
+        phi_v = legendre_basis_matrix(v0)
+        for path in _paths_off_the_cuts():
+            p, q = path.sample(2)[[0, -1]]
+            init = np.kron(legendre_basis_matrix(p), phi_v)
+            out = integrate_pfaffian(line, path, init)
+            want = np.kron(legendre_basis_matrix(q), phi_v)
+            assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_dimension_mismatch(self):
         s1 = system_2f1(LEGENDRE)
         s3 = type(s1)(3, lambda z: np.zeros((3, 3), dtype=complex), ())
@@ -253,31 +297,9 @@ class TestTransport:
 
     def test_transport_equals_legendre_basis(self):
         # Off the cuts (-inf, 0] and [1, inf) the Legendre basis is analytic,
-        # so transporting its value at p to q gives its value at q.  Polylines
-        # stay in the strip 0 < Re z < 1 or in one open half-plane; arcs stay
-        # in the strip.
-        rng = _rng()
+        # so transporting its value at p to q gives its value at q
         s = system_2f1(LEGENDRE)
-        paths = []
-        for i in range(12):
-            n = 2 + i % 3
-            if i % 2:
-                re, im = rng.uniform(0.05, 0.95, n), rng.uniform(-0.6, 0.6, n)
-            else:
-                re = rng.uniform(-0.8, 1.8, n)
-                im = (1 if i % 4 else -1) * rng.uniform(0.05, 0.6, n)
-            paths.append(PathSpec.polyline(re + 1j * im))
-        for _ in range(10):
-            center = complex(rng.uniform(0.4, 0.6), rng.uniform(-0.2, 0.2))
-            paths.append(
-                PathSpec.circle(
-                    center,
-                    rng.uniform(0.1, 0.35),
-                    rng.uniform(-1.0, 1.0),
-                    rng.uniform(0.0, 2.0 * np.pi),
-                )
-            )
-        for path in paths:
+        for path in _paths_off_the_cuts():
             p, q = path.sample(2)[[0, -1]]
             out = integrate_pfaffian(s, path, legendre_basis_matrix(p))
             want = legendre_basis_matrix(q)
@@ -296,6 +318,82 @@ class TestTransport:
         stiff = PfaffianSystem1D(1, lambda z: np.full(np.shape(z) + (1, 1), 200.0), ())
         with pytest.raises(ConvergenceError):
             integrate_pfaffian(stiff, PathSpec.polyline([0.0, 1.0]), np.eye(1))
+
+    def test_one_coefficient_call_per_transport(self):
+        # every step's ring is sampled in one call, S steps x 48 nodes
+        legendre = system_2f1(LEGENDRE)
+        calls = []
+
+        def coefficient(z):
+            calls.append(np.array(z))
+            return legendre.coefficient(z)
+
+        s = PfaffianSystem1D(2, coefficient, legendre.singular_points)
+        counts = set()
+        for path in (
+            PathSpec.polyline([0.4, 0.45]),
+            PathSpec.polyline([0.3 + 0.2j, 0.5 - 0.1j, 0.02 + 0.01j]),
+            PathSpec.circle(0.0, 0.35, 1.0, 0.3),
+        ):
+            calls.clear()
+            integrate_pfaffian(s, path, legendre_basis_matrix(path.sample(2)[0]))
+            assert len(calls) == 1
+            assert calls[0].ndim == 2 and calls[0].shape[1] == 48
+            # the first ring is centred on the start of the path
+            assert abs(calls[0][0].mean() - path.sample(2)[0]) < 1e-15
+            counts.add(calls[0].shape[0])
+        assert len(counts) == 3 and min(counts) == 1
+
+    def test_later_step_that_cannot_converge_raises(self):
+        # the steps of the short first segment converge, those of the second
+        # do not; the error names the first step that failed
+        stiff = PfaffianSystem1D(1, lambda z: np.full(np.shape(z) + (1, 1), 200.0), ())
+        with pytest.raises(ConvergenceError, match=r"z = 0\.01\+0j "):
+            integrate_pfaffian(stiff, PathSpec.polyline([0.0, 0.01, 1.0]), np.eye(1))
+
+    def test_zero_turn_arc(self):
+        s = system_2f1(LEGENDRE)
+        init = legendre_basis_matrix(0.3)
+        out = integrate_pfaffian(s, PathSpec.circle(0.25, 0.05, 0.0), init)
+        np.testing.assert_array_equal(out, init)
+
+    def test_clearance_between_samples(self):
+        # the singular point 1 is 9e-4 from the segment, but more than that
+        # from every one of 2,048 samples of it
+        s = system_2f1(LEGENDRE)
+        path = PathSpec.polyline([-4 + 9e-4j, 6 + 9e-4j])
+        assert path.clearance(s.singular_points) == pytest.approx(9e-4, rel=1e-9)
+        with pytest.raises(DomainError):
+            integrate_pfaffian(s, path, np.eye(2))
+
+    def test_arc_does_not_count_points_in_its_gap(self):
+        # the circle passes 5e-4 from 0 and 1, which lie in the arc's gap:
+        # the arc is as far from them as its ends are
+        s = system_2f1(LEGENDRE)
+        arc = PathSpec.circle(0.5, 0.5005, 0.25, np.pi / 4)
+        end = 0.5 + 0.5005 * np.exp(0.25j * np.pi)
+        gap = abs(end - 1.0)
+        assert arc.clearance(s.singular_points) == pytest.approx(gap, rel=1e-12)
+        out = integrate_pfaffian(s, arc, legendre_basis_matrix(end))
+        want = legendre_basis_matrix(arc.sample(2)[-1])
+        assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+        with pytest.raises(DomainError):
+            integrate_pfaffian(s, PathSpec.circle(0.5, 0.5005), np.eye(2))
+
+    def test_clearance_against_dense_samples(self):
+        # the exact clearance is at most the least distance to samples of
+        # the path, and short of it by at most half the sample spacing
+        rng = _rng()
+        points = rng.uniform(-1, 2, 6) + 1j * rng.uniform(-1, 1, 6)
+        for path in _paths_off_the_cuts() + [
+            PathSpec.polyline([0.2 + 0.1j]),
+            PathSpec.circle(0.5, 0.4, -2.5, 1.0),
+        ]:
+            pts = path.sample(20001)
+            sampled = np.min(np.abs(pts[:, None] - points))
+            spacing = np.max(np.abs(np.diff(pts)), initial=0.0)
+            exact = path.clearance(points)
+            assert sampled - 0.5 * spacing - 1e-12 <= exact <= sampled + 1e-12
 
     def test_clearance_violation(self):
         s = system_2f1(LEGENDRE)
@@ -337,6 +435,31 @@ class TestMonodromy:
         for around, want in ((0.0, [[1, 2], [0, 1]]), (1.0, [[1, 0], [-2, 1]])):
             m = monodromy_2f1(s, around, basepoint=base)
             assert np.max(np.abs(m - np.array(want))) <= 1e-12
+
+
+class TestLegendreBasis:
+    def test_against_mpmath(self):
+        # columns (f, z f') of (2/pi)K(z) and (2i/pi)K(1 - z), with
+        # dK/dm = (E - (1 - m)K)/(2m(1 - m)), at 30 digits
+        import mpmath as mp
+
+        mp.mp.dps = 30
+        rng = _rng()
+        for z in rng.uniform(-0.5, 1.5, 12) + 1j * rng.uniform(-0.8, 0.8, 12):
+            want = np.empty((2, 2), dtype=complex)
+            for col, (m, scale, sign) in enumerate(((z, 2, 1), (1 - z, 2j, -1))):
+                m = mp.mpc(m)
+                k, e = mp.ellipk(m), mp.ellipe(m)
+                dk = (e - (1 - m) * k) / (2 * m * (1 - m))
+                want[0, col] = complex(scale / mp.pi * k)
+                want[1, col] = complex(sign * scale / mp.pi * mp.mpc(z) * dk)
+            got = legendre_basis_matrix(z)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), z
+
+    @pytest.mark.parametrize("z", [0.0, 1.0])
+    def test_singular_points_raise(self, z):
+        with pytest.raises(SingularityError):
+            legendre_basis_matrix(z)
 
 
 class TestGamma2Membership:
