@@ -10,6 +10,7 @@ from .appell import (
     F2Params,
     ModuliPoint,
     QuadratureControl,
+    f2_derivatives_on_arrays,
     f2_euler_integral,
     f2_pde_residual,
     f2_series,

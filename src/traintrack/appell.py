@@ -5,6 +5,11 @@ on purpose: the Burchnall–Chaundy row sum of the double series, whose rows are
 Gauss 2F1 values advanced by the contiguous recurrence in a, the
 double-exponential evaluation of the Euler integral, and the residual of the
 defining second-order system checked with Cauchy-integral derivatives.
+
+The partial derivatives of F2 are F2 values at shifted parameters, so the row
+sum also gives them exactly: ``f2_derivatives_on_arrays`` sums every
+(point, shift) pair of a derivative table in one call, its five parameters
+broadcast with the points.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ __all__ = [
     "QuadratureControl",
     "f2_series",
     "f2_series_on_arrays",
+    "f2_derivatives_on_arrays",
     "f2_euler_integral",
     "f2_pde_residual",
     "quadratic_criterion",
@@ -48,6 +54,10 @@ class F2Params:
 
     def swapped(self) -> "F2Params":
         return F2Params(self.alpha, self.beta2, self.beta1, self.gamma2, self.gamma1)
+
+    def __iter__(self):
+        """alpha, beta1, beta2, gamma1, gamma2, so that ``a, b1, b2, c1, c2 = p``."""
+        return iter((self.alpha, self.beta1, self.beta2, self.gamma1, self.gamma2))
 
 
 @dataclass(frozen=True)
@@ -103,7 +113,8 @@ def _converged(prev, last, total, ok_before, ctrl: SeriesControl):
 def _gauss_seeds(a, b, c, y, ctrl: SeriesControl):
     """2F1(a, b; c; y) and 2F1(a + 1, b; c; y) from one pass of their series.
 
-    Where |1 - y| > 1 the Pfaff transformation to y / (y - 1), which is then
+    The parameters are Python complex numbers or arrays shaped like y.  Where
+    |1 - y| > 1 the Pfaff transformation to y / (y - 1), which is then
     smaller than y and has no alternating signs, is summed instead.
     """
     pfaff = np.abs(1.0 - y) > 1.0
@@ -133,7 +144,22 @@ def _gauss_seeds(a, b, c, y, ctrl: SeriesControl):
     return pref * s0, np.where(pfaff, pref / (1.0 - y), 1.0) * s1
 
 
-def _f2_row_sum(p: F2Params, x, y, c: SeriesControl | None = None):
+def _parameter(v, shape):
+    """One F2 parameter, a Python complex or an array, over the flattened points.
+
+    A parameter that is the same at every point is returned as a Python
+    complex, so that its coefficient arithmetic is Python's, as for scalar
+    parameters; numpy's complex division can round the last bit differently.
+    Any other is returned as a flat array of the broadcast shape.
+    """
+    if isinstance(v, complex):
+        return v
+    if v.size and (v == v.flat[0]).all():
+        return complex(v.flat[0])
+    return np.broadcast_to(v.astype(complex), shape).ravel()
+
+
+def _f2_row_sum(p, x, y, c: SeriesControl | None = None):
     """F2 and its tail estimate by rows of Gauss functions (Burchnall–Chaundy).
 
     F2 = sum_m (a)_m (b1)_m / ((c1)_m m!) x^m G_m with the ladder
@@ -148,6 +174,11 @@ def _f2_row_sum(p: F2Params, x, y, c: SeriesControl | None = None):
     |x| < min(1, |1 - y|) when |x| + |y| < 1.  Each point stops on its own
     tail estimate, so its value does not depend on the other points of the
     array.
+
+    p is an F2Params or the five parameters (a, b1, b2, c1, c2), each a
+    number or an ndarray that broadcasts with x and y; see ``_parameter``.
+    Where a + m = 0 the rows after m vanish: a point is done at that row,
+    with tail 0, and the rows it no longer needs are kept finite.
 
     Forward recurrence is the stable direction: its characteristic roots are
     1 and 1 / (1 - y), and the ladder contains the solution growing like the
@@ -164,19 +195,19 @@ def _f2_row_sum(p: F2Params, x, y, c: SeriesControl | None = None):
     c = c or SeriesControl()
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    shape = np.broadcast_shapes(x.shape, y.shape)
+    p = [v if isinstance(v, np.ndarray) else complex(v) for v in p]
+    shape = np.broadcast_shapes(x.shape, y.shape, *(getattr(v, "shape", ()) for v in p))
     xf = np.broadcast_to(x, shape).ravel()
     yf = np.broadcast_to(y, shape).ravel()
     rho = float(np.max(np.abs(xf) + np.abs(yf))) if xf.size else 0.0
     if rho >= 1.0:
         raise DomainError(f"F2 series diverges: max(|x|+|y|) = {rho:.4f} >= 1")
-    a, b1, b2, g1, g2 = (
-        complex(p.alpha),
-        complex(p.beta1),
-        complex(p.beta2),
-        complex(p.gamma1),
-        complex(p.gamma2),
-    )
+    a, b1, b2, g1, g2 = (_parameter(v, shape) for v in p)
+    # the rows m at which a + m = 0 for some point
+    values = [a] if isinstance(a, complex) else set(a.tolist())
+    stops = {
+        -v.real for v in values if v.imag == 0 and v.real < 0 and v.real.is_integer()
+    }
     g0, g1_seed = _gauss_seeds(a, b2, g2, yf, c)
     x1 = xf / (1.0 - yf)
     x2, xy = xf * x1, yf * x1
@@ -193,8 +224,14 @@ def _f2_row_sum(p: F2Params, x, y, c: SeriesControl | None = None):
         new_total = total + add
         comp = (new_total - total) - add
         total = new_total
-        if a + m == 0:  # (a)_k vanishes for k > m: every later row is zero
-            break
+        am = a + m
+        if m in stops:  # (a)_k vanishes for k > m where a + m = 0: later rows are zero
+            end = (am == 0) & ~done
+            value[end] = (total - comp)[end]
+            done = done | end
+            if done.all():
+                break
+            am = np.where(am == 0, 1.0, am)  # keeps the finished points finite
         if m % _CHECK_EVERY == 0:
             last = np.abs(term)
             tail, ok, stop = _converged(prev, last, total, ok, c)
@@ -204,12 +241,11 @@ def _f2_row_sum(p: F2Params, x, y, c: SeriesControl | None = None):
             done = done | stop
             if done.all():
                 break
-        v_prev, v = v, ((g2 - a - m) / (a + m)) * (x2 * v_prev) + (
-            ((2 * (a + m) - g2) / (a + m)) * x1 + ((b2 - a - m) / (a + m)) * xy
+        v_prev, v = v, ((g2 - a - m) / am) * (x2 * v_prev) + (
+            ((2 * am - g2) / am) * x1 + ((b2 - a - m) / am) * xy
         ) * v
     else:
         raise ConvergenceError("F2 row sum tail bound not met within max_terms")
-    value = np.where(done, value, total - comp)  # sums ended by the a + m = 0 row
     return value.reshape(shape), est.reshape(shape)
 
 
@@ -219,6 +255,40 @@ def f2_series_on_arrays(p: F2Params, x, y, c: SeriesControl | None = None):
     Convergence requires |x| + |y| < 1 everywhere; see ``_f2_row_sum``.
     """
     return _f2_row_sum(p, x, y, c)[0]
+
+
+def _rising(z: complex, k: int):
+    """Pochhammer symbols (z)_0, ..., (z)_k."""
+    return np.cumprod(np.concatenate(([1.0 + 0j], z + np.arange(k))))
+
+
+def f2_derivatives_on_arrays(p: F2Params, x, y, order: int):
+    """Partial derivatives of F2 up to ``order`` in each variable, by parameter shifts.
+
+    Term by term in the double series (DLMF §16.13),
+
+        d^(m+n) F2 / dx^m dy^n = (a)_{m+n} (b1)_m (b2)_n / ((c1)_m (c2)_n)
+                                 * F2(a+m+n; b1+m, b2+n; c1+m, c2+n; x, y),
+
+    so every derivative is a row sum at shifted parameters, and one row-sum
+    call sums all (point, shift) pairs.  Returns D with D[m, n] the partial
+    of order m in x and n in y, of shape (order + 1, order + 1) plus the
+    broadcast shape of x and y.  Convergence requires |x| + |y| < 1.
+    """
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+    a, b1, b2, g1, g2 = (complex(v) for v in p)
+    pad = (1,) * x.ndim
+    m = np.arange(order + 1).reshape((-1, 1) + pad)
+    n = np.arange(order + 1).reshape((1, -1) + pad)
+    shifted = (a + m + n, b1 + m, b2 + n, g1 + m, g2 + n)
+    values = _f2_row_sum(shifted, x, y)[0]
+    k = np.arange(order + 1)
+    in_x = _rising(b1, order) / _rising(g1, order)
+    in_y = _rising(b2, order) / _rising(g2, order)
+    pref = _rising(a, 2 * order)[k[:, None] + k] * np.outer(in_x, in_y)
+    return pref.reshape(pref.shape + pad) * values
 
 
 def f2_series(p: F2Params, pt: ModuliPoint, c: SeriesControl | None = None) -> complex:

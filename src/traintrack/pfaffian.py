@@ -40,6 +40,7 @@ __all__ = [
     "flatness_residual",
     "horizontality_residual_1d",
     "horizontality_residual_f2",
+    "horizontality_residual_from_derivatives",
 ]
 
 _CLEARANCE = 1e-3
@@ -433,26 +434,29 @@ def gamma2_membership(m: np.ndarray, int_tol: float = 1e-8) -> bool:
     return bool(np.all((r - np.eye(2, dtype=np.int64)) % 2 == 0))
 
 
-def flatness_residual(
-    sys2d: PfaffianSystem2D, x0: complex, y0: complex, radius: float = 0.05
-) -> float:
-    """Curvature d_y A_x - d_x A_y + [A_x, A_y], normalized, at a point."""
+def flatness_residual(sys2d: PfaffianSystem2D, x0, y0, radius: float = 0.05):
+    """Curvature d_y A_x - d_x A_y + [A_x, A_y], normalized, at points (x0, y0).
+
+    x0 and y0 broadcast; the result is a float for one point and otherwise
+    an array of their shape.  One call of each coefficient takes the rings
+    of all points, each ring with its centre as its last point.
+    """
+    x0, y0 = np.broadcast_arrays(np.asarray(x0, dtype=complex), np.asarray(y0, dtype=complex))
     theta = 2.0 * np.pi * np.arange(_FLATNESS_NODES) / _FLATNESS_NODES
-    ring = radius * np.exp(1j * theta)
+    ring = np.append(radius * np.exp(1j * theta), 0.0)
+    x0, y0 = x0[..., None], y0[..., None]
     ax_stack = sys2d.coefficient_x(x0, y0 + ring)
     ay_stack = sys2d.coefficient_y(x0 + ring, y0)
-    day_dx = np.fft.fft(ay_stack, axis=0)[1] / (_FLATNESS_NODES * radius)
-    dax_dy = np.fft.fft(ax_stack, axis=0)[1] / (_FLATNESS_NODES * radius)
-    ax0 = sys2d.coefficient_x(x0, y0)
-    ay0 = sys2d.coefficient_y(x0, y0)
+    norm = _FLATNESS_NODES * radius
+    day_dx = np.fft.fft(ay_stack[..., :-1, :, :], axis=-3)[..., 1, :, :] / norm
+    dax_dy = np.fft.fft(ax_stack[..., :-1, :, :], axis=-3)[..., 1, :, :] / norm
+    ax0, ay0 = ax_stack[..., -1, :, :], ay_stack[..., -1, :, :]
     curv = dax_dy - day_dx + ax0 @ ay0 - ay0 @ ax0
-    scale = max(
-        np.max(np.abs(dax_dy)),
-        np.max(np.abs(day_dx)),
-        np.max(np.abs(ax0 @ ay0)),
-        1e-300,
+    scale = np.maximum.reduce(
+        [np.abs(m).max(axis=(-2, -1)) for m in (dax_dy, day_dx, ax0 @ ay0)]
     )
-    return float(np.max(np.abs(curv)) / scale)
+    out = np.abs(curv).max(axis=(-2, -1)) / np.maximum(scale, 1e-300)
+    return float(out) if out.ndim == 0 else out
 
 
 def horizontality_residual_1d(
@@ -468,30 +472,44 @@ def horizontality_residual_1d(
     return float(np.max(np.abs(resid)) / scale)
 
 
+def horizontality_residual_from_derivatives(p: F2Params, d, x, y) -> np.ndarray:
+    """Residual of the 4x4 system on the section of a solution F, from its partials.
+
+    d[m, n] holds d^(m+n) F / dx^m dy^n for m, n <= 2 at the points (x, y),
+    on trailing axes of their broadcast shape.  The section
+    (F, x F_x, y F_y, x y F_xy) and its two derivatives are formed from d and
+    compared with A_x and A_y times the section.  Returns, per point, the
+    largest residual entry over the largest entry of the section and its
+    derivatives.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+    d = np.asarray(d)
+    vec = np.stack([d[0, 0], x * d[1, 0], y * d[0, 1], x * y * d[1, 1]], axis=-1)
+    dvec_dx = np.stack(
+        [d[1, 0], d[1, 0] + x * d[2, 0], y * d[1, 1], y * d[1, 1] + x * y * d[2, 1]],
+        axis=-1,
+    )
+    dvec_dy = np.stack(
+        [d[0, 1], x * d[1, 1], d[0, 1] + y * d[0, 2], x * d[1, 1] + x * y * d[1, 2]],
+        axis=-1,
+    )
+    ax, ay = a_f2_arrays(p, x, y)
+    resid = np.maximum(
+        np.abs(dvec_dx - (ax @ vec[..., None])[..., 0]).max(axis=-1),
+        np.abs(dvec_dy - (ay @ vec[..., None])[..., 0]).max(axis=-1),
+    )
+    scale = np.maximum.reduce([np.abs(v).max(axis=-1) for v in (dvec_dx, dvec_dy, vec)])
+    return resid / np.maximum(scale, 1e-300)
+
+
 def horizontality_residual_f2(p: F2Params, F, pt: ModuliPoint, radius) -> float:
-    """Residual of the 4x4 system on the section built from a scalar solution F."""
+    """Residual of the 4x4 system on the section of a scalar solution F.
+
+    The partials come from Cauchy integrals of F on the bi-circle of the
+    given radii (a pair, or one float for both); see
+    ``horizontality_residual_from_derivatives``.
+    """
     x, y = complex(pt.x), complex(pt.y)
     rx, ry = (radius, radius) if np.isscalar(radius) else radius
-    d = cauchy_derivs_2d(F, x, y, rx, ry, max_order=3)
-    vec = np.array([d[0, 0], x * d[1, 0], y * d[0, 1], x * y * d[1, 1]])
-    dvec_dx = np.array(
-        [
-            d[1, 0],
-            d[1, 0] + x * d[2, 0],
-            y * d[1, 1],
-            y * d[1, 1] + x * y * d[2, 1],
-        ]
-    )
-    dvec_dy = np.array(
-        [
-            d[0, 1],
-            x * d[1, 1],
-            d[0, 1] + y * d[0, 2],
-            x * d[1, 1] + x * y * d[1, 2],
-        ]
-    )
-    ax, ay = a_f2(p, pt)
-    rx_vec = dvec_dx - ax @ vec
-    ry_vec = dvec_dy - ay @ vec
-    scale = max(np.max(np.abs(dvec_dx)), np.max(np.abs(dvec_dy)), np.max(np.abs(vec)), 1e-300)
-    return float(max(np.max(np.abs(rx_vec)), np.max(np.abs(ry_vec))) / scale)
+    d = cauchy_derivs_2d(F, x, y, rx, ry, max_order=2)
+    return float(horizontality_residual_from_derivatives(p, d, x, y))

@@ -8,15 +8,17 @@ null, so identical configurations produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .appell import F2Params, ModuliPoint, f2_series_on_arrays
+from .appell import F2Params, ModuliPoint, f2_derivatives_on_arrays, f2_series_on_arrays
 from .errors import NonConstantRatioError
 from .factorization import (
     LambdaPair,
     PeriodVector,
+    _in_theorem_domain,
     map_T,
     periods_from_lambdas,
     positivity_pairing,
@@ -35,7 +37,7 @@ from .modular import (
 from .pfaffian import (
     flatness_residual,
     gamma2_membership,
-    horizontality_residual_f2,
+    horizontality_residual_from_derivatives,
     monodromy_2f1,
     system_2f1,
     system_f2,
@@ -143,19 +145,51 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def sample_theorem_domain(rng, n: int):
-    """Random factorized coordinates with the mapped point inside |x|+|y| < 0.95."""
+def _first_accepted(rng, n: int, lows, highs, accept):
+    """The first n candidates that ``accept`` keeps, with the draws made in blocks.
+
+    A candidate is one rng.uniform(lo, hi) draw per (lo, hi) column, in
+    order.  rng.random takes the same doubles as the scalar draws would, in
+    the same order, and lo + (hi - lo) u is the value uniform forms from
+    them, so every candidate equals a scalar rejection loop's bit for bit.
+    ``accept`` maps a block of candidate rows to one entry per row, the kept
+    item or None; it may be a generator, which is run only as far as needed.
+    The rest of the last block is drawn but not used: each suite draws from
+    its own generator, and no more once its samples are taken.
+    """
+    lows = np.asarray(lows, dtype=float)
+    spans = np.asarray(highs, dtype=float) - lows
     out = []
     while len(out) < n:
-        l1 = rng.uniform(0.03, 0.5) + 1j * rng.uniform(-0.06, 0.06)
-        l2 = rng.uniform(0.62, 0.97) + 1j * rng.uniform(-0.06, 0.06)
-        lp = LambdaPair(l1, l2)
-        if not lp.in_theorem_domain:
-            continue
-        pt = map_T(lp)
-        if pt.series_norm < 0.95:
-            out.append((lp, pt))
+        rows = lows + spans * rng.random((4 * (n - len(out)) + 16, len(lows)))
+        kept = (item for item in accept(rows) if item is not None)
+        out.extend(itertools.islice(kept, n - len(out)))
     return out
+
+
+def sample_theorem_domain(rng, n: int):
+    """Random factorized coordinates with the mapped point inside |x|+|y| < 0.95.
+
+    The candidate pairs are drawn in blocks and filtered by the theorem
+    domain as arrays; each pair that passes is mapped by the scalar map_T,
+    whose last bits the array form does not reproduce.
+    """
+
+    def accept(rows):
+        l1 = rows[:, 0] + 1j * rows[:, 1]
+        l2 = rows[:, 2] + 1j * rows[:, 3]
+        inside = _in_theorem_domain(l1, l2)
+        for a, b, ok in zip(l1.tolist(), l2.tolist(), inside.tolist()):
+            if not ok:
+                yield None
+                continue
+            lp = LambdaPair(a, b)
+            pt = map_T(lp)
+            yield (lp, pt) if pt.series_norm < 0.95 else None
+
+    return _first_accepted(
+        rng, n, (0.03, -0.06, 0.62, -0.06), (0.5, 0.06, 0.97, 0.06), accept
+    )
 
 
 def _lambda_arrays(pairs):
@@ -368,33 +402,39 @@ def suite_monodromy(cfg: RunConfig) -> VerificationReport:
 
 
 def _flatness_points(rng, n):
-    pts = []
-    while len(pts) < n:
-        x = rng.uniform(0.1, 0.45)
-        y = rng.uniform(0.08, 0.35) * np.sign(rng.uniform(-1, 1))
-        if min(abs(x), abs(1 - x), abs(y), abs(1 - y), abs(1 - x - y)) > 0.07 and abs(
-            x
-        ) + abs(y) < 0.6:
-            pts.append(ModuliPoint(x + 0j, y + 0j))
-    return pts
+    """Real points with margin 0.07 from the singular locus and |x| + |y| < 0.6."""
+
+    def accept(rows):
+        x = rows[:, 0]
+        y = rows[:, 1] * np.sign(rows[:, 2])
+        margin = np.minimum.reduce(
+            [np.abs(x), np.abs(1 - x), np.abs(y), np.abs(1 - y), np.abs(1 - x - y)]
+        )
+        ok = (margin > 0.07) & (np.abs(x) + np.abs(y) < 0.6)
+        for xi, yi, k in zip(x.tolist(), y.tolist(), ok.tolist()):
+            yield ModuliPoint(xi + 0j, yi + 0j) if k else None
+
+    return _first_accepted(rng, n, (0.1, 0.08, -1.0), (0.45, 0.35, 1.0), accept)
 
 
 def suite_flatness(cfg: RunConfig) -> VerificationReport:
-    """Curvature of the derived 4x4 connection and section horizontality."""
+    """Curvature of the derived 4x4 connection and section horizontality.
+
+    Each check takes all points in one call; the partials of the conformal
+    F2 come from its exact derivative table.
+    """
     tol = cfg.tol("flatness")
     rng = _rng(cfg.rng_seed)
     conformal = F2Params.conformal_case()
     sys2 = system_f2(conformal)
-    section = lambda xx, yy: f2_series_on_arrays(conformal, xx, yy)
+    pts = _flatness_points(rng, cfg.samples("flatness"))
+    x = np.array([pt.x for pt in pts])
+    y = np.array([pt.y for pt in pts])
+    flats = flatness_residual(sys2, x, y, radius=0.03)
+    derivs = f2_derivatives_on_arrays(conformal, x, y, 2)
+    horizs = horizontality_residual_from_derivatives(conformal, derivs, x, y)
     cases = []
-    for i, pt in enumerate(_flatness_points(rng, cfg.samples("flatness"))):
-        flat = flatness_residual(sys2, pt.x, pt.y, radius=0.03)
-        margin = min(
-            abs(pt.x), abs(1 - pt.x), abs(pt.y), abs(1 - pt.y), abs(1 - pt.x - pt.y)
-        )
-        horiz = horizontality_residual_f2(
-            conformal, section, pt, radius=0.3 * margin
-        )
+    for i, (pt, flat, horiz) in enumerate(zip(pts, flats.tolist(), horizs.tolist())):
         resid = max(flat, horiz)
         cases.append(
             CaseRecord(

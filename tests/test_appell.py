@@ -22,6 +22,7 @@ from traintrack import (
     f2_euler_integral,
     f2_pde_residual,
     f2_series,
+    f2_derivatives_on_arrays,
     f2_series_on_arrays,
     gauss_2f1,
     period_basis,
@@ -212,6 +213,126 @@ class TestSeries:
     def test_parameter_pole_guard(self):
         with pytest.raises(DomainError):
             F2Params(0.5, 0.5, 0.5, 0.0, 1.0)
+
+
+GENERIC_COMPLEX = F2Params(0.6 + 0.2j, 0.35 - 0.1j, 0.55 + 0.05j, 1.3 + 0.1j, 0.9 - 0.2j)
+
+
+def _table_points():
+    """One seeded real point and one complex point, |x| + |y| <= 0.45."""
+    rng = _rng()
+    real = (rng.uniform(0.1, 0.25), rng.uniform(-0.2, -0.1))
+    cplx = (
+        complex(rng.uniform(-0.25, -0.1), rng.uniform(-0.1, 0.1)),
+        complex(rng.uniform(0.05, 0.15), rng.uniform(-0.1, 0.1)),
+    )
+    return [real, cplx]
+
+
+def _mp_f2_partials(p, x, y, order, dps=30):
+    """d^(m+n) F2 / dx^m dy^n for m, n <= order, at dps digits (mpmath).
+
+    The double series is differentiated term by term: the coefficient c_ij
+    of x^i y^j contributes c_ij i!/(i-m)! j!/(j-n)! x^(i-m) y^(j-n), and the
+    sums stop past (|x| + |y|)^i+j = 10^-(dps+3).
+    """
+    with mp.workdps(dps):
+        a, b1, b2, c1, c2, x, y = (mp.mpc(complex(v)) for v in (*p, x, y))
+        top = int(-(dps + 3) * mp.log(10) / mp.log(abs(x) + abs(y))) + 4 * order
+        d = [[mp.mpc(0)] * (order + 1) for _ in range(order + 1)]
+        row = mp.mpc(1)  # c_i0
+        for i in range(top):
+            # inner[n] = sum_j c_ij j!/(j-n)! y^(j-n)
+            inner = [mp.mpc(0)] * (order + 1)
+            c = row
+            powers = [mp.mpc(0)] * order + [mp.mpc(1)]  # y^(j-n) at index order - n
+            for j in range(top - i):
+                for n in range(min(j, order) + 1):
+                    inner[n] += c * mp.ff(j, n) * powers[order - n]
+                powers = powers[1:] + [powers[-1] * y]
+                c *= (a + i + j) * (b2 + j) / ((c2 + j) * (j + 1))
+            for m in range(min(i, order) + 1):
+                xm = mp.ff(i, m) * x ** (i - m)
+                for n in range(order + 1):
+                    d[m][n] += xm * inner[n]
+            row *= (a + i) * (b1 + i) / ((c1 + i) * (i + 1))
+        return np.array([[complex(v) for v in r] for r in d])
+
+
+class TestDerivativeTable:
+    @pytest.mark.parametrize(
+        "p", [CONFORMAL, GENERIC_COMPLEX], ids=["conformal", "generic"]
+    )
+    def test_first_partials_against_mpmath_diff(self, p):
+        # mp.diff raises its working precision to (prec + 20)(n + 1) bits for
+        # order n, where appellf2 takes seconds per call: first order only
+        for x, y in _table_points():
+            d = f2_derivatives_on_arrays(p, x, y, 1)
+            with mp.workdps(30):
+                f = lambda u, v: mp.appellf2(*p, u, v)
+                for m, n in ((1, 0), (0, 1)):
+                    ref = complex(mp.diff(f, (mp.mpc(x), mp.mpc(y)), (m, n)))
+                    assert abs(d[m, n] - ref) <= 1e-13 * abs(ref), (x, y, m, n)
+
+    @pytest.mark.parametrize(
+        "p", [CONFORMAL, GENERIC_COMPLEX, F2Params(-2.0, 0.5, 0.7, 1.0, 1.3)],
+        ids=["conformal", "generic", "terminating"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_table_against_differentiated_series(self, p):
+        # alpha = -2 shifts to -2, -1, 0, 1, 2: rows stop per element, and
+        # the partials of total order above 2 vanish
+        for x, y in _table_points():
+            d = f2_derivatives_on_arrays(p, x, y, 2)
+            ref = _mp_f2_partials(p, x, y, 2)
+            assert d.shape == (3, 3)
+            assert np.all(np.abs(d - ref) <= 1e-13 * np.abs(ref)), (x, y, d, ref)
+
+    def test_array_shape_and_points(self):
+        xs = np.array([[0.1, -0.2 + 0.05j], [0.3, 0.0]])
+        ys = np.array([0.2, -0.15j])
+        d = f2_derivatives_on_arrays(GENERIC_COMPLEX, xs, ys, 2)
+        assert d.shape == (3, 3, 2, 2)
+        for idx in np.ndindex(2, 2):
+            one = f2_derivatives_on_arrays(GENERIC_COMPLEX, xs[idx], ys[idx[1]], 2)
+            assert np.array_equal(d[(...,) + idx], one)
+
+    def test_order_zero_is_the_series(self):
+        xs = np.array([0.1, 0.2 + 0.05j, -0.3, 0.475, 0.089, 0.0, -0.6])
+        ys = np.array([0.2, -0.1, 0.15 - 0.02j, 0.475, 0.9, 0.5, -0.35j])
+        d = f2_derivatives_on_arrays(CONFORMAL, xs, ys, 0)
+        assert np.array_equal(d[0, 0], f2_series_on_arrays(CONFORMAL, xs, ys))
+        with pytest.raises(ValueError):
+            f2_derivatives_on_arrays(CONFORMAL, xs, ys, -1)
+        with pytest.raises(DomainError):
+            f2_derivatives_on_arrays(CONFORMAL, 0.6, 0.5, 2)
+
+    @pytest.mark.parametrize(
+        "p",
+        [CONFORMAL, F2Params(-3.0, 0.5, 0.7, 1.0, 1.3), F2Params(-2, 0.5, 0.7, 1, 1.3)],
+        ids=["conformal", "alpha=-3", "alpha=-2"],
+    )
+    def test_uniform_parameter_arrays_are_bit_identical(self, p):
+        # a parameter with one value at every point takes the scalar path
+        rng = _rng()
+        xs = rng.uniform(-0.45, 0.45, 40) + 0.05j * rng.uniform(-1, 1, 40)
+        ys = rng.uniform(-0.45, 0.45, 40)
+        want, want_tail = _f2_row_sum(p, xs, ys)
+        arrays = [np.full(xs.shape, complex(v)) for v in p]
+        got, tail = _f2_row_sum(arrays, xs, ys)
+        assert np.array_equal(got, want) and np.array_equal(tail, want_tail)
+        assert np.array_equal(got, f2_series_on_arrays(p, xs, ys))
+
+    @pytest.mark.filterwarnings("error")
+    def test_mixed_alpha_stops_per_element(self):
+        a = np.array([-2.0, 0.5, -3.0, 0.0, 1.2 + 0.3j, -1.0, -7.0])
+        x, y = 0.3, -0.2 + 0.1j
+        vals, tails = _f2_row_sum((a, 0.5, 0.7, 1.0, 1.3), x, y)
+        for ai, v in zip(a, vals):
+            ref = _mp_f2(F2Params(ai, 0.5, 0.7, 1.0, 1.3), x, y, dps=30)
+            assert abs(v - ref) <= 1e-14 * abs(ref), ai
+        terminating = (a.imag == 0) & (a.real < 0)
+        assert np.all(tails[terminating] == 0.0)
 
 
 class TestEulerIntegral:

@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from traintrack import F2Params, LambdaPair, period_basis, positivity_pairing
@@ -153,6 +154,44 @@ class TestVerify:
         probes = [c for c in report.cases if "slot" in c.inputs]
         assert len(probes) == 4
         assert all(not c.passed and c.residual == 2.0 for c in probes)
+
+    def test_flatness_suite_sums_one_derivative_table(self, monkeypatch):
+        from traintrack import pfaffian, quadrature
+
+        calls = {"row_sum": 0, "cauchy": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        row_sum = counting("row_sum", appell._f2_row_sum)
+        monkeypatch.setattr(appell, "_f2_row_sum", row_sum)
+        for module in (pfaffian, quadrature):
+            monkeypatch.setattr(
+                module, "cauchy_derivs_2d", counting("cauchy", module.cauchy_derivs_2d)
+            )
+        report = verify.suite_flatness(verify.RunConfig())
+        assert calls == {"row_sum": 1, "cauchy": 0}
+        assert len(report.cases) == 10 and report.passed
+        assert max(c.outputs["horizontality"] for c in report.cases) < 1e-14
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_flatness_points_equal_scalar_loop(self, seed):
+        def scalar_loop(rng, n):
+            pts = []
+            while len(pts) < n:
+                x = rng.uniform(0.1, 0.45)
+                y = rng.uniform(0.08, 0.35) * np.sign(rng.uniform(-1, 1))
+                margin = min(abs(x), abs(1 - x), abs(y), abs(1 - y), abs(1 - x - y))
+                if margin > 0.07 and abs(x) + abs(y) < 0.6:
+                    pts.append((x + 0j, y + 0j))
+            return pts
+
+        got = [(pt.x, pt.y) for pt in verify._flatness_points(verify._rng(seed), 10)]
+        assert got == scalar_loop(verify._rng(seed), 10)
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -29,6 +29,10 @@ def _rng():
     return np.random.Generator(np.random.Philox(77))
 
 
+def _rng_seeded(seed):
+    return np.random.Generator(np.random.Philox(seed))
+
+
 class TestSigma:
     def test_kron_structure(self):
         j = np.array([[0, 1], [-1, 0]])
@@ -213,6 +217,31 @@ class TestPeriodBasis:
         assert not any(np.isfinite(p[0]) for p in (p1, p2, p3))
         pv = period_basis(LambdaPair(0.1, 0.9))
         assert [p[1] for p in (p0, p1, p2, p3)] == list(pv.as_array())
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sampler_equals_scalar_loop(self, seed):
+        # block draws, the array domain filter and the scalar map_T give the
+        # candidates and the points of one scalar loop
+        def scalar_loop(rng, n):
+            out = []
+            while len(out) < n:
+                l1 = rng.uniform(0.03, 0.5) + 1j * rng.uniform(-0.06, 0.06)
+                l2 = rng.uniform(0.62, 0.97) + 1j * rng.uniform(-0.06, 0.06)
+                lp = LambdaPair(l1, l2)
+                if not lp.in_theorem_domain:
+                    continue
+                pt = map_T(lp)
+                if pt.series_norm < 0.95:
+                    out.append((lp, pt))
+            return out
+
+        for n in (1, 13, 100):
+            got = sample_theorem_domain(_rng_seeded(seed), n)
+            want = scalar_loop(_rng_seeded(seed), n)
+            assert len(got) == n
+            for (lp, pt), (ref_lp, ref_pt) in zip(got, want):
+                assert type(lp.lambda1) is complex and type(pt.x) is complex
+                assert (lp, pt) == (ref_lp, ref_pt)
 
     def test_batch_equals_per_point_calls(self):
         # one call on all points gives each point its scalar periods, bit for bit

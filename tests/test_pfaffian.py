@@ -29,13 +29,15 @@ from traintrack import (
     system_f2,
     tensor_system,
 )
-from traintrack.appell import f2_series_on_arrays
+from traintrack.appell import f2_derivatives_on_arrays, f2_series_on_arrays
 from traintrack.pfaffian import (
+    PfaffianSystem2D,
     a_2f1_arrays,
     a_f2_arrays,
     flatness_residual,
     horizontality_residual_1d,
     horizontality_residual_f2,
+    horizontality_residual_from_derivatives,
     legendre_basis_matrix,
     restrict_to_line,
 )
@@ -127,6 +129,76 @@ class TestAF2:
             x = rng.uniform(0.12, 0.45)
             y = rng.uniform(0.1, 0.3) * (-1 if rng.uniform() < 0.5 else 1)
             assert flatness_residual(sys2, x, y, radius=0.03) < 1e-8
+
+    def test_table_residual_at_criterion_8_points(self):
+        # the points of acceptance criterion 8, drawn as it draws them
+        rng = np.random.Generator(np.random.Philox(8))
+        xs, ys = [], []
+        while len(xs) < 10:
+            x = rng.uniform(0.1, 0.45)
+            y = rng.uniform(0.08, 0.35) * (-1 if rng.uniform() < 0.5 else 1)
+            margin = min(abs(x), abs(1 - x), abs(y), abs(1 - y), abs(1 - x - y))
+            if margin >= 0.07 and abs(x) + abs(y) <= 0.6:
+                xs.append(x)
+                ys.append(y)
+        d = f2_derivatives_on_arrays(CONFORMAL, xs, ys, 2)
+        resid = horizontality_residual_from_derivatives(CONFORMAL, d, xs, ys)
+        assert resid.shape == (10,)
+        assert np.max(resid) < 1e-14
+
+    def test_table_residual_tells_the_systems_apart(self):
+        generic = F2Params(0.6 + 0.1j, 0.35, 0.55, 1.3, 0.9 - 0.1j)
+        x, y = np.array([0.2, -0.3 + 0.1j]), np.array([0.1 - 0.05j, 0.25])
+        d = f2_derivatives_on_arrays(generic, x, y, 2)
+        assert np.max(horizontality_residual_from_derivatives(generic, d, x, y)) < 1e-14
+        assert np.min(horizontality_residual_from_derivatives(CONFORMAL, d, x, y)) > 1e-3
+
+    def test_cauchy_route_feeds_the_same_core(self):
+        section = lambda x, y: f2_series_on_arrays(CONFORMAL, x, y)
+        pt = ModuliPoint(0.2, 0.1)
+        d = f2_derivatives_on_arrays(CONFORMAL, pt.x, pt.y, 2)
+        exact = float(horizontality_residual_from_derivatives(CONFORMAL, d, pt.x, pt.y))
+        cauchy = horizontality_residual_f2(CONFORMAL, section, pt, 0.05)
+        assert exact < 1e-15 and cauchy < 1e-8
+
+    @pytest.mark.parametrize("which", ["f2", "tensor"])
+    def test_flatness_two_coefficient_calls(self, which):
+        # the centres ride on the rings: two calls for all points, and per
+        # point the same curvature bit for bit as four calls (two rings and
+        # two centres)
+        if which == "f2":
+            base = system_f2(F2Params(0.6, 0.35, 0.55, 1.3, 0.9))
+        else:
+            other = system_2f1(Hyper2F1Params(0.3, 0.7, 1.2))
+            base = tensor_system(system_2f1(LEGENDRE), other)
+        calls = []
+
+        def counted(fn):
+            def wrapper(x, y):
+                calls.append(1)
+                return fn(x, y)
+
+            return wrapper
+
+        sys2 = PfaffianSystem2D(
+            base.dimension, counted(base.coefficient_x), counted(base.coefficient_y), ()
+        )
+        rng = _rng()
+        xs = rng.uniform(0.12, 0.45, 10) + 0j
+        ys = rng.uniform(0.1, 0.3, 10) * rng.choice([-1.0, 1.0], 10) + 0j
+        got = flatness_residual(sys2, xs, ys, radius=0.03)
+        assert len(calls) == 2 and got.shape == (10,)
+        for x0, y0, one in zip(xs, ys, got):
+            ring = 0.03 * np.exp(1j * (2.0 * np.pi * np.arange(24) / 24))
+            norm = 24 * 0.03
+            dax_dy = np.fft.fft(base.coefficient_x(x0, y0 + ring), axis=0)[1] / norm
+            day_dx = np.fft.fft(base.coefficient_y(x0 + ring, y0), axis=0)[1] / norm
+            ax0, ay0 = base.coefficient_x(x0, y0), base.coefficient_y(x0, y0)
+            scale = max(
+                np.max(np.abs(dax_dy)), np.max(np.abs(day_dx)), np.max(np.abs(ax0 @ ay0))
+            )
+            curv = dax_dy - day_dx + ax0 @ ay0 - ay0 @ ax0
+            assert one == float(np.max(np.abs(curv)) / scale)
 
     def test_flatness_generic_parameters(self):
         sys2 = system_f2(F2Params(0.6, 0.35, 0.55, 1.3, 0.9))
