@@ -9,13 +9,11 @@ the holomorphic period.
 from .appell import (
     F2Params,
     ModuliPoint,
-    QuadratureControl,
     f2_derivatives_on_arrays,
     f2_euler_integral,
     f2_pde_residual,
     f2_series,
     f2_series_on_arrays,
-    quadratic_criterion,
 )
 from .errors import (
     BranchTrackingError,
@@ -28,7 +26,6 @@ from .factorization import (
     SIGMA,
     LambdaPair,
     PeriodVector,
-    gauge_scalar,
     invert_T,
     map_T,
     period_basis,
@@ -65,8 +62,6 @@ from .pfaffian import (
 )
 from .special import (
     Hyper2F1Params,
-    SeriesControl,
-    deriv_K,
     ellint_E,
     ellint_K,
     gamma_fn,

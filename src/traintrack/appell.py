@@ -19,19 +19,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularityError
-from .quadrature import LEVEL_MAX_2D, cauchy_derivs_2d, integrate_01_2d
-from .special import SeriesControl, _is_nonpositive_integer, gamma_fn
+from .quadrature import cauchy_derivs_2d, integrate_01_2d
+from .special import (
+    _CHECK_EVERY,
+    _MAX_TERMS,
+    _converged,
+    _gauss_seeds,
+    _is_nonpositive_integer,
+    gamma_fn,
+)
 
 __all__ = [
     "F2Params",
     "ModuliPoint",
-    "QuadratureControl",
     "f2_series",
     "f2_series_on_arrays",
     "f2_derivatives_on_arrays",
     "f2_euler_integral",
     "f2_pde_residual",
-    "quadratic_criterion",
 ]
 
 
@@ -72,78 +77,6 @@ class ModuliPoint:
         return abs(self.x) + abs(self.y)
 
 
-@dataclass(frozen=True)
-class QuadratureControl:
-    level_max: int = 8
-    target_tol: float = 1e-11
-
-    def __post_init__(self):
-        if not 4 <= self.level_max <= LEVEL_MAX_2D:
-            raise ValueError(
-                f"level_max must lie in 4..{LEVEL_MAX_2D}: the rule starts at level 3"
-                " and needs two levels, and a level-8 grid holds up to 3,073^2"
-                " complex values (151 MB)"
-            )
-        if self.target_tol <= 0:
-            raise ValueError("target_tol must be positive")
-
-
-# Series are checked for convergence every _CHECK_EVERY terms.  A point stops
-# once its tail estimate is below _TAIL_SHARE * rel_tol * |sum| at two checks
-# in a row, so that truncation is a small share of the error next to the
-# rounding of the sum, and one term that happens to be small cannot stop it.
-_CHECK_EVERY = 4
-_TAIL_SHARE = 1e-2
-
-
-def _converged(prev, last, total, ok_before, ctrl: SeriesControl):
-    """Tail estimates, where they are below tolerance, and which points stop.
-
-    The tail after a term of size ``last`` is estimated as last * r / (1 - r),
-    r being the observed ratio per term: the geometric mean over the
-    _CHECK_EVERY terms since the one of size ``prev``.  It is inf while r >= 1.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = np.where(last == 0.0, 0.0, (last / prev) ** (1.0 / _CHECK_EVERY))
-        tail = np.where(r < 1.0, last * r / (1.0 - r), np.inf)
-    ok = tail <= _TAIL_SHARE * ctrl.rel_tol * np.abs(total) + ctrl.abs_floor
-    return tail, ok, ok & ok_before
-
-
-def _gauss_seeds(a, b, c, y, ctrl: SeriesControl):
-    """2F1(a, b; c; y) and 2F1(a + 1, b; c; y) from one pass of their series.
-
-    The parameters are Python complex numbers or arrays shaped like y.  Where
-    |1 - y| > 1 the Pfaff transformation to y / (y - 1), which is then
-    smaller than y and has no alternating signs, is summed instead.
-    """
-    pfaff = np.abs(1.0 - y) > 1.0
-    z = np.where(pfaff, y / (y - 1.0), y)
-    bz = np.where(pfaff, c - b, b)
-    t0, t1 = np.ones_like(y), np.ones_like(y)
-    s0, s1 = np.ones_like(y), np.ones_like(y)
-    prev = np.ones(y.shape)
-    ok = np.zeros(y.shape, dtype=bool)
-    for n in range(ctrl.max_terms):
-        f = (bz + n) * z / ((c + n) * (n + 1.0))
-        t0 = t0 * (f * (a + n))
-        t1 = t1 * (f * (a + 1.0 + n))
-        s0 += t0
-        s1 += t1
-        if (n + 1) % _CHECK_EVERY == 0:
-            last = np.maximum(np.abs(t0), np.abs(t1))
-            small = np.where(np.abs(s0) < np.abs(s1), s0, s1)
-            _, ok, done = _converged(prev, last, small, ok, ctrl)
-            prev = last
-            if done.all():
-                break
-            z = np.where(done, 0.0, z)  # a finished point adds zeros from here on
-    else:
-        raise ConvergenceError("2F1 seed series did not meet rel_tol within max_terms")
-    pref = np.where(pfaff, (1.0 - y) ** (-a), 1.0)
-    return pref * s0, np.where(pfaff, pref / (1.0 - y), 1.0) * s1
-
-
 def _parameter(v, shape):
     """One F2 parameter, a Python complex or an array, over the flattened points.
 
@@ -159,12 +92,13 @@ def _parameter(v, shape):
     return np.broadcast_to(v.astype(complex), shape).ravel()
 
 
-def _f2_row_sum(p, x, y, c: SeriesControl | None = None):
+def _f2_row_sum(p, x, y):
     """F2 and its tail estimate by rows of Gauss functions (Burchnall–Chaundy).
 
     F2 = sum_m (a)_m (b1)_m / ((c1)_m m!) x^m G_m with the ladder
-    G_m = 2F1(a + m, b2; c2; y).  G_0 and G_1 come from one series pass, and
-    Gauss's contiguous relation in a advances the ladder:
+    G_m = 2F1(a + m, b2; c2; y).  G_0 and G_1 come from one pass of the
+    series of ``gauss_2f1`` (``special._gauss_seeds``), and Gauss's
+    contiguous relation in a advances the ladder:
 
         G_{m+1} = [(c2-a-m) G_{m-1} + (2(a+m) - c2 + (b2-a-m) y) G_m] / ((a+m)(1-y)).
 
@@ -192,7 +126,6 @@ def _f2_row_sum(p, x, y, c: SeriesControl | None = None):
 
     Returns (values, tail estimates), both of the broadcast shape.
     """
-    c = c or SeriesControl()
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     p = [v if isinstance(v, np.ndarray) else complex(v) for v in p]
@@ -208,7 +141,7 @@ def _f2_row_sum(p, x, y, c: SeriesControl | None = None):
     stops = {
         -v.real for v in values if v.imag == 0 and v.real < 0 and v.real.is_integer()
     }
-    g0, g1_seed = _gauss_seeds(a, b2, g2, yf, c)
+    g0, g1_seed = _gauss_seeds(a, b2, g2, yf)
     x1 = xf / (1.0 - yf)
     x2, xy = xf * x1, yf * x1
     v_prev, v = g0, xf * g1_seed  # V_0, V_1
@@ -217,7 +150,7 @@ def _f2_row_sum(p, x, y, c: SeriesControl | None = None):
     value, est = np.zeros_like(g0), np.zeros(xf.shape)
     prev = np.abs(g0)
     ok = done = np.zeros(xf.shape, dtype=bool)
-    for m in range(1, c.max_terms + 1):
+    for m in range(1, _MAX_TERMS + 1):
         coef *= (a + m - 1) * (b1 + m - 1) / ((g1 + m - 1) * m)
         term = coef * v
         add = term - comp
@@ -234,7 +167,7 @@ def _f2_row_sum(p, x, y, c: SeriesControl | None = None):
             am = np.where(am == 0, 1.0, am)  # keeps the finished points finite
         if m % _CHECK_EVERY == 0:
             last = np.abs(term)
-            tail, ok, stop = _converged(prev, last, total, ok, c)
+            tail, ok, stop = _converged(prev, last, total, ok)
             prev = last
             stop &= ~done
             value[stop], est[stop] = (total - comp)[stop], tail[stop]
@@ -249,12 +182,12 @@ def _f2_row_sum(p, x, y, c: SeriesControl | None = None):
     return value.reshape(shape), est.reshape(shape)
 
 
-def f2_series_on_arrays(p: F2Params, x, y, c: SeriesControl | None = None):
+def f2_series_on_arrays(p: F2Params, x, y):
     """Appell F2 by its Burchnall–Chaundy row sum, over broadcastable x, y arrays.
 
     Convergence requires |x| + |y| < 1 everywhere; see ``_f2_row_sum``.
     """
-    return _f2_row_sum(p, x, y, c)[0]
+    return _f2_row_sum(p, x, y)[0]
 
 
 def _rising(z: complex, k: int):
@@ -291,9 +224,9 @@ def f2_derivatives_on_arrays(p: F2Params, x, y, order: int):
     return pref.reshape(pref.shape + pad) * values
 
 
-def f2_series(p: F2Params, pt: ModuliPoint, c: SeriesControl | None = None) -> complex:
+def f2_series(p: F2Params, pt: ModuliPoint) -> complex:
     """F2 at a single point via the row sum (|x|+|y| < 1)."""
-    return complex(f2_series_on_arrays(p, pt.x, pt.y, c))
+    return complex(f2_series_on_arrays(p, pt.x, pt.y))
 
 
 def _euler_prefactor(p: F2Params) -> complex:
@@ -326,7 +259,7 @@ def _distance_from_one(x: complex, y: complex) -> float:
     return dist
 
 
-def _f2_euler(p: F2Params, pt: ModuliPoint, q: QuadratureControl | None = None):
+def _f2_euler(p: F2Params, pt: ModuliPoint):
     """F2 by the Euler integral, and the error bound of its quadrature.
 
     The endpoint powers t^(b-1) (1-t)^(g-b-1) go into the weights of
@@ -336,7 +269,6 @@ def _f2_euler(p: F2Params, pt: ModuliPoint, q: QuadratureControl | None = None):
     Returns (value, error): the error of ``integrate_01_2d`` times
     |prefactor|.
     """
-    q = q or QuadratureControl()
     for b, g in ((p.beta1, p.gamma1), (p.beta2, p.gamma2)):
         if not (complex(g).real > complex(b).real > 0):
             raise DomainError("Euler integral needs Re(gamma) > Re(beta) > 0")
@@ -358,26 +290,19 @@ def _f2_euler(p: F2Params, pt: ModuliPoint, q: QuadratureControl | None = None):
         return np.exp(-a * (0.5 * np.log(re * re + im * im) + 1j * np.arctan2(im, re)))
 
     b1, b2, g1, g2 = p.beta1, p.beta2, p.gamma1, p.gamma2
-    val, err = integrate_01_2d(
-        kernel,
-        ((b2 - 1.0, g2 - b2 - 1.0), (b1 - 1.0, g1 - b1 - 1.0)),
-        bound,
-        target_tol=q.target_tol,
-        level_max=q.level_max,
-    )
+    exponents = ((b2 - 1.0, g2 - b2 - 1.0), (b1 - 1.0, g1 - b1 - 1.0))
+    val, err = integrate_01_2d(kernel, exponents, bound)
     pref = _euler_prefactor(p)
     return complex(pref * val), float(abs(pref) * err)
 
 
-def f2_euler_integral(
-    p: F2Params, pt: ModuliPoint, q: QuadratureControl | None = None
-) -> complex:
+def f2_euler_integral(p: F2Params, pt: ModuliPoint) -> complex:
     """F2 via the Euler double integral over the unit square.
 
     Requires Re(gamma_i) > Re(beta_i) > 0 and the linear factor
     1 - x t2 - y t1 to be zero-free on the closed square.
     """
-    return _f2_euler(p, pt, q)[0]
+    return _f2_euler(p, pt)[0]
 
 
 def default_pde_radii(pt: ModuliPoint):
@@ -427,13 +352,3 @@ def f2_pde_residual(F, p: F2Params, pt: ModuliPoint, radius=None):
     s2 = max(max(abs(t) for t in terms2), 1e-300)
     return sum(terms1) / s1, sum(terms2) / s2
 
-
-def quadratic_criterion(p: F2Params, tol: float = 1e-12) -> bool:
-    """True iff alpha = beta1 + beta2 - 1/2, gamma1 = 2 beta1, gamma2 = 2 beta2."""
-    a, b1, b2 = complex(p.alpha), complex(p.beta1), complex(p.beta2)
-    g1, g2 = complex(p.gamma1), complex(p.gamma2)
-    return (
-        abs(a - (b1 + b2 - 0.5)) <= tol
-        and abs(g1 - 2 * b1) <= tol
-        and abs(g2 - 2 * b2) <= tol
-    )

@@ -23,7 +23,6 @@ __all__ = [
     "SIGMA",
     "map_T",
     "invert_T",
-    "gauge_scalar",
     "period_basis",
     "period_component_fn",
     "quadratic_relation",
@@ -138,14 +137,6 @@ def invert_T(pt: ModuliPoint) -> LambdaPair:
     """Inverse of T on the branch continued from (L1,L2)=(0,1); see invert_T_arrays."""
     l1, l2 = invert_T_arrays(pt.x, pt.y)
     return LambdaPair(complex(l1), complex(l2))
-
-
-def gauge_scalar(lp: LambdaPair, beta1: complex, beta2: complex) -> complex:
-    """(L1 + L2)^(2 b1 + 2 b2 - 1), principal branch; L1 + L2 in the conformal case."""
-    expo = 2.0 * complex(beta1) + 2.0 * complex(beta2) - 1.0
-    if expo == 1.0:
-        return lp.total
-    return complex(lp.total**expo)
 
 
 def _k_or_inf(m):

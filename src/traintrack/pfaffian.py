@@ -18,7 +18,7 @@ import numpy as np
 
 from .appell import F2Params, ModuliPoint
 from .errors import ConvergenceError, DomainError, SingularityError
-from .quadrature import cauchy_derivs_1d, cauchy_derivs_2d
+from .quadrature import cauchy_derivs_2d
 from .special import Hyper2F1Params, ellint_E, ellint_K
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "legendre_basis_matrix",
     "gamma2_membership",
     "flatness_residual",
-    "horizontality_residual_1d",
     "horizontality_residual_f2",
     "horizontality_residual_from_derivatives",
 ]
@@ -457,19 +456,6 @@ def flatness_residual(sys2d: PfaffianSystem2D, x0, y0, radius: float = 0.05):
     )
     out = np.abs(curv).max(axis=(-2, -1)) / np.maximum(scale, 1e-300)
     return float(out) if out.ndim == 0 else out
-
-
-def horizontality_residual_1d(
-    s: PfaffianSystem1D, f, z0: complex, radius: float
-) -> float:
-    """Residual of d(f, z f')^T = A (f, z f')^T dz for a scalar solution f."""
-    z0 = complex(z0)
-    d = cauchy_derivs_1d(f, z0, radius, max_order=2)
-    vec = np.array([d[0], z0 * d[1]])
-    dvec = np.array([d[1], d[1] + z0 * d[2]])
-    resid = dvec - s.coefficient(z0) @ vec
-    scale = max(np.max(np.abs(dvec)), np.max(np.abs(vec)), 1e-300)
-    return float(np.max(np.abs(resid)) / scale)
 
 
 def horizontality_residual_from_derivatives(p: F2Params, d, x, y) -> np.ndarray:

@@ -1,19 +1,17 @@
-"""Double-exponential quadrature on (0,1) and Cauchy-integral differentiation.
-
-The tanh-sinh rule handles algebraic endpoint singularities (the conformal
-exponents give inverse-square-root behaviour at both endpoints), which is why
-nodes are returned together with their distance to the *far* endpoint: the
-quantity 1-x is computed directly rather than by subtraction.
+"""Double-exponential quadrature on (0,1)^2 and Cauchy-integral differentiation.
 
 The 2-D rule, ``integrate_01_2d``, takes the endpoint powers
-t^p (1-t)^q apart from a kernel.  Weights: each axis folds its powers into
-the 1-D weights, formed in logs, so they cost O(n), not O(n^2), and cannot
-overflow.  Truncation: a node is kept while its log-density is within
-log(1e-20) of the peak, a test on t alone.  Nesting: each level halves the
-mesh, keeps the kernel values of the last level's nodes and evaluates the
-kernel on the new rows and columns only.  Error: the change between the last
-two levels, plus the rounding of the last one, plus a bound on the dropped
-nodes.
+t^p (1-t)^q apart from a kernel; they handle algebraic endpoint
+singularities (the conformal exponents give inverse-square-root behaviour
+at both endpoints).  Weights: each axis folds its powers into the 1-D
+weights, formed in logs from log(1 + e^-s) and log(1 + e^s), so neither t
+nor 1 - t is formed by subtraction, they cost O(n), not O(n^2), and they
+cannot overflow.  Truncation: a node is kept while its log-density is
+within log(1e-20) of the peak, a test on t alone.  Nesting: each level
+halves the mesh, keeps the kernel values of the last level's nodes and
+evaluates the kernel on the new rows and columns only.  Error: the change
+between the last two levels, plus the rounding of the last one, plus a
+bound on the dropped nodes.
 """
 
 from __future__ import annotations
@@ -25,14 +23,10 @@ import numpy as np
 from .errors import ConvergenceError
 
 __all__ = [
-    "tanh_sinh_nodes",
-    "integrate_01",
     "integrate_01_2d",
-    "cauchy_derivs_1d",
     "cauchy_derivs_2d",
 ]
 
-_T_MAX = 6.1  # exp(pi*sinh(t)) stays finite in double precision
 # The 2-D rule keeps nodes on |t| <= 6, a multiple of every mesh, so that
 # the grids of all levels end at the same node; it drops nodes more than
 # 1e-20 below the peak.  At its highest level the full grid has 3,073^2
@@ -41,40 +35,6 @@ _T_2D = 6.0
 _LOG_KEEP = np.log(1e-20)
 LEVEL_MAX_2D = 8
 _CAUCHY_NODES = 32
-
-
-def tanh_sinh_nodes(level: int):
-    """Nodes on (0,1) for mesh h = 2**-level.
-
-    Returns (x, one_minus_x, w); weights include the mesh factor so the
-    integral is approximated by sum(w * f(x)).
-    """
-    h = 2.0 ** (-level)
-    kmax = int(np.floor(_T_MAX / h))
-    t = h * np.arange(-kmax, kmax + 1)
-    s = np.pi * np.sinh(t)
-    x = 1.0 / (1.0 + np.exp(-s))
-    omx = 1.0 / (1.0 + np.exp(s))
-    w = h * np.pi * np.cosh(t) * x * omx
-    return x, omx, w
-
-
-def integrate_01(f, target_tol: float = 1e-12, level_min: int = 3, level_max: int = 10):
-    """Integrate f over (0,1); f(x, 1-x) must accept numpy arrays.
-
-    Returns (value, error_estimate); raises ConvergenceError if successive
-    level doublings never agree to target_tol.
-    """
-    prev = None
-    for level in range(level_min, level_max + 1):
-        x, omx, w = tanh_sinh_nodes(level)
-        val = np.sum(w * f(x, omx))
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= target_tol * max(1.0, abs(val)):
-                return val, err
-        prev = val
-    raise ConvergenceError("tanh-sinh quadrature did not reach target_tol")
 
 
 def _axis(p, q, level: int, floor=None):
@@ -183,22 +143,6 @@ def _call_on_grid(f, *grids):
         pass
     vec = np.vectorize(lambda *a: complex(f(*a)))
     return vec(*grids)
-
-
-def cauchy_derivs_1d(f, z0: complex, r: float, max_order: int = 4):
-    """Derivatives f^(k)(z0), k = 0..max_order, by trapezoid on a circle.
-
-    f is sampled on 32 equispaced points of the circle |z - z0| = r and the
-    Taylor coefficients are read off the FFT; the circle must stay inside
-    the domain of analyticity.
-    """
-    theta = 2.0 * np.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES
-    z = z0 + r * np.exp(1j * theta)
-    vals = _call_on_grid(f, z)
-    coeff = np.fft.fft(vals) / _CAUCHY_NODES
-    return np.array(
-        [factorial(k) * coeff[k] / r**k for k in range(max_order + 1)]
-    )
 
 
 def cauchy_derivs_2d(f, x0, y0, rx: float, ry: float, max_order: int = 3):

@@ -1,4 +1,8 @@
-"""Scalar special functions: Gamma, complete elliptic integrals, Gauss 2F1.
+"""Special functions: Gamma, complete elliptic integrals, Gauss 2F1.
+
+``ellint_K``, ``ellint_E`` and ``gauss_2f1`` take a scalar, and return a
+complex, or an array, and return an array of its shape; each element of an
+array is computed as in its own one-element call.  ``gamma_fn`` is scalar.
 
 Branch conventions: all square roots and powers are principal (cut on the
 negative real axis); K(m) uses the squared-modulus convention with its cut
@@ -7,6 +11,7 @@ placed on m in [1, oo).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -15,31 +20,12 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, SingularityError
 
 __all__ = [
-    "SeriesControl",
     "Hyper2F1Params",
     "gamma_fn",
     "ellint_K",
     "ellint_E",
     "gauss_2f1",
-    "deriv_K",
 ]
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for power series."""
-
-    max_terms: int = 2000
-    rel_tol: float = 1e-14
-    abs_floor: float = 1e-300
-
-    def __post_init__(self):
-        if self.max_terms < 8:
-            raise ValueError("max_terms must be at least 8")
-        if not 0 < self.rel_tol < 1:
-            raise ValueError("rel_tol must lie in (0, 1)")
-        if self.abs_floor <= 0:
-            raise ValueError("abs_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -77,22 +63,35 @@ _LANCZOS_C = np.array(
 
 
 def gamma_fn(z: complex) -> complex:
-    """Gamma function on the complex plane, reflection used for Re(z) < 1/2."""
+    """Gamma function on the complex plane, reflection used for Re(z) < 1/2.
+
+    Raises DomainError where the value overflows a double, as Gamma(172)
+    does, and off the real axis where the Lanczos power t^(z - 1/2) or its
+    product with sqrt(2 pi) does: from Re z near 142 on, although
+    Gamma(142.25 + 0.01i) itself is about 1e244.
+    """
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise SingularityError(f"gamma pole at z = {z}")
-    if z.imag == 0.0:
-        # math.gamma is within 4 eps on the real axis; the Lanczos sum below
-        # loses up to 16 eps on (0, 3) and far more through the reflection
-        return complex(math.gamma(z.real))
-    if z.real < 0.5:
-        return np.pi / (np.sin(np.pi * z) * gamma_fn(1.0 - z))
-    z -= 1.0
-    x = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        x += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return complex(np.sqrt(2 * np.pi) * t ** (z + 0.5) * np.exp(-t) * x)
+    try:
+        if z.imag == 0.0:
+            # math.gamma is within 4 eps on the real axis; the Lanczos sum below
+            # loses up to 16 eps on (0, 3) and far more through the reflection
+            return complex(math.gamma(z.real))
+        if z.real < 0.5:
+            return np.pi / (np.sin(np.pi * z) * gamma_fn(1.0 - z))
+        w = z - 1.0
+        x = _LANCZOS_C[0]
+        for i in range(1, len(_LANCZOS_C)):
+            x += _LANCZOS_C[i] / (w + i)
+        t = w + _LANCZOS_G + 0.5
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = complex(np.sqrt(2 * np.pi) * t ** (w + 0.5) * np.exp(-t) * x)
+    except OverflowError as exc:
+        raise DomainError(f"Gamma({z}) overflows a double") from exc
+    if not cmath.isfinite(value):
+        raise DomainError(f"Gamma({z}) overflows a double")
+    return value
 
 
 def _right_sqrt(w):
@@ -171,48 +170,91 @@ def ellint_E(m) -> complex:
     return _like_input(out, arr)
 
 
-def deriv_K(m) -> complex:
-    """Closed-form dK/dm = (E(m) - (1-m) K(m)) / (2 m (1-m))."""
-    arr = np.asarray(m, dtype=complex)
-    if np.any(arr == 0) or np.any(arr == 1):
-        raise SingularityError("dK/dm is singular at m in {0, 1}")
-    out = (ellint_E(arr) - (1.0 - arr) * ellint_K(arr)) / (2.0 * arr * (1.0 - arr))
-    return complex(out) if np.isscalar(m) or np.ndim(m) == 0 else out
+# Series stop rule, shared with the F2 row sum of ``appell``.  A series may
+# take up to _MAX_TERMS terms and is checked every _CHECK_EVERY terms.  A
+# point stops once its tail estimate is below
+# _TAIL_SHARE * _REL_TOL * |sum| + _ABS_FLOOR at two checks in a row, so
+# that truncation is a small share of the error next to the rounding of
+# the sum, and one term that happens to be small cannot stop it.
+_MAX_TERMS = 2000
+_REL_TOL = 1e-14
+_ABS_FLOOR = 1e-300
+_CHECK_EVERY = 4
+_TAIL_SHARE = 1e-2
 
 
-def _2f1_raw_series(alpha, beta, gamma, z, ctrl: SeriesControl) -> complex:
-    term = 1.0 + 0j
-    total = 1.0 + 0j
-    below = 0
-    for n in range(ctrl.max_terms):
-        term *= (alpha + n) * (beta + n) / ((gamma + n) * (n + 1)) * z
-        total += term
-        if abs(term) <= ctrl.rel_tol * abs(total) + ctrl.abs_floor:
-            below += 1
-            if below >= 3:
-                return total
-        else:
-            below = 0
-    raise ConvergenceError("2F1 series did not meet rel_tol within max_terms")
+def _converged(prev, last, total, ok_before):
+    """Tail estimates, where they are below tolerance, and which points stop.
 
-
-def gauss_2f1(p: Hyper2F1Params, z: complex, c: SeriesControl | None = None) -> complex:
-    """Gauss hypergeometric function via direct series, Pfaff-accelerated.
-
-    The direct series is used for |z| <= 0.6; for larger |z| < 1 the Pfaff
-    transformation z -> z/(z-1) is applied automatically when it shrinks the
-    effective argument.
+    The tail after a term of size ``last`` is estimated as last * r / (1 - r),
+    r being the observed ratio per term: the geometric mean over the
+    _CHECK_EVERY terms since the one of size ``prev``.  It is inf while r >= 1.
     """
-    c = c or SeriesControl()
-    z = complex(z)
-    if z == 0:
-        return 1.0 + 0j
-    w = z / (z - 1.0) if z != 1.0 else None
-    if abs(z) <= 0.6:
-        return _2f1_raw_series(p.alpha, p.beta, p.gamma, z, c)
-    if w is not None and abs(w) <= 0.9 and abs(w) < abs(z):
-        pref = (1.0 - z) ** (-p.alpha)
-        return pref * _2f1_raw_series(p.alpha, p.gamma - p.beta, p.gamma, w, c)
-    if abs(z) < 0.95:
-        return _2f1_raw_series(p.alpha, p.beta, p.gamma, z, c)
-    raise ConvergenceError(f"2F1 argument z = {z} outside the covered domain")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = np.where(last == 0.0, 0.0, (last / prev) ** (1.0 / _CHECK_EVERY))
+        tail = np.where(r < 1.0, last * r / (1.0 - r), np.inf)
+    ok = tail <= _TAIL_SHARE * _REL_TOL * np.abs(total) + _ABS_FLOOR
+    return tail, ok, ok & ok_before
+
+
+def _summed_argument(y):
+    """Where Pfaff's transformation applies (|1 - y| > 1), and the argument summed.
+
+    The argument is y / (y - 1) there, which is then smaller than y and has
+    no alternating signs, and y elsewhere.
+    """
+    pfaff = np.abs(1.0 - y) > 1.0
+    return pfaff, np.where(pfaff, y / (y - 1.0), y)
+
+
+def _gauss_seeds(a, b, c, y):
+    """2F1(a, b; c; y) and 2F1(a + 1, b; c; y) from one pass of their series.
+
+    y is a 1-d array; the parameters are Python complex numbers or arrays
+    shaped like y.  The series is summed at ``_summed_argument(y)``.  Each
+    point stops on its own tail estimate and then adds zeros, so its values
+    do not depend on the other points of the array.
+    """
+    pfaff, z = _summed_argument(y)
+    bz = np.where(pfaff, c - b, b)
+    t0, t1 = np.ones_like(y), np.ones_like(y)
+    s0, s1 = np.ones_like(y), np.ones_like(y)
+    prev = np.ones(y.shape)
+    ok = np.zeros(y.shape, dtype=bool)
+    for n in range(_MAX_TERMS):
+        f = (bz + n) * z / ((c + n) * (n + 1.0))
+        t0 = t0 * (f * (a + n))
+        t1 = t1 * (f * (a + 1.0 + n))
+        s0 += t0
+        s1 += t1
+        if (n + 1) % _CHECK_EVERY == 0:
+            last = np.maximum(np.abs(t0), np.abs(t1))
+            small = np.where(np.abs(s0) < np.abs(s1), s0, s1)
+            _, ok, done = _converged(prev, last, small, ok)
+            prev = last
+            if done.all():
+                break
+            z = np.where(done, 0.0, z)  # a finished point adds zeros from here on
+    else:
+        raise ConvergenceError(f"2F1 series did not converge within {_MAX_TERMS} terms")
+    pref = np.where(pfaff, (1.0 - y) ** (-a), 1.0)
+    return pref * s0, np.where(pfaff, pref / (1.0 - y), 1.0) * s1
+
+
+def gauss_2f1(p: Hyper2F1Params, z):
+    """Gauss hypergeometric function 2F1(alpha, beta; gamma; z), z a scalar or an array.
+
+    The value is the first of ``_gauss_seeds``: the series at z, or after
+    Pfaff's transformation at z / (z - 1) where |1 - z| > 1.  Where that
+    summed argument has modulus >= 1 (z = 1, 1.2 or 2.5, say) DomainError
+    is raised; a point whose series needs more than _MAX_TERMS terms
+    raises ConvergenceError.
+    """
+    arr = np.asarray(z, dtype=complex)
+    flat = arr.ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, summed = _summed_argument(flat)
+    if not (np.abs(summed) < 1.0).all():
+        raise DomainError("2F1 series diverges: |z| >= 1 and Re z >= 1/2 somewhere")
+    a, b, c = complex(p.alpha), complex(p.beta), complex(p.gamma)
+    return _like_input(_gauss_seeds(a, b, c, flat)[0], arr)

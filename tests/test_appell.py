@@ -16,8 +16,6 @@ from traintrack import (
     Hyper2F1Params,
     LambdaPair,
     ModuliPoint,
-    QuadratureControl,
-    SeriesControl,
     SingularityError,
     f2_euler_integral,
     f2_pde_residual,
@@ -26,9 +24,8 @@ from traintrack import (
     f2_series_on_arrays,
     gauss_2f1,
     period_basis,
-    quadratic_criterion,
 )
-from traintrack import appell
+from traintrack import appell, special
 from traintrack.appell import _f2_euler, _f2_row_sum
 
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -56,6 +53,11 @@ def _random_interior_points(rng, n, cap=0.8):
 def _mp_f2(p, x, y, dps=20):
     with mp.workdps(dps):
         return complex(mp.appellf2(p.alpha, p.beta1, p.beta2, p.gamma1, p.gamma2, x, y))
+
+
+def _mp_2f1(a, b, c, z):
+    with mp.workdps(30):
+        return complex(mp.hyp2f1(a, b, c, z))
 
 
 def _quadrant_points(rng, per_region):
@@ -99,12 +101,22 @@ class TestSeries:
         p = F2Params(0.7, 0.4, 0.3, 1.2, 1.1)
         for x in (0.3, -0.45 + 0.1j):
             got = f2_series(p, ModuliPoint(x, 0.0))
-            want = gauss_2f1(Hyper2F1Params(0.7, 0.4, 1.2), x)
+            want = _mp_2f1(0.7, 0.4, 1.2, x)
             assert abs(got - want) < 1e-10
             # symmetric degeneration in the other slot
             got_y = f2_series(p, ModuliPoint(0.0, x))
-            want_y = gauss_2f1(Hyper2F1Params(0.7, 0.3, 1.1), x)
+            want_y = _mp_2f1(0.7, 0.3, 1.1, x)
             assert abs(got_y - want_y) < 1e-10
+
+    def test_y_axis_is_gauss_2f1(self):
+        # on x = 0 the row sum is its seed series, the one series of gauss_2f1
+        rng = _rng()
+        for _ in range(20):
+            a, b1, b, c1, c = rng.uniform(-1.5, 1.5, 5) + 1j * rng.uniform(-0.3, 0.3, 5)
+            c1, c = c1 + 2.0, c + 2.0
+            y = complex(rng.uniform(-0.95, 0.95), rng.uniform(-0.3, 0.3))
+            got = f2_series(F2Params(a, b1, b, c1, c), ModuliPoint(0.0, y))
+            assert got == gauss_2f1(Hyper2F1Params(a, b, c), y)
 
     def test_divergence_error(self):
         with pytest.raises(DomainError):
@@ -168,11 +180,12 @@ class TestSeries:
             v = f2_series(p, ModuliPoint(x, y))
             assert abs(v - ref) <= 1e-13 * abs(ref)
 
-    def test_tail_estimate_measures_truncation(self):
+    def test_tail_estimate_measures_truncation(self, monkeypatch):
         # with a loose tolerance truncation dominates rounding, so the
         # reported estimate can be compared with the actual error
+        monkeypatch.setattr(special, "_REL_TOL", 1e-6)
         for x, y in ((0.36, -0.1881), (0.8, 0.15), (-0.7, 0.2), (0.2j, 0.7)):
-            v, est = _f2_row_sum(CONFORMAL, x, y, SeriesControl(rel_tol=1e-6))
+            v, est = _f2_row_sum(CONFORMAL, x, y)
             actual = abs(complex(v) - _mp_f2(CONFORMAL, x, y))
             assert 0.5 * actual <= float(est) <= 50 * actual
 
@@ -184,9 +197,14 @@ class TestSeries:
             ref = _mp_f2(p, x, y)
             assert abs(f2_series(p, ModuliPoint(x, y)) - ref) <= 1e-14 * abs(ref)
 
-    def test_max_terms_exhausted(self):
-        with pytest.raises(ConvergenceError):
-            f2_series(CONFORMAL, ModuliPoint(0.45, 0.45), SeriesControl(max_terms=8))
+    def test_max_terms_exhausted(self, monkeypatch):
+        monkeypatch.setattr(special, "_MAX_TERMS", 8)
+        monkeypatch.setattr(appell, "_MAX_TERMS", 8)
+        with pytest.raises(ConvergenceError, match="2F1 series"):
+            f2_series(CONFORMAL, ModuliPoint(0.45, 0.45))
+        # y = 0: the seeds stop at once, the rows in x = 0.9 do not
+        with pytest.raises(ConvergenceError, match="row sum"):
+            f2_series(CONFORMAL, ModuliPoint(0.9, 0.0))
 
     @given(
         st.tuples(_param, _param, _param, _bottom, _bottom),
@@ -203,8 +221,8 @@ class TestSeries:
     def test_collapse_to_2f1_property(self, params, point):
         p = F2Params(*params)
         z = point[0] + point[1]  # |z| <= 0.9
-        on_x = gauss_2f1(Hyper2F1Params(p.alpha, p.beta1, p.gamma1), z)
-        on_y = gauss_2f1(Hyper2F1Params(p.alpha, p.beta2, p.gamma2), z)
+        on_x = _mp_2f1(p.alpha, p.beta1, p.gamma1, z)
+        on_y = _mp_2f1(p.alpha, p.beta2, p.gamma2, z)
         got_x = f2_series(p, ModuliPoint(z, 0.0))
         got_y = f2_series(p, ModuliPoint(0.0, z))
         assert abs(got_x - on_x) <= 1e-12 * max(1.0, abs(on_x))
@@ -447,16 +465,6 @@ class TestEulerIntegral:
         if complex(a).imag == 0 and complex(a).real > 0:
             assert bound <= 1.01 * top
 
-    def test_level_max_range(self):
-        for bad in (3, 9):
-            with pytest.raises(ValueError, match="151 MB"):
-                QuadratureControl(level_max=bad)
-        pt = ModuliPoint(0.2, 0.1)
-        want = f2_series(CONFORMAL, pt)
-        for good in (4, 8):
-            got = f2_euler_integral(CONFORMAL, pt, QuadratureControl(level_max=good))
-            assert abs(got - want) < 1e-12
-
 
 class TestPdeResidual:
     def test_series_solves_system(self):
@@ -483,15 +491,3 @@ class TestPdeResidual:
         r1, r2 = f2_pde_residual(section, p, ModuliPoint(0.25, -0.15))
         assert abs(r1) < 1e-7 and abs(r2) < 1e-7
 
-
-class TestQuadraticCriterion:
-    def test_conformal_true(self):
-        assert quadratic_criterion(F2Params(0.5, 0.5, 0.5, 1.0, 1.0))
-
-    def test_gamma2_mismatch_false(self):
-        assert not quadratic_criterion(F2Params(0.5, 0.5, 0.5, 1.0, 2.0))
-
-    def test_asymmetric_beta_case(self):
-        b1, b2 = 1.0 / 6.0, 0.5
-        p = F2Params(b1 + b2 - 0.5, b1, b2, 2 * b1, 2 * b2)
-        assert quadratic_criterion(p)

@@ -35,6 +35,14 @@ class TestF2Eval:
         assert rc == 2
         assert "domain error" in capsys.readouterr().err
 
+    def test_gamma_overflow_exit_2(self, capsys):
+        # Gamma(200) in the Euler prefactor is past the largest double;
+        # the series route needs no Gamma value and prints one
+        args = ["f2-eval", "--gamma1", "200", "--x", "0.1", "--y", "0.1"]
+        assert main(args + ["--method", "integral"]) == 2
+        assert "domain error" in capsys.readouterr().err
+        assert main(args + ["--method", "series"]) == 0
+
     def test_complex_argument_with_i(self, capsys):
         rc = main(["f2-eval", "--x", "0.1+0.05i", "--y", "0.2"])
         assert rc == 0

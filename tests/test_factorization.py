@@ -13,7 +13,6 @@ from traintrack import (
     ModuliPoint,
     PeriodVector,
     f2_series,
-    gauge_scalar,
     invert_T,
     map_T,
     period_basis,
@@ -171,18 +170,6 @@ class TestInvertT:
             ref = mp.findroot(residual, (mp.mpc(lp.lambda1), mp.mpc(lp.lambda2)))
         want = complex(ref[1])
         assert abs(lp.lambda2 - want) <= 1e-15 * abs(want)
-
-
-class TestGaugeScalar:
-    def test_conformal_unit(self):
-        assert gauge_scalar(LambdaPair(0.1, 0.9), 0.5, 0.5) == pytest.approx(1.0)
-
-    def test_conformal_sum(self):
-        assert gauge_scalar(LambdaPair(0.3, 0.8), 0.5, 0.5) == pytest.approx(1.1)
-
-    def test_general_exponent(self):
-        got = gauge_scalar(LambdaPair(0.3, 0.8), 1.0 / 6.0, 0.5)
-        assert got == pytest.approx(1.1 ** (1.0 / 3.0), rel=1e-14)
 
 
 class TestPeriodBasis:

@@ -21,7 +21,6 @@ from traintrack import (
     SingularityError,
     a_2f1,
     a_f2,
-    ellint_K,
     gamma2_membership,
     integrate_pfaffian,
     monodromy_2f1,
@@ -35,7 +34,6 @@ from traintrack.pfaffian import (
     a_2f1_arrays,
     a_f2_arrays,
     flatness_residual,
-    horizontality_residual_1d,
     horizontality_residual_f2,
     horizontality_residual_from_derivatives,
     legendre_basis_matrix,
@@ -85,25 +83,6 @@ class TestA2F1:
         a = a_2f1(LEGENDRE, z)
         assert a[0, 0] == 0.0
         assert a[0, 1] == pytest.approx(1.0 / z)
-
-    def test_horizontality_of_k(self):
-        s = system_2f1(LEGENDRE)
-        f = lambda z: 2.0 / np.pi * ellint_K(z)
-        assert horizontality_residual_1d(s, f, 0.3, 0.1) < 1e-9
-
-    def test_horizontality_of_second_solution(self):
-        s = system_2f1(LEGENDRE)
-        f = lambda z: 2j / np.pi * ellint_K(1.0 - z)
-        assert horizontality_residual_1d(s, f, 0.3, 0.1) < 1e-9
-
-    def test_horizontality_random_points(self):
-        rng = _rng()
-        s = system_2f1(LEGENDRE)
-        f = lambda z: 2.0 / np.pi * ellint_K(z)
-        for _ in range(20):
-            z0 = complex(rng.uniform(0.15, 0.85), rng.uniform(-0.1, 0.1))
-            r = 0.4 * min(abs(z0), abs(1 - z0))
-            assert horizontality_residual_1d(s, f, z0, r) < 1e-8
 
     def test_singular_point_raises(self):
         with pytest.raises(DomainError):
@@ -279,28 +258,6 @@ class TestTensorSystem:
             ts.coefficient_x(u, v), np.kron(a_2f1(LEGENDRE, u), np.eye(2))
         )
         np.testing.assert_allclose(ts.coefficient_y(u, v), np.zeros((4, 4)))
-
-    def test_product_section_horizontal(self):
-        # section kron((f, u f'), (g, v g')) with f = (2/pi)K(u), g = (2/pi)K(v)
-        from traintrack.quadrature import cauchy_derivs_1d
-
-        s1 = system_2f1(LEGENDRE)
-        ts = tensor_system(s1, s1)
-        u0, v0 = 0.2, 0.3
-
-        def section_of_u(u):
-            return np.kron(
-                legendre_basis_matrix(u)[:, 0], legendre_basis_matrix(v0)[:, 0]
-            )
-
-        vecs = [
-            cauchy_derivs_1d(lambda u, i=i: section_of_u(u)[i], u0, 0.05, max_order=1)
-            for i in range(4)
-        ]
-        vec = np.array([v[0] for v in vecs])
-        dvec = np.array([v[1] for v in vecs])
-        resid = dvec - ts.coefficient_x(u0, v0) @ vec
-        assert np.max(np.abs(resid)) < 1e-9
 
     def test_tensor_monodromy_factorizes(self):
         s1 = system_2f1(LEGENDRE)
