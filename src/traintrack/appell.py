@@ -330,7 +330,7 @@ def f2_pde_residual(F, p: F2Params, pt: ModuliPoint, radius=None):
         rx = ry = float(radius)
     else:
         rx, ry = radius
-    d = cauchy_derivs_2d(F, x, y, rx, ry, max_order=2)
+    d = cauchy_derivs_2d(F, x, y, rx, ry)
     f, fx, fy = d[0, 0], d[1, 0], d[0, 1]
     fxx, fyy, fxy = d[2, 0], d[0, 2], d[1, 1]
     a, b1, b2, g1, g2 = p.alpha, p.beta1, p.beta2, p.gamma1, p.gamma2

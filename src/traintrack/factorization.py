@@ -44,10 +44,6 @@ class LambdaPair:
             raise DomainError("degenerate pair: lambda1 + lambda2 = 0")
 
     @property
-    def total(self) -> complex:
-        return complex(self.lambda1) + complex(self.lambda2)
-
-    @property
     def in_theorem_domain(self) -> bool:
         return bool(_in_theorem_domain(self.lambda1, self.lambda2))
 

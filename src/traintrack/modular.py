@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, NonConstantRatioError
 from .factorization import LambdaPair, _in_theorem_domain
-from .special import ellint_K
+from .special import _like_input, ellint_K
 
 __all__ = [
     "TauPair",
@@ -89,30 +89,25 @@ def _thetas(tau):
     return s1 + s3, s0 + s2, s0 - s2
 
 
-def _like(tau, value):
-    """A complex for a scalar tau, else the flat array in the shape of tau."""
-    return complex(value[0]) if np.ndim(tau) == 0 else value.reshape(np.shape(tau))
-
-
 def theta2(tau):
     """theta2 at a scalar (returns a complex) or an array of tau."""
-    return _like(tau, _thetas(tau)[0])
+    return _like_input(_thetas(tau)[0], tau)
 
 
 def theta3(tau):
     """theta3 at a scalar (returns a complex) or an array of tau."""
-    return _like(tau, _thetas(tau)[1])
+    return _like_input(_thetas(tau)[1], tau)
 
 
 def theta4(tau):
     """theta4 at a scalar (returns a complex) or an array of tau."""
-    return _like(tau, _thetas(tau)[2])
+    return _like_input(_thetas(tau)[2], tau)
 
 
 def lambda_hauptmodul(tau):
     """Hauptmodul of the level-2 curve: lambda = theta2^4 / theta3^4."""
     th2, th3, _ = _thetas(tau)
-    return _like(tau, th2**4 / th3**4)
+    return _like_input(th2**4 / th3**4, tau)
 
 
 def mirror_map_arrays(l1, l2):

@@ -10,6 +10,7 @@ point; the scalar functions wrap the array ones.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -72,101 +73,84 @@ class PfaffianSystem2D:
     singular_locus: tuple
 
 
+def _piece_position(piece):
+    """z(t) on t in [0, 1] and the length of a segment (z0, z1) or an arc."""
+    if len(piece) == 2:
+        z0, z1 = piece
+        return (lambda t: z0 + (z1 - z0) * t), abs(z1 - z0)
+    c, r, phi0, dphi = piece
+    return (lambda t: c + r * np.exp(1j * (phi0 + dphi * t))), abs(dphi) * r
+
+
+def _piece_distance(piece, p: complex) -> float:
+    """Exact least distance from a segment or an arc to the point p; see clearance."""
+    if len(piece) == 2:
+        z0, z1 = piece
+        dz = z1 - z0
+        t = ((p - z0) * dz.conjugate()).real / abs(dz) ** 2 if dz else 0.0
+        return abs(p - z0 - min(max(t, 0.0), 1.0) * dz)
+    c, r, phi0, dphi = piece
+    w = p - c
+    turn = math.copysign(1.0, dphi) * (math.atan2(w.imag, w.real) - phi0)
+    if turn % (2.0 * math.pi) <= abs(dphi):
+        return abs(abs(w) - r)
+    return min(abs(w - r * cmath.exp(1j * phi)) for phi in (phi0, phi0 + dphi))
+
+
 @dataclass(frozen=True)
 class PathSpec:
-    """Polyline through waypoints, or a circle (center, radius, turns)."""
+    """A path as a chain of pieces, each starting where the one before ends.
 
-    waypoints: tuple = ()
-    center: complex | None = None
-    radius: float = 0.0
-    turns: float = 1.0
-    start_angle: float = 0.0
+    A piece is a segment (z0, z1) or an arc (centre, radius, start angle,
+    sweep), the sweep in radians and positive counter-clockwise.
+    ``polyline`` and ``circle`` build chains of one kind, and ``a + b`` is
+    ``a`` followed by ``b``.  A polyline through one point is a segment of
+    length 0 and a circle of no turns an arc of no sweep: such a piece adds
+    no step to a transport, but its point counts for the clearance.
+    """
+
+    pieces: tuple
+
+    def __post_init__(self):
+        if not self.pieces:
+            raise ValueError("a path needs at least one piece")
 
     @classmethod
     def polyline(cls, points: Sequence[complex]) -> "PathSpec":
-        return cls(waypoints=tuple(complex(p) for p in points))
+        pts = [complex(p) for p in points]
+        return cls(tuple(zip(pts, pts[1:] or pts)))
 
     @classmethod
     def circle(
-        cls,
-        center: complex,
-        radius: float,
-        turns: float = 1.0,
-        start_angle: float = 0.0,
+        cls, center: complex, radius: float, turns: float = 1.0, start_angle: float = 0.0
     ) -> "PathSpec":
-        return cls(
-            center=complex(center),
-            radius=float(radius),
-            turns=float(turns),
-            start_angle=float(start_angle),
-        )
+        sweep = 2.0 * math.pi * float(turns)
+        return cls(((complex(center), float(radius), float(start_angle), sweep),))
+
+    def __add__(self, other: "PathSpec") -> "PathSpec":
+        return PathSpec(self.pieces + other.pieces)
 
     def segments(self):
-        """Yield (z(t), length) for each piece, z parametrized on t in [0, 1]."""
-        if self.center is not None:
-            c, r = self.center, self.radius
-            phi0, dphi = self.start_angle, 2.0 * np.pi * self.turns
-
-            def pos(t, c=c, r=r, phi0=phi0, dphi=dphi):
-                return c + r * np.exp(1j * (phi0 + dphi * t))
-
-            if dphi * r != 0.0:
-                yield pos, abs(dphi) * r
-            return
-        pts = self.waypoints
-        for z0, z1 in zip(pts[:-1], pts[1:]):
-            if z0 == z1:
-                continue
-
-            def pos(t, z0=z0, z1=z1):
-                return z0 + (z1 - z0) * t
-
-            yield pos, abs(z1 - z0)
+        """(z(t) on t in [0, 1], length) for each piece of nonzero length."""
+        return [(pos, n) for pos, n in map(_piece_position, self.pieces) if n != 0.0]
 
     def clearance(self, points) -> float:
         """Exact least distance from the path to the points; inf for none.
 
-        For an arc, a point whose angle about the centre lies in the arc's
-        range is as far from the arc as from its circle; any other point is
-        nearest one of the arc's ends.  A polyline is its segments, and a
-        path without pieces its base point.
+        A segment is nearest a point at the point's projection clamped to
+        its ends.  For an arc, a point whose angle about the centre lies in
+        the arc's range is as far from the arc as from its circle; any other
+        point is nearest one of the arc's ends.
         """
-        if self.center is not None:
-            c, r = self.center, self.radius
-            phi0, dphi = self.start_angle, 2.0 * math.pi * self.turns
-            ends = c + r * np.exp(1j * np.array([phi0, phi0 + dphi]))
-
-            def dist(p):
-                w = p - c
-                turn = math.copysign(1.0, dphi) * (math.atan2(w.imag, w.real) - phi0)
-                if turn % (2.0 * math.pi) <= abs(dphi):
-                    return abs(abs(w) - r)
-                return float(np.min(np.abs(p - ends)))
-
-        else:
-            # a segment from every waypoint to the next; the last, of length
-            # 0, is the base point of a path without pieces
-            pts = self.waypoints
-            pieces = list(zip(pts, pts[1:] + pts[-1:]))
-
-            def dist(p):
-                near = []
-                for z0, z1 in pieces:
-                    dz = z1 - z0
-                    t = ((p - z0) * dz.conjugate()).real / abs(dz) ** 2 if dz else 0.0
-                    near.append(abs(p - z0 - min(max(t, 0.0), 1.0) * dz))
-                return min(near)
-
-        return min((dist(complex(p)) for p in points), default=math.inf)
+        return min(
+            (_piece_distance(q, complex(p)) for q in self.pieces for p in points),
+            default=math.inf,
+        )
 
     def sample(self, n: int = 2048) -> np.ndarray:
+        """n points on each piece, its ends included, in the order of the path."""
         t = np.linspace(0.0, 1.0, n)
-        pieces = [np.asarray(pos(t), dtype=complex) for pos, _ in self.segments()]
-        if not pieces:
-            if self.waypoints:
-                return np.array([complex(self.waypoints[0])])
-            return np.array([self.center + self.radius * np.exp(1j * self.start_angle)])
-        return np.concatenate(pieces)
+        return np.concatenate([_piece_position(q)[0](t) for q in self.pieces])
 
 
 def a_2f1_arrays(p: Hyper2F1Params, z) -> np.ndarray:
@@ -296,26 +280,24 @@ def restrict_to_line(
     return PfaffianSystem1D(sys2d.dimension, coeff, tuple(singular_points))
 
 
-def integrate_pfaffian(
-    s: PfaffianSystem1D,
-    path: PathSpec,
-    initial: np.ndarray,
-) -> np.ndarray:
+def integrate_pfaffian(s: PfaffianSystem1D, path: PathSpec, initial: np.ndarray) -> np.ndarray:
     """Parallel-transport `initial` along the path; returns the endpoint matrix.
 
     A Taylor-series method for the linear system dY/dz = A(z) Y, in four
-    stages.  The plan: a step from a point z of the path with clearance R
-    from the singular points (the length of the path piece if there are
-    none) goes h, at most 0.35 R, along the path; the steps depend on the
-    path alone.  The coefficients: one call of ``s.coefficient`` samples A on
-    the rings |w - z| = R/2 of all S steps, S x 48 points, and one FFT reads
-    off the Taylor coefficients A_j.  The propagators: each step is the
-    matrix P = sum_k Y_k h^k, the series of the solution that starts from
-    the identity, and the recurrence (k + 1) Y_{k+1} = sum_{j<=k} A_j Y_{k-j}
-    runs for all steps at once.  A term is small when its Frobenius norm is
-    at most 1e-14; a step is done after two small terms in a row, and the
-    batch stops once every step is done (steps done earlier keep adding
-    terms, which only adds accuracy).  The endpoint is P_S ... P_1 initial.
+    stages.  The plan: the path is a chain of pieces (see ``PathSpec``); a
+    step from a point z of a piece with clearance R from the singular points
+    (the length of the piece if there are none) goes h, at most 0.35 R,
+    along the piece, and a piece of length 0 has no steps.  The steps depend
+    on the path alone.  The coefficients: one call of ``s.coefficient``
+    samples A on the rings |w - z| = R/2 of all S steps of all pieces, S x 48
+    points, and one FFT reads off the Taylor coefficients A_j.  The
+    propagators: each step is the matrix P = sum_k Y_k h^k, the series of
+    the solution that starts from the identity, and the recurrence
+    (k + 1) Y_{k+1} = sum_{j<=k} A_j Y_{k-j} runs for all steps at once.  A
+    term is small when its Frobenius norm is at most 1e-14; a step is done
+    after two small terms in a row, and the batch stops once every step is
+    done (steps done earlier keep adding terms, which only adds accuracy).
+    The endpoint is P_S ... P_1 initial.
 
     A step not done after 48 terms raises ConvergenceError; a path closer
     than 1e-3 to a singular point raises DomainError.
@@ -401,24 +383,24 @@ def monodromy_2f1(
 
     The loop is a positively-oriented circle through the radial projection of
     the basepoint, with radius capped at half the distance to the nearest
-    other singular point.
+    other singular point.  Where the cap applies, a segment leads from the
+    basepoint to the circle and back; leg out, circle and leg back are one
+    path, transported in one ``integrate_pfaffian`` call.
     """
     around = complex(around)
     others = [p for p in s.singular_points if p != around]
-    r = abs(basepoint - around)
-    if others:
-        r = min(r, 0.5 * min(abs(around - o) for o in others))
-    start = around + r * (basepoint - around) / abs(basepoint - around)
+    d = abs(basepoint - around)
+    r = min([d] + [0.5 * abs(around - o) for o in others])
+    # uncapped, the circle goes through the basepoint itself: no legs
+    start = basepoint if r == d else around + r * (basepoint - around) / d
     phi0 = float(np.angle(start - around))
-
+    loop = (
+        PathSpec.polyline([basepoint, start])
+        + PathSpec.circle(around, r, 1.0, phi0)
+        + PathSpec.polyline([start, basepoint])
+    )
     phi = legendre_basis_matrix(basepoint)
-    state = phi
-    if abs(start - basepoint) > 0:
-        state = integrate_pfaffian(s, PathSpec.polyline([basepoint, start]), state)
-    state = integrate_pfaffian(s, PathSpec.circle(around, r, 1.0, phi0), state)
-    if abs(start - basepoint) > 0:
-        state = integrate_pfaffian(s, PathSpec.polyline([start, basepoint]), state)
-    return np.linalg.solve(phi, state)
+    return np.linalg.solve(phi, integrate_pfaffian(s, loop, phi))
 
 
 def gamma2_membership(m: np.ndarray, int_tol: float = 1e-8) -> bool:
@@ -497,5 +479,5 @@ def horizontality_residual_f2(p: F2Params, F, pt: ModuliPoint, radius) -> float:
     """
     x, y = complex(pt.x), complex(pt.y)
     rx, ry = (radius, radius) if np.isscalar(radius) else radius
-    d = cauchy_derivs_2d(F, x, y, rx, ry, max_order=2)
+    d = cauchy_derivs_2d(F, x, y, rx, ry)
     return float(horizontality_residual_from_derivatives(p, d, x, y))

@@ -33,8 +33,12 @@ __all__ = [
 # nodes, 151 MB of complex values; level 9 would take 604 MB.
 _T_2D = 6.0
 _LOG_KEEP = np.log(1e-20)
+_TOL_2D = 1e-11
+_LEVEL_MIN_2D = 3
 LEVEL_MAX_2D = 8
+# Cauchy differentiation: nodes on each circle, and the highest order
 _CAUCHY_NODES = 32
+_CAUCHY_ORDER = 2
 
 
 def _axis(p, q, level: int, floor=None):
@@ -70,21 +74,14 @@ def _axis(p, q, level: int, floor=None):
     return x, w, 1.0 + np.abs(s[keep]), k[keep] % 2 == 1, dropped, floor
 
 
-def integrate_01_2d(
-    kernel,
-    exponents,
-    bound: float,
-    target_tol: float = 1e-11,
-    level_min: int = 3,
-    level_max: int = LEVEL_MAX_2D,
-):
+def integrate_01_2d(kernel, exponents, bound: float):
     """Integral of t1^p1 (1-t1)^q1 t2^p2 (1-t2)^q2 kernel(t1, t2) over (0,1)^2.
 
     ``exponents`` is ((p1, q1), (p2, q2)) with real parts above -1;
     kernel(t1, t2) must broadcast over a column of t1 and a row of t2, and
     ``bound`` must bound |kernel| on the square.  The tensor tanh-sinh
-    rule runs from level_min up to level_max (at most LEVEL_MAX_2D) and
-    stops once two levels agree to target_tol.
+    rule runs from level 3 up to LEVEL_MAX_2D = 8 and stops once two levels
+    agree to 1e-11.
 
     Weights: each axis has the weights w_i t_i^p (1-t_i)^q of ``_axis``, so
     the endpoint powers cost O(n) instead of O(n^2) and cannot overflow.
@@ -106,7 +103,7 @@ def integrate_01_2d(
     """
     (p1, q1), (p2, q2) = exponents
     floor1 = floor2 = prev = vals = None
-    for level in range(level_min, level_max + 1):
+    for level in range(_LEVEL_MIN_2D, LEVEL_MAX_2D + 1):
         axis1 = _axis(p1, q1, level, floor1)
         axis2 = axis1 if (p2, q2) == (p1, q1) else _axis(p2, q2, level, floor2)
         x1, w1, c1, new1, drop1, floor1 = axis1
@@ -123,14 +120,14 @@ def integrate_01_2d(
         val = w1 @ vals @ w2
         if prev is not None:
             delta = abs(val - prev)
-            if delta <= target_tol * max(1.0, abs(val)):
+            if delta <= _TOL_2D * max(1.0, abs(val)):
                 wc1, wc2 = np.abs(w1) * c1, np.abs(w2) * c2
                 rounding = np.finfo(float).eps * (wc1 @ np.abs(vals) @ wc2)
                 s1, s2 = np.abs(w1).sum(), np.abs(w2).sum()
                 dropped = bound * (drop1 * (s2 + drop2) + s1 * drop2)
                 return val, delta + rounding + dropped
         prev = val
-    raise ConvergenceError("2d tanh-sinh quadrature did not reach target_tol")
+    raise ConvergenceError(f"2d tanh-sinh quadrature did not reach {_TOL_2D:.0e}")
 
 
 def _call_on_grid(f, *grids):
@@ -145,10 +142,10 @@ def _call_on_grid(f, *grids):
     return vec(*grids)
 
 
-def cauchy_derivs_2d(f, x0, y0, rx: float, ry: float, max_order: int = 3):
+def cauchy_derivs_2d(f, x0, y0, rx: float, ry: float):
     """Mixed partials d^(m+k) F / dx^m dy^k at (x0, y0) on a bi-circle.
 
-    32 nodes on each circle.  Returns a (max_order+1, max_order+1) array D
+    32 nodes on each circle.  Returns a (3, 3) array D, orders up to 2,
     with D[m, k] the partial of order m in x and k in y.
     """
     theta = 2.0 * np.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES
@@ -156,8 +153,8 @@ def cauchy_derivs_2d(f, x0, y0, rx: float, ry: float, max_order: int = 3):
     zy = y0 + ry * np.exp(1j * theta)
     vals = _call_on_grid(f, zx[:, None], zy[None, :])
     coeff = np.fft.fft2(vals) / _CAUCHY_NODES**2
-    out = np.empty((max_order + 1, max_order + 1), dtype=complex)
-    for m in range(max_order + 1):
-        for k in range(max_order + 1):
+    out = np.empty((_CAUCHY_ORDER + 1, _CAUCHY_ORDER + 1), dtype=complex)
+    for m in range(_CAUCHY_ORDER + 1):
+        for k in range(_CAUCHY_ORDER + 1):
             out[m, k] = factorial(m) * factorial(k) * coeff[m, k] / (rx**m * ry**k)
     return out

@@ -65,10 +65,10 @@ _LANCZOS_C = np.array(
 def gamma_fn(z: complex) -> complex:
     """Gamma function on the complex plane, reflection used for Re(z) < 1/2.
 
+    Off the real axis the Lanczos power and exponential are formed as one,
+    exp((z - 1/2) log t - t), so that they overflow only with the value.
     Raises DomainError where the value overflows a double, as Gamma(172)
-    does, and off the real axis where the Lanczos power t^(z - 1/2) or its
-    product with sqrt(2 pi) does: from Re z near 142 on, although
-    Gamma(142.25 + 0.01i) itself is about 1e244.
+    and Gamma(175 + 0.01i) do.
     """
     z = complex(z)
     if _is_nonpositive_integer(z):
@@ -85,8 +85,7 @@ def gamma_fn(z: complex) -> complex:
         for i in range(1, len(_LANCZOS_C)):
             x += _LANCZOS_C[i] / (w + i)
         t = w + _LANCZOS_G + 0.5
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = complex(np.sqrt(2 * np.pi) * t ** (w + 0.5) * np.exp(-t) * x)
+        value = complex(math.sqrt(2 * math.pi) * cmath.exp((w + 0.5) * cmath.log(t) - t) * x)
     except OverflowError as exc:
         raise DomainError(f"Gamma({z}) overflows a double") from exc
     if not cmath.isfinite(value):
@@ -141,7 +140,7 @@ def _agm_sequence(m, want_sum=False):
 
 def _like_input(out, arr):
     """A flat result back in the shape of the input; a complex for a scalar."""
-    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return complex(out[0]) if np.ndim(arr) == 0 else out.reshape(np.shape(arr))
 
 
 def ellint_K(m) -> complex:

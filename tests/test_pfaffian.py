@@ -28,6 +28,7 @@ from traintrack import (
     system_f2,
     tensor_system,
 )
+from traintrack import pfaffian
 from traintrack.appell import f2_derivatives_on_arrays, f2_series_on_arrays
 from traintrack.pfaffian import (
     PfaffianSystem2D,
@@ -75,6 +76,27 @@ def _paths_off_the_cuts():
             )
         )
     return paths
+
+
+def _split_paths():
+    """Each path of ``_paths_off_the_cuts`` as a pair (a, b), b going on from a.
+
+    The first piece is cut at a seeded fraction: a is its first part, and b
+    its second part followed by the other pieces.
+    """
+    rng = _rng()
+    pairs = []
+    for path in _paths_off_the_cuts():
+        first, rest, f = path.pieces[0], path.pieces[1:], rng.uniform(0.2, 0.8)
+        if len(first) == 2:
+            z0, z1 = first
+            zm = z0 + f * (z1 - z0)
+            head, tail = (z0, zm), (zm, z1)
+        else:
+            c, r, phi0, sweep = first
+            head, tail = (c, r, phi0, f * sweep), (c, r, phi0 + f * sweep, (1 - f) * sweep)
+        pairs.append((PathSpec((head,)), PathSpec((tail,) + rest)))
+    return pairs
 
 
 class TestA2F1:
@@ -424,6 +446,31 @@ class TestTransport:
             exact = path.clearance(points)
             assert sampled - 0.5 * spacing - 1e-12 <= exact <= sampled + 1e-12
 
+    def test_chain_equals_transport_piece_after_piece(self):
+        # one call along a + b batches the steps of both; the propagators
+        # are those of b after a
+        s = system_2f1(LEGENDRE)
+        for a, b in _split_paths():
+            init = legendre_basis_matrix(a.sample(2)[0])
+            want = integrate_pfaffian(s, b, integrate_pfaffian(s, a, init))
+            out = integrate_pfaffian(s, a + b, init)
+            assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_chain_clearance_is_least_of_its_parts(self):
+        rng = _rng()
+        points = rng.uniform(-1, 2, 6) + 1j * rng.uniform(-1, 1, 6)
+        paths = _paths_off_the_cuts()
+        for a, b in _split_paths() + list(zip(paths, paths[1:])):
+            assert (a + b).pieces == a.pieces + b.pieces
+            want = min(a.clearance(points), b.clearance(points))
+            assert (a + b).clearance(points) == want
+
+    def test_path_without_pieces_raises(self):
+        with pytest.raises(ValueError):
+            PathSpec.polyline([])
+        with pytest.raises(ValueError):
+            PathSpec(())
+
     def test_clearance_violation(self):
         s = system_2f1(LEGENDRE)
         with pytest.raises(DomainError):
@@ -464,6 +511,47 @@ class TestMonodromy:
         for around, want in ((0.0, [[1, 2], [0, 1]]), (1.0, [[1, 0], [-2, 1]])):
             m = monodromy_2f1(s, around, basepoint=base)
             assert np.max(np.abs(m - np.array(want))) <= 1e-12
+
+    def test_legs_and_circle_in_one_call(self, monkeypatch):
+        # from 0.8 the circle about 0 is capped at radius 0.5: leg out,
+        # circle and leg back are one path, one transport and one
+        # coefficient call
+        legendre = system_2f1(LEGENDRE)
+        transports, samples = [], []
+
+        def coefficient(z):
+            samples.append(np.shape(z))
+            return legendre.coefficient(z)
+
+        def counting(*args):
+            transports.append(args[1])
+            return integrate(*args)
+
+        integrate = pfaffian.integrate_pfaffian
+        monkeypatch.setattr(pfaffian, "integrate_pfaffian", counting)
+        s = PfaffianSystem1D(2, coefficient, legendre.singular_points)
+        m = monodromy_2f1(s, 0.0, basepoint=0.8)
+        assert len(transports) == 1 and len(samples) == 1
+        assert [len(piece) for piece in transports[0].pieces] == [2, 4, 2]
+        assert np.max(np.abs(m - np.array([[1, 2], [0, 1]]))) <= 1e-12
+
+    def test_uncapped_loop_has_no_legs(self):
+        # 0.9 + 0.02i is 0.1 from 1, so the circle passes through it; its
+        # radial projection differs from it by rounding (3.5e-18), which
+        # must not cost a step each way
+        legendre = system_2f1(LEGENDRE)
+        rings = []
+
+        def coefficient(z):
+            rings.append(np.shape(z)[0])
+            return legendre.coefficient(z)
+
+        s = PfaffianSystem1D(2, coefficient, legendre.singular_points)
+        base = 0.9 + 0.02j
+        monodromy_2f1(s, 1.0, basepoint=base)
+        circle = PathSpec.circle(1.0, abs(base - 1.0), 1.0, float(np.angle(base - 1.0)))
+        integrate_pfaffian(s, circle, np.eye(2))
+        assert len(rings) == 2 and rings[0] == rings[1]
 
 
 class TestLegendreBasis:

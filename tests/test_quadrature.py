@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from traintrack import ConvergenceError
+from traintrack import ConvergenceError, quadrature
 from traintrack.quadrature import _axis, integrate_01_2d
 
 
@@ -16,6 +16,13 @@ def _one(t1, t2):
 
 def _kernel(x, y, a):
     return lambda t1, t2: np.exp(-a * np.log(1.0 - x * t2 - y * t1))
+
+
+def _levels(monkeypatch, tol, level_min, level_max):
+    """Run the 2-D rule from level_min to level_max with target tol."""
+    monkeypatch.setattr(quadrature, "_TOL_2D", tol)
+    monkeypatch.setattr(quadrature, "_LEVEL_MIN_2D", level_min)
+    monkeypatch.setattr(quadrature, "LEVEL_MAX_2D", level_max)
 
 
 def _kept(p, q, level_min, level):
@@ -50,20 +57,19 @@ def test_constant_kernel_gives_beta_product(exps1, exps2):
     [(0.6, 0.3, 0.5), (0.5 + 0.3j, 0.2 + 0j, 0.5 + 0.1j), (-0.7 + 0j, -0.2 + 0j, 0.5)],
 )
 @pytest.mark.parametrize("level", [4, 5, 6])
-def test_nested_sum_equals_fresh_grid(x, y, a, level):
+def test_nested_sum_equals_fresh_grid(x, y, a, level, monkeypatch):
     # a target of 1 stops at the second level, the one asked for
     exps = ((-0.5, -0.5), (-0.3, 0.2))
     kernel = _kernel(x, y, a)
-    value, _ = integrate_01_2d(
-        kernel, exps, 10.0, target_tol=1.0, level_min=level - 1, level_max=level
-    )
+    _levels(monkeypatch, 1.0, level - 1, level)
+    value, _ = integrate_01_2d(kernel, exps, 10.0)
     x1, w1, *_ = _kept(*exps[0], level - 1, level)
     x2, w2, *_ = _kept(*exps[1], level - 1, level)
     fresh = w1 @ kernel(x1[:, None], x2[None, :]) @ w2
     assert value == fresh
 
 
-def test_kernel_sees_each_kept_pair_once():
+def test_kernel_sees_each_kept_pair_once(monkeypatch):
     seen = []
 
     def recording(t1, t2):
@@ -72,8 +78,9 @@ def test_kernel_sees_each_kept_pair_once():
         return np.abs(t1 - t2)  # a kink: no two levels agree to the bit
 
     exps = ((-0.5, -0.5), (0.2, -0.7))
+    _levels(monkeypatch, 0.0, 3, 5)
     with pytest.raises(ConvergenceError):  # a target of 0 runs levels 3 to 5
-        integrate_01_2d(recording, exps, 1.0, target_tol=0.0, level_min=3, level_max=5)
+        integrate_01_2d(recording, exps, 1.0)
     x1 = _kept(*exps[0], 3, 5)[0]
     x2 = _kept(*exps[1], 3, 5)[0]
     # as multisets: the nodes next to t = 1 round to the same 1.0
@@ -114,3 +121,14 @@ def test_dropped_nodes_enter_the_error():
 def test_weights_that_do_not_decay_raise():
     with pytest.raises(ConvergenceError):
         integrate_01_2d(_one, ((-1.0, 0.0), (0.0, 0.0)), 1.0)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_cauchy_partials_of_an_exponential(order, monkeypatch):
+    # d^(m+k)/dx^m dy^k exp(x + 2y) = 2^k exp(x + 2y), orders up to the constant
+    monkeypatch.setattr(quadrature, "_CAUCHY_ORDER", order)
+    x0, y0 = 0.2 + 0.1j, -0.3
+    d = quadrature.cauchy_derivs_2d(lambda x, y: np.exp(x + 2.0 * y), x0, y0, 0.3, 0.3)
+    want = np.exp(x0 + 2.0 * y0) * 2.0 ** np.arange(order + 1)[None, :]
+    assert d.shape == (order + 1, order + 1)
+    np.testing.assert_allclose(d, np.broadcast_to(want, d.shape), rtol=1e-12)

@@ -57,12 +57,24 @@ class TestGamma:
             assert abs(gamma_fn(z) - want) <= 4 * np.finfo(float).eps * abs(want)
 
     def test_overflow_is_a_domain_error(self):
-        # math.gamma's range error on the real axis; off it, the Lanczos power
-        # overflows at 200 + i, and its product with sqrt(2 pi) at 142.25 + 0.01i
-        for z in (172.0, 200.0, 200.0 + 1j, 142.25 + 0.01j):
+        # math.gamma's range error on the real axis; off it, where the value
+        # itself overflows
+        for z in (172.0, 200.0, 200.0 + 1j, 175.0 + 0.01j):
             with pytest.raises(DomainError):
                 gamma_fn(z)
         assert gamma_fn(171.0) == pytest.approx(float(mpmath.gamma(171)), rel=1e-13)
+
+    def test_large_real_part_against_mpmath(self):
+        # past Re z near 142 the Lanczos power t^(z - 1/2) alone overflows a
+        # double, though Gamma does not: Gamma(142.25 + 0.01i) is about 6.5e243
+        rng = _rng()
+        zs = [142.25 + 0.01j] + [
+            complex(re, im) for im in (0.01, 0.5, 3.0) for re in rng.uniform(0.5, 171.0, 40)
+        ]
+        for z in zs:
+            with mpmath.workdps(30):
+                want = complex(mpmath.gamma(z))
+            assert abs(gamma_fn(z) - want) <= 1e-12 * abs(want)
 
     def test_reflection_region(self):
         # Gamma(-1/2) = -2 sqrt(pi), reached through the reflection formula.
