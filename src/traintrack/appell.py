@@ -22,10 +22,12 @@ from .errors import ConvergenceError, DomainError, SingularityError
 from .quadrature import cauchy_derivs_2d, integrate_01_2d
 from .special import (
     _CHECK_EVERY,
-    _MAX_TERMS,
+    _blocks,
     _converged,
+    _first_stop,
     _gauss_seeds,
     _is_nonpositive_integer,
+    _keep,
     gamma_fn,
 )
 
@@ -77,19 +79,44 @@ class ModuliPoint:
         return abs(self.x) + abs(self.y)
 
 
-def _parameter(v, shape):
-    """One F2 parameter, a Python complex or an array, over the flattened points.
+def _parameters(p, shape):
+    """The five F2 parameters over the flattened points: all Python complex, or all arrays.
 
-    A parameter that is the same at every point is returned as a Python
-    complex, so that its coefficient arithmetic is Python's, as for scalar
-    parameters; numpy's complex division can round the last bit differently.
-    Any other is returned as a flat array of the broadcast shape.
+    Where each parameter is the same at every point, they are returned as
+    Python complex numbers, so that the coefficient arithmetic is Python's,
+    as for scalar parameters; numpy's complex multiply and division round
+    the last bit differently.  Otherwise all five are returned as flat
+    arrays of the broadcast shape.
     """
-    if isinstance(v, complex):
-        return v
-    if v.size and (v == v.flat[0]).all():
-        return complex(v.flat[0])
-    return np.broadcast_to(v.astype(complex), shape).ravel()
+    p = [complex(v.flat[0]) if v.size and (v == v.flat[0]).all() else v for v in p]
+    if all(isinstance(v, complex) for v in p):
+        return p
+    return [np.broadcast_to(np.asarray(v, dtype=complex), shape).ravel() for v in p]
+
+
+def _row_coefficients(ms, coef, a, b1, b2, g1, g2):
+    """The row coefficients and the ladder's alpha, beta, gamma at the rows ms of a block.
+
+    The coefficient (a)_m (b1)_m / ((c1)_m m!) is carried from ``coef``,
+    one product per row, as ``np.cumprod`` would round differently.  Where
+    a + m = 0 the ladder divides by 1, so that the points stopping there
+    stay finite.  Returns the four as arrays with a row per m, columns that
+    broadcast with the points, and the coefficient to carry.
+    """
+    if isinstance(a, complex):  # then all five are; see _parameters
+        rows = []
+        for m in ms:
+            coef *= (a + m - 1) * (b1 + m - 1) / ((g1 + m - 1) * m)
+            am = a + m or 1.0  # a + m = 0 stops every point at row m: no step uses it
+            rows += coef, (g2 - a - m) / am, (2 * am - g2) / am, (b2 - a - m) / am
+        return np.array(rows).reshape(-1, 4).T[..., None], coef
+    m = np.array(ms)[:, None]
+    ratio = (a + m - 1) * (b1 + m - 1) / ((g1 + m - 1) * m)
+    coefs = np.empty(ratio.shape, dtype=complex)
+    for r, row in zip(ratio, coefs):
+        coef = np.multiply(coef, r, out=row)
+    am = np.where(a + m == 0, 1.0, a + m)
+    return (coefs, (g2 - a - m) / am, (2 * am - g2) / am, (b2 - a - m) / am), coef
 
 
 def _f2_row_sum(p, x, y):
@@ -110,9 +137,16 @@ def _f2_row_sum(p, x, y):
     array.
 
     p is an F2Params or the five parameters (a, b1, b2, c1, c2), each a
-    number or an ndarray that broadcasts with x and y; see ``_parameter``.
+    number or an ndarray that broadcasts with x and y; see ``_parameters``.
     Where a + m = 0 the rows after m vanish: a point is done at that row,
     with tail 0, and the rows it no longer needs are kept finite.
+
+    The rows are summed a block of _BLOCK at a time, and rounded as one row
+    at a time would round them.  Whole-block operations, which act on each
+    element alone, form the coefficients (``_row_coefficients``) and the
+    terms coef V_m; the ladder steps and the Kahan steps stay one row after
+    another (``_ladder``, ``_compensated``).  The stop test runs on all the
+    checks of a block at once, and points that stop leave the working arrays.
 
     Forward recurrence is the stable direction: its characteristic roots are
     1 and 1 / (1 - y), and the ladder contains the solution growing like the
@@ -128,58 +162,107 @@ def _f2_row_sum(p, x, y):
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    p = [v if isinstance(v, np.ndarray) else complex(v) for v in p]
-    shape = np.broadcast_shapes(x.shape, y.shape, *(getattr(v, "shape", ()) for v in p))
+    p = [np.asarray(v, dtype=complex) for v in p]
+    shape = np.broadcast_shapes(x.shape, y.shape, *(v.shape for v in p))
     xf = np.broadcast_to(x, shape).ravel()
     yf = np.broadcast_to(y, shape).ravel()
     rho = float(np.max(np.abs(xf) + np.abs(yf))) if xf.size else 0.0
     if rho >= 1.0:
         raise DomainError(f"F2 series diverges: max(|x|+|y|) = {rho:.4f} >= 1")
-    a, b1, b2, g1, g2 = (_parameter(v, shape) for v in p)
+    a, b1, b2, g1, g2 = _parameters(p, shape)
     # the rows m at which a + m = 0 for some point
     values = [a] if isinstance(a, complex) else set(a.tolist())
-    stops = {
-        -v.real for v in values if v.imag == 0 and v.real < 0 and v.real.is_integer()
+    stops_at = {
+        int(-v.real) for v in values if v.imag == 0 and v.real < 0 and v.real.is_integer()
     }
     g0, g1_seed = _gauss_seeds(a, b2, g2, yf)
     x1 = xf / (1.0 - yf)
     x2, xy = xf * x1, yf * x1
     v_prev, v = g0, xf * g1_seed  # V_0, V_1
     coef = 1.0 + 0j  # (a)_m (b1)_m / ((c1)_m m!)
-    total, comp = g0.copy(), np.zeros_like(g0)  # Kahan-compensated sum
+    total, comp = g0, np.zeros_like(g0)  # Kahan-compensated sum
     value, est = np.zeros_like(g0), np.zeros(xf.shape)
-    prev = np.abs(g0)
-    ok = done = np.zeros(xf.shape, dtype=bool)
-    for m in range(1, _MAX_TERMS + 1):
-        coef *= (a + m - 1) * (b1 + m - 1) / ((g1 + m - 1) * m)
-        term = coef * v
-        add = term - comp
-        new_total = total + add
-        comp = (new_total - total) - add
-        total = new_total
-        am = a + m
-        if m in stops:  # (a)_k vanishes for k > m where a + m = 0: later rows are zero
-            end = (am == 0) & ~done
-            value[end] = (total - comp)[end]
-            done = done | end
-            if done.all():
-                break
-            am = np.where(am == 0, 1.0, am)  # keeps the finished points finite
-        if m % _CHECK_EVERY == 0:
-            last = np.abs(term)
-            tail, ok, stop = _converged(prev, last, total, ok)
-            prev = last
-            stop &= ~done
-            value[stop], est[stop] = (total - comp)[stop], tail[stop]
-            done = done | stop
-            if done.all():
-                break
-        v_prev, v = v, ((g2 - a - m) / am) * (x2 * v_prev) + (
-            ((2 * am - g2) / am) * x1 + ((b2 - a - m) / am) * xy
-        ) * v
+    prev, ok = np.abs(g0), np.zeros(xf.shape, dtype=bool)
+    live = np.arange(xf.size)  # positions of the points still summing
+    for ms in _blocks(1):
+        n, size = len(ms), live.size
+        (coefs, alpha, beta, gamma), coef = _row_coefficients(ms, coef, a, b1, b2, g1, g2)
+        ladder = _ladder(v_prev, v, x2, alpha, beta * x1 + gamma * xy)
+        terms = coefs * ladder[1:-1]
+        sums, comps = _compensated(terms, total, comp)
+        rows = np.arange(-ms[0] % _CHECK_EVERY, n, _CHECK_EVERY)  # m % _CHECK_EVERY == 0
+        last = np.abs(terms[rows])
+        tail, stops, ok = _converged(prev, last, sums[rows + 1], ok)
+        ends, tails = np.zeros((n, size), dtype=bool), np.zeros((n, size))
+        ends[rows], tails[rows] = stops, tail
+        for m in stops_at.intersection(ms):  # (a)_k vanishes for k > m where a + m = 0
+            end, j = a + m == 0, m - ms[0]
+            ends[j] |= end
+            tails[j] = np.where(end, 0.0, tails[j])
+        at, first = _first_stop(ends)
+        value[live[at]] = sums[first + 1, at] - comps[first + 1, at]
+        est[live[at]] = tails[first, at]
+        if at.size == size:
+            break
+        v_prev, v, total, comp, prev = ladder[-2], ladder[-1], sums[-1], comps[-1], last[-1]
+        live, x1, x2, xy, v_prev, v, total, comp, prev, ok, coef, a, b1, b2, g1, g2 = _keep(
+            at, live, x1, x2, xy, v_prev, v, total, comp, prev, ok, coef, a, b1, b2, g1, g2
+        )
     else:
         raise ConvergenceError("F2 row sum tail bound not met within max_terms")
     return value.reshape(shape), est.reshape(shape)
+
+
+def _ladder(v_prev, v, x2, alpha, beta_gamma):
+    """V_{m-1}, V_m, ..., V_{m+n}: the ladder steps of a block's n rows, one after another.
+
+    The two products of a step, x2 V_{m-1} and (beta x1 + gamma xy) V_m,
+    are one multiply of pairs.  No product writes over its input: numpy
+    rounds that differently for a single point.
+    """
+    n, size = len(alpha), v.size
+    factors = np.empty((n, size, 2), dtype=complex)
+    factors[..., 0], factors[..., 1] = x2, beta_gamma
+    ladder = np.empty((n + 2, size), dtype=complex)
+    ladder[0], ladder[1] = v_prev, v
+    row, point = ladder.strides
+    pairs = np.lib.stride_tricks.as_strided(ladder, (n + 1, size, 2), (row, point, row))
+    products, scaled = np.empty((size, 2), dtype=complex), np.empty(size, dtype=complex)
+    moved, stayed = products.T
+    for f, al, pair, new in zip(factors, alpha, pairs, ladder[2:]):
+        np.multiply(f, pair, out=products)
+        np.multiply(al, moved, out=scaled)
+        np.add(scaled, stayed, out=new)
+    return ladder
+
+
+def _compensated(terms, total, comp):
+    """Kahan's compensated sums of the rows of ``terms``, and their compensations.
+
+    Row 0 of each holds the ``total`` and ``comp`` carried in, row j + 1
+    the state after row j of the terms.  Complex add and subtract act on
+    each part alone, in numpy and in Python alike, so a single point is
+    summed in a Python loop, which rounds as numpy does and skips its cost
+    per call.
+    """
+    sums, comps = np.empty((2, len(terms) + 1) + total.shape, dtype=complex)
+    sums[0], comps[0] = total, comp
+    if total.size == 1:
+        s, c, out = complex(total[0]), complex(comp[0]), []
+        for term in terms.ravel().tolist():
+            add = term - c
+            new = s + add
+            s, c = new, (new - s) - add
+            out += s, c
+        sums[1:, 0], comps[1:, 0] = np.array(out).reshape(-1, 2).T
+        return sums, comps
+    add = np.empty(total.shape, dtype=complex)
+    for term, s0, s1, c0, c1 in zip(terms, sums, sums[1:], comps, comps[1:]):
+        np.subtract(term, c0, out=add)
+        np.add(s0, add, out=s1)
+        np.subtract(s1, s0, out=c1)
+        np.subtract(c1, add, out=c1)
+    return sums, comps
 
 
 def f2_series_on_arrays(p: F2Params, x, y):

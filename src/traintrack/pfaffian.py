@@ -97,6 +97,21 @@ def _piece_distance(piece, p: complex) -> float:
     return min(abs(w - r * cmath.exp(1j * phi)) for phi in (phi0, phi0 + dphi))
 
 
+# Pieces join where the end of one and the start of the next agree to this
+# share of their size: the ends of arcs are rounded from their angles.
+_JOIN_TOL = 1e-12
+
+
+def _piece_ends(piece):
+    """Start and end of a segment or an arc, and the size their rounding is relative to."""
+    if len(piece) == 2:
+        z0, z1 = piece
+        return z0, z1, abs(z0) + abs(z1)
+    c, r, phi0, dphi = piece
+    ends = (c + r * cmath.exp(1j * phi) for phi in (phi0, phi0 + dphi))
+    return (*ends, abs(c) + r * (1.0 + abs(phi0) + abs(dphi)))
+
+
 @dataclass(frozen=True)
 class PathSpec:
     """A path as a chain of pieces, each starting where the one before ends.
@@ -104,7 +119,8 @@ class PathSpec:
     A piece is a segment (z0, z1) or an arc (centre, radius, start angle,
     sweep), the sweep in radians and positive counter-clockwise.
     ``polyline`` and ``circle`` build chains of one kind, and ``a + b`` is
-    ``a`` followed by ``b``.  A polyline through one point is a segment of
+    ``a`` followed by ``b``.  A chain whose pieces do not join raises
+    ValueError when it is built.  A polyline through one point is a segment of
     length 0 and a circle of no turns an arc of no sweep: such a piece adds
     no step to a transport, but its point counts for the clearance.
     """
@@ -114,6 +130,10 @@ class PathSpec:
     def __post_init__(self):
         if not self.pieces:
             raise ValueError("a path needs at least one piece")
+        for before, after in zip(self.pieces, self.pieces[1:]):
+            (_, end, size), (start, _, other) = _piece_ends(before), _piece_ends(after)
+            if abs(end - start) > _JOIN_TOL * max(size, other):
+                raise ValueError(f"pieces do not join: one ends at {end}, the next at {start}")
 
     @classmethod
     def polyline(cls, points: Sequence[complex]) -> "PathSpec":

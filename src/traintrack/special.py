@@ -79,7 +79,7 @@ def gamma_fn(z: complex) -> complex:
             # loses up to 16 eps on (0, 3) and far more through the reflection
             return complex(math.gamma(z.real))
         if z.real < 0.5:
-            return np.pi / (np.sin(np.pi * z) * gamma_fn(1.0 - z))
+            return complex(np.pi / (np.sin(np.pi * z) * gamma_fn(1.0 - z)))
         w = z - 1.0
         x = _LANCZOS_C[0]
         for i in range(1, len(_LANCZOS_C)):
@@ -174,26 +174,57 @@ def ellint_E(m) -> complex:
 # point stops once its tail estimate is below
 # _TAIL_SHARE * _REL_TOL * |sum| + _ABS_FLOOR at two checks in a row, so
 # that truncation is a small share of the error next to the rounding of
-# the sum, and one term that happens to be small cannot stop it.
+# the sum, and one term that happens to be small cannot stop it.  The terms
+# are formed in blocks of _BLOCK; _MAX_TERMS and _BLOCK are multiples of
+# _CHECK_EVERY, so that every block holds a check.
 _MAX_TERMS = 2000
 _REL_TOL = 1e-14
 _ABS_FLOOR = 1e-300
 _CHECK_EVERY = 4
 _TAIL_SHARE = 1e-2
+_BLOCK = 32
+
+
+def _blocks(first):
+    """The term indices first, ..., first + _MAX_TERMS - 1, in ranges of _BLOCK."""
+    end = first + _MAX_TERMS
+    return (range(n, min(n + _BLOCK, end)) for n in range(first, end, _BLOCK))
+
+
+def _keep(stopped, *values):
+    """Each array without the points ``stopped`` (on its last axis); Python numbers as they are."""
+    if not len(stopped):
+        return values
+    keep = np.ones(values[0].shape[-1], dtype=bool)
+    keep[stopped] = False
+    return [v if isinstance(v, complex) else v[..., keep] for v in values]
 
 
 def _converged(prev, last, total, ok_before):
-    """Tail estimates, where they are below tolerance, and which points stop.
+    """Tail estimates at the checks of a block, the points that stop there, and the carry.
 
-    The tail after a term of size ``last`` is estimated as last * r / (1 - r),
-    r being the observed ratio per term: the geometric mean over the
-    _CHECK_EVERY terms since the one of size ``prev``.  It is inf while r >= 1.
+    ``last`` and ``total`` have a row per check: the size of the term there
+    and the sum.  The tail after a term of size ``last`` is estimated as
+    last * r / (1 - r), r being the observed ratio per term: the geometric
+    mean over the _CHECK_EVERY terms since the check before, where the size
+    was ``prev`` for the first row.  It is inf while r >= 1.  A point stops
+    at a check it passes right after passing the one before (``ok_before``
+    for the first row), a shift along the check axis.  Returns (tails,
+    stops, whether each point passed the last check).
     """
+    prev = np.concatenate((prev[None], last[:-1]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.where(last == 0.0, 0.0, (last / prev) ** (1.0 / _CHECK_EVERY))
         tail = np.where(r < 1.0, last * r / (1.0 - r), np.inf)
     ok = tail <= _TAIL_SHARE * _REL_TOL * np.abs(total) + _ABS_FLOOR
-    return tail, ok, ok & ok_before
+    return tail, ok & np.concatenate((ok_before[None], ok[:-1])), ok[-1]
+
+
+def _first_stop(stops):
+    """The points with a stop in rows of stop flags, and the row of each one's first."""
+    first = stops.argmax(axis=0)
+    at = np.flatnonzero(stops[first, np.arange(stops.shape[1])])
+    return at, first[at]
 
 
 def _summed_argument(y):
@@ -209,35 +240,57 @@ def _summed_argument(y):
 def _gauss_seeds(a, b, c, y):
     """2F1(a, b; c; y) and 2F1(a + 1, b; c; y) from one pass of their series.
 
-    y is a 1-d array; the parameters are Python complex numbers or arrays
-    shaped like y.  The series is summed at ``_summed_argument(y)``.  Each
-    point stops on its own tail estimate and then adds zeros, so its values
-    do not depend on the other points of the array.
+    y is a 1-d array; the parameters are all Python complex numbers or all
+    arrays shaped like y.  The series is summed at ``_summed_argument(y)``.
+    Each point stops on its own tail estimate and then leaves the working
+    arrays, so its values do not depend on the other points of the array.
+
+    The terms are formed a block of _BLOCK at a time, and rounded as one
+    term at a time would round them: the term ratios of a block come from
+    whole-block operations, which act on each element alone, but
+    t_n = t_{n-1} r_n stays one product per term (``np.cumprod`` rounds
+    differently), and the partial sums come from ``np.cumsum``, which adds
+    in order as ``+=`` does.
     """
     pfaff, z = _summed_argument(y)
     bz = np.where(pfaff, c - b, b)
-    t0, t1 = np.ones_like(y), np.ones_like(y)
-    s0, s1 = np.ones_like(y), np.ones_like(y)
-    prev = np.ones(y.shape)
-    ok = np.zeros(y.shape, dtype=bool)
-    for n in range(_MAX_TERMS):
-        f = (bz + n) * z / ((c + n) * (n + 1.0))
-        t0 = t0 * (f * (a + n))
-        t1 = t1 * (f * (a + 1.0 + n))
-        s0 += t0
-        s1 += t1
-        if (n + 1) % _CHECK_EVERY == 0:
-            last = np.maximum(np.abs(t0), np.abs(t1))
-            small = np.where(np.abs(s0) < np.abs(s1), s0, s1)
-            _, ok, done = _converged(prev, last, small, ok)
-            prev = last
-            if done.all():
-                break
-            z = np.where(done, 0.0, z)  # a finished point adds zeros from here on
+    pref = np.where(pfaff, (1.0 - y) ** (-a), 1.0)
+    sums = np.empty((2, y.size), dtype=complex)
+    live = np.arange(y.size)  # positions of the points still summing
+    t, s = np.ones((2, y.size), dtype=complex), np.ones((2, y.size), dtype=complex)
+    prev, ok = np.ones(y.size), np.zeros(y.size, dtype=bool)
+    for ns in _blocks(0):
+        index = np.array(ns)[:, None]
+        if isinstance(a, complex):  # Python's arithmetic, as in a loop over the terms
+            seq = []
+            for n in ns:
+                seq += (c + n) * (n + 1.0), a + n, a + 1.0 + n
+            den, shift0, shift1 = np.array(seq).reshape(-1, 3).T[..., None]
+        else:
+            den, shift0, shift1 = (c + index) * (index + 1.0), a + index, a + 1.0 + index
+        f = (bz + index) * z / den
+        terms = np.empty((len(ns) + 1,) + t.shape, dtype=complex)
+        ratio = np.empty_like(terms[1:])
+        np.multiply(f, shift0, out=ratio[:, 0])
+        np.multiply(f, shift1, out=ratio[:, 1])
+        terms[0] = t
+        for before, r, after in zip(terms, ratio, terms[1:]):
+            np.multiply(before, r, out=after)
+        rows = np.arange(_CHECK_EVERY, len(ns) + 1, _CHECK_EVERY)  # after n + 1 terms
+        last = np.abs(terms[rows]).max(axis=1)
+        t, terms[0] = terms[-1].copy(), s
+        partial = np.cumsum(terms, axis=0, out=terms)
+        s0, s1 = partial[rows, 0], partial[rows, 1]
+        _, stops, ok = _converged(prev, last, np.where(np.abs(s0) < np.abs(s1), s0, s1), ok)
+        at, first = _first_stop(stops)
+        sums[:, live[at]] = partial[rows[first], :, at].T
+        if at.size == live.size:
+            break
+        prev, s = last[-1], partial[-1]
+        live, z, bz, a, c, t, s, prev, ok = _keep(at, live, z, bz, a, c, t, s, prev, ok)
     else:
         raise ConvergenceError(f"2F1 series did not converge within {_MAX_TERMS} terms")
-    pref = np.where(pfaff, (1.0 - y) ** (-a), 1.0)
-    return pref * s0, np.where(pfaff, pref / (1.0 - y), 1.0) * s1
+    return pref * sums[0], np.where(pfaff, pref / (1.0 - y), 1.0) * sums[1]
 
 
 def gauss_2f1(p: Hyper2F1Params, z):

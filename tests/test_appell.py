@@ -199,7 +199,6 @@ class TestSeries:
 
     def test_max_terms_exhausted(self, monkeypatch):
         monkeypatch.setattr(special, "_MAX_TERMS", 8)
-        monkeypatch.setattr(appell, "_MAX_TERMS", 8)
         with pytest.raises(ConvergenceError, match="2F1 series"):
             f2_series(CONFORMAL, ModuliPoint(0.45, 0.45))
         # y = 0: the seeds stop at once, the rows in x = 0.9 do not
@@ -275,6 +274,46 @@ def _mp_f2_partials(p, x, y, order, dps=30):
                     d[m][n] += xm * inner[n]
             row *= (a + i) * (b1 + i) / ((c1 + i) * (i + 1))
         return np.array([[complex(v) for v in r] for r in d])
+
+
+class TestBlocks:
+    """The series are summed a block of special._BLOCK terms at a time; the
+    block size must not change a bit of any value or tail estimate."""
+
+    @staticmethod
+    def _values():
+        rng = _rng()
+        # norms from 0.05 to 0.9, and y from 0 to 0.85: the points stop in
+        # different blocks of the seeds and of the rows
+        norm = np.linspace(0.05, 0.9, 12)
+        split = rng.uniform(0.1, 0.9, 12)
+        xs = norm * split * np.exp(0.3j * rng.uniform(-1, 1, 12))
+        ys = norm * (1 - split)
+        ys[:2] = 0.0, 0.85
+        # a + m = 0 at m = 2 and 5 (inside a block of 4 or 12), 4 and 12
+        # (the last row of one) and 13 (the first row of the next)
+        alphas = np.array([0.5, -2.0, -4.0, -5.0, -12.0, -13.0, 0.3 + 0.2j])
+        out = list(_f2_row_sum(CONFORMAL, xs, ys))
+        out += _f2_row_sum((alphas[:, None], 0.5, 0.7, 1.0, 1.3), xs, ys)
+        for a in (-2.0, -4.0, -12.0, -13.0):
+            out += _f2_row_sum(F2Params(a, 0.5, 0.7, 1.0, 1.3), xs, ys)
+        out.append(f2_derivatives_on_arrays(CONFORMAL, xs, ys, 2))
+        zs = np.concatenate((ys, xs, [0.95, -3.0 + 0.5j, 0.5 - 0.7j]))
+        for p in (Hyper2F1Params(0.5, 0.5, 1.0), Hyper2F1Params(-2.0, 0.5 + 0.1j, 1.2)):
+            out.append(gauss_2f1(p, zs))
+        return out
+
+    @pytest.mark.parametrize("rel_tol", [special._REL_TOL, 1e-6])
+    @pytest.mark.parametrize("block", [4, 12])
+    def test_block_size_changes_no_bit(self, block, rel_tol, monkeypatch):
+        # at the loose tolerance a stop one check early or late shows in the values
+        monkeypatch.setattr(special, "_REL_TOL", rel_tol)
+        want = self._values()
+        monkeypatch.setattr(special, "_BLOCK", block)
+        got = self._values()
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 class TestDerivativeTable:

@@ -460,10 +460,31 @@ class TestTransport:
         rng = _rng()
         points = rng.uniform(-1, 2, 6) + 1j * rng.uniform(-1, 1, 6)
         paths = _paths_off_the_cuts()
-        for a, b in _split_paths() + list(zip(paths, paths[1:])):
+        # consecutive paths, joined by a segment from the end of one to the
+        # start of the next
+        bridged = [
+            (a, PathSpec.polyline([a.sample(2)[-1], b.sample(2)[0]]) + b)
+            for a, b in zip(paths, paths[1:])
+        ]
+        for a, b in _split_paths() + bridged:
             assert (a + b).pieces == a.pieces + b.pieces
             want = min(a.clearance(points), b.clearance(points))
             assert (a + b).clearance(points) == want
+
+    def test_chains_that_do_not_join_raise(self):
+        with pytest.raises(ValueError, match="do not join"):
+            PathSpec.polyline([0.2, 0.3]) + PathSpec.polyline([0.5, 0.6])
+        with pytest.raises(ValueError, match="do not join"):
+            PathSpec.circle(0.5, 0.3) + PathSpec.polyline([0.8 + 1e-9j, 0.9])
+        with pytest.raises(ValueError, match="do not join"):
+            PathSpec(((0.2, 0.3), (0.5, 0.6)))
+        # a circle through 0.9 + 0.02i starts 2e-17 from it, rounded from its
+        # angle, and still joins a segment that ends there
+        base = 0.9 + 0.02j
+        leg = PathSpec.polyline([0.5, base])
+        circle = PathSpec.circle(1.0, abs(base - 1.0), 1.0, float(np.angle(base - 1.0)))
+        assert circle.sample(2)[0] != base
+        assert (leg + circle).pieces == leg.pieces + circle.pieces
 
     def test_path_without_pieces_raises(self):
         with pytest.raises(ValueError):
@@ -507,6 +528,8 @@ class TestMonodromy:
 
     @pytest.mark.parametrize("base", [0.2 + 0.05j, 0.35 + 0.01j, 0.7 - 0.1j, 0.9 + 0.02j])
     def test_generators_from_basepoints(self, base):
+        # capped loops (0.2 + 0.05i about 1, 0.7 - 0.1i about 0) and uncapped
+        # ones: leg out, circle and leg back join up to the circle's rounding
         s = system_2f1(LEGENDRE)
         for around, want in ((0.0, [[1, 2], [0, 1]]), (1.0, [[1, 0], [-2, 1]])):
             m = monodromy_2f1(s, around, basepoint=base)

@@ -80,6 +80,14 @@ class TestGamma:
         # Gamma(-1/2) = -2 sqrt(pi), reached through the reflection formula.
         assert gamma_fn(-0.5) == pytest.approx(-2.0 * np.sqrt(np.pi), rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "z",
+        [2.5, -0.5, 0.7 + 0.2j, -0.5 + 0.1j],
+        ids=["real", "real-reflected", "lanczos", "reflection"],
+    )
+    def test_value_is_python_complex(self, z):
+        assert type(gamma_fn(z)) is complex
+
 
 class TestEllintK:
     def test_k_at_zero(self):
