@@ -80,43 +80,36 @@ class ModuliPoint:
 
 
 def _parameters(p, shape):
-    """The five F2 parameters over the flattened points: all Python complex, or all arrays.
+    """The five F2 parameters over the flattened points, each a flat array.
 
-    Where each parameter is the same at every point, they are returned as
-    Python complex numbers, so that the coefficient arithmetic is Python's,
-    as for scalar parameters; numpy's complex multiply and division round
-    the last bit differently.  Otherwise all five are returned as flat
-    arrays of the broadcast shape.
+    A parameter with the same value at every point is one element, so that
+    its coefficients are formed once per row and broadcast with the points;
+    any other is one element per point of the broadcast shape.
     """
-    p = [complex(v.flat[0]) if v.size and (v == v.flat[0]).all() else v for v in p]
-    if all(isinstance(v, complex) for v in p):
-        return p
-    return [np.broadcast_to(np.asarray(v, dtype=complex), shape).ravel() for v in p]
+    return [
+        v.ravel()[:1] if v.size and (v == v.flat[0]).all() else np.broadcast_to(v, shape).ravel()
+        for v in p
+    ]
 
 
 def _row_coefficients(ms, coef, a, b1, b2, g1, g2):
     """The row coefficients and the ladder's alpha, beta, gamma at the rows ms of a block.
 
-    The coefficient (a)_m (b1)_m / ((c1)_m m!) is carried from ``coef``,
-    one product per row, as ``np.cumprod`` would round differently.  Where
-    a + m = 0 the ladder divides by 1, so that the points stopping there
-    stay finite.  Returns the four as arrays with a row per m, columns that
-    broadcast with the points, and the coefficient to carry.
+    The coefficient (a)_m (b1)_m / ((c1)_m m!) is carried from ``coef``, the
+    one sequential step: one ``np.cumprod`` multiplies in the ratios down the
+    block, in order.  Where a + m = 0 the ladder divides by 1, so that the
+    points stopping there stay finite.  Returns the four as arrays with a
+    row per m, columns that broadcast with the points, and the coefficient
+    to carry.
     """
-    if isinstance(a, complex):  # then all five are; see _parameters
-        rows = []
-        for m in ms:
-            coef *= (a + m - 1) * (b1 + m - 1) / ((g1 + m - 1) * m)
-            am = a + m or 1.0  # a + m = 0 stops every point at row m: no step uses it
-            rows += coef, (g2 - a - m) / am, (2 * am - g2) / am, (b2 - a - m) / am
-        return np.array(rows).reshape(-1, 4).T[..., None], coef
     m = np.array(ms)[:, None]
-    ratio = (a + m - 1) * (b1 + m - 1) / ((g1 + m - 1) * m)
-    coefs = np.empty(ratio.shape, dtype=complex)
-    for r, row in zip(ratio, coefs):
-        coef = np.multiply(coef, r, out=row)
-    am = np.where(a + m == 0, 1.0, a + m)
-    return (coefs, (g2 - a - m) / am, (2 * am - g2) / am, (b2 - a - m) / am), coef
+    am = a + m
+    ratio = (am - 1) * (b1 + m - 1) / ((g1 + m - 1) * m)
+    coefs = np.empty((len(ms) + 1, ratio.shape[1]), dtype=complex)
+    coefs[0], coefs[1:] = coef, ratio
+    np.cumprod(coefs, axis=0, out=coefs)
+    am = np.where(am == 0, 1.0, am)
+    return (coefs[1:], (g2 - a - m) / am, (2 * am - g2) / am, (b2 - a - m) / am), coefs[-1]
 
 
 def _f2_row_sum(p, x, y):
@@ -171,15 +164,14 @@ def _f2_row_sum(p, x, y):
         raise DomainError(f"F2 series diverges: max(|x|+|y|) = {rho:.4f} >= 1")
     a, b1, b2, g1, g2 = _parameters(p, shape)
     # the rows m at which a + m = 0 for some point
-    values = [a] if isinstance(a, complex) else set(a.tolist())
     stops_at = {
-        int(-v.real) for v in values if v.imag == 0 and v.real < 0 and v.real.is_integer()
+        int(-v.real) for v in set(a.tolist()) if v.imag == 0 and v.real < 0 and v.real.is_integer()
     }
     g0, g1_seed = _gauss_seeds(a, b2, g2, yf)
     x1 = xf / (1.0 - yf)
     x2, xy = xf * x1, yf * x1
     v_prev, v = g0, xf * g1_seed  # V_0, V_1
-    coef = 1.0 + 0j  # (a)_m (b1)_m / ((c1)_m m!)
+    coef = np.ones(1, dtype=complex)  # (a)_m (b1)_m / ((c1)_m m!)
     total, comp = g0, np.zeros_like(g0)  # Kahan-compensated sum
     value, est = np.zeros_like(g0), np.zeros(xf.shape)
     prev, ok = np.abs(g0), np.zeros(xf.shape, dtype=bool)
@@ -402,9 +394,10 @@ def f2_pde_residual(F, p: F2Params, pt: ModuliPoint, radius=None):
     """Normalized residuals of the two defining PDEs at pt.
 
     F must be analytic on the bi-circle of the given radii (a pair, or one
-    float used for both); derivatives are taken by Cauchy-integral
-    differentiation, and each residual is divided by the largest term
-    magnitude entering its equation.
+    float used for both) and take arrays that broadcast, as
+    ``cauchy_derivs_2d`` calls it once on a grid of the nodes; derivatives
+    are taken by Cauchy-integral differentiation, and each residual is
+    divided by the largest term magnitude entering its equation.
     """
     x, y = complex(pt.x), complex(pt.y)
     if radius is None:

@@ -9,6 +9,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -37,6 +38,19 @@ def _complex_arg(text: str) -> complex:
         return complex(text.replace("i", "j"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
+
+
+def _positive(kind):
+    """An argparse type: the text as ``kind``, which must be finite and > 0."""
+
+    def parse(text: str):
+        value = kind(text)  # argparse reports a ValueError as "invalid <kind> value"
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"not positive and finite: {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _fmt_complex(z: complex) -> str:
@@ -68,12 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES + ("all",))
-    p_verify.add_argument("--samples", type=int, default=None)
+    p_verify.add_argument("--samples", type=_positive(int), default=None)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--output", default=None)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     for name in SUITES:
-        p_verify.add_argument(f"--tol-{name}", type=float, default=None)
+        p_verify.add_argument(f"--tol-{name}", type=_positive(float), default=None)
 
     p_train = sub.add_parser(
         "traintrack", help="pairing value of the traintrack integral"

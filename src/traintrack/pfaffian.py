@@ -494,7 +494,8 @@ def horizontality_residual_f2(p: F2Params, F, pt: ModuliPoint, radius) -> float:
     """Residual of the 4x4 system on the section of a scalar solution F.
 
     The partials come from Cauchy integrals of F on the bi-circle of the
-    given radii (a pair, or one float for both); see
+    given radii (a pair, or one float for both), which take F at a grid of
+    nodes in one call: F must take arrays that broadcast.  See
     ``horizontality_residual_from_derivatives``.
     """
     x, y = complex(pt.x), complex(pt.y)

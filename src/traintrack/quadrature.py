@@ -130,28 +130,21 @@ def integrate_01_2d(kernel, exponents, bound: float):
     raise ConvergenceError(f"2d tanh-sinh quadrature did not reach {_TOL_2D:.0e}")
 
 
-def _call_on_grid(f, *grids):
-    shape = np.broadcast_shapes(*(np.shape(g) for g in grids))
-    try:
-        out = np.asarray(f(*grids), dtype=complex)
-        if out.shape == shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    vec = np.vectorize(lambda *a: complex(f(*a)))
-    return vec(*grids)
-
-
 def cauchy_derivs_2d(f, x0, y0, rx: float, ry: float):
     """Mixed partials d^(m+k) F / dx^m dy^k at (x0, y0) on a bi-circle.
 
-    32 nodes on each circle.  Returns a (3, 3) array D, orders up to 2,
-    with D[m, k] the partial of order m in x and k in y.
+    32 nodes on each circle.  F must take arrays that broadcast: it is
+    called once, on a column of x nodes and a row of y nodes, and
+    ValueError is raised unless it returns their 32 x 32 grid of values.
+    Returns a (3, 3) array D, orders up to 2, with D[m, k] the partial of
+    order m in x and k in y.
     """
     theta = 2.0 * np.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES
     zx = x0 + rx * np.exp(1j * theta)
     zy = y0 + ry * np.exp(1j * theta)
-    vals = _call_on_grid(f, zx[:, None], zy[None, :])
+    vals = np.asarray(f(zx[:, None], zy[None, :]), dtype=complex)
+    if vals.shape != (_CAUCHY_NODES, _CAUCHY_NODES):
+        raise ValueError(f"F must take arrays that broadcast; it returned shape {vals.shape}")
     coeff = np.fft.fft2(vals) / _CAUCHY_NODES**2
     out = np.empty((_CAUCHY_ORDER + 1, _CAUCHY_ORDER + 1), dtype=complex)
     for m in range(_CAUCHY_ORDER + 1):

@@ -192,12 +192,16 @@ def _blocks(first):
 
 
 def _keep(stopped, *values):
-    """Each array without the points ``stopped`` (on its last axis); Python numbers as they are."""
+    """Each array without the points ``stopped`` (on its last axis), one-element ones as they are.
+
+    A one-element array is a parameter shared by every point: ``_keep`` runs
+    only while 2 or more points are live, so a per-point array has more.
+    """
     if not len(stopped):
         return values
     keep = np.ones(values[0].shape[-1], dtype=bool)
     keep[stopped] = False
-    return [v if isinstance(v, complex) else v[..., keep] for v in values]
+    return [v if v.shape[-1] == 1 else v[..., keep] for v in values]
 
 
 def _converged(prev, last, total, ok_before):
@@ -240,17 +244,17 @@ def _summed_argument(y):
 def _gauss_seeds(a, b, c, y):
     """2F1(a, b; c; y) and 2F1(a + 1, b; c; y) from one pass of their series.
 
-    y is a 1-d array; the parameters are all Python complex numbers or all
-    arrays shaped like y.  The series is summed at ``_summed_argument(y)``.
-    Each point stops on its own tail estimate and then leaves the working
-    arrays, so its values do not depend on the other points of the array.
+    y is a 1-d array; each parameter is a flat array of one element (the
+    same at every point) or shaped like y.  The series is summed at
+    ``_summed_argument(y)``.  Each point stops on its own tail estimate and
+    then leaves the working arrays, so its values do not depend on the
+    other points of the array.
 
-    The terms are formed a block of _BLOCK at a time, and rounded as one
-    term at a time would round them: the term ratios of a block come from
-    whole-block operations, which act on each element alone, but
-    t_n = t_{n-1} r_n stays one product per term (``np.cumprod`` rounds
-    differently), and the partial sums come from ``np.cumsum``, which adds
-    in order as ``+=`` does.
+    The terms are formed a block of _BLOCK at a time.  Whole-block
+    operations, which act on each element alone, form the term ratios r_n.
+    What carries from term to term is sequential, down the block in order
+    as a loop over the terms would run: the products t_n = t_{n-1} r_n in
+    one ``np.cumprod``, the partial sums in one ``np.cumsum``.
     """
     pfaff, z = _summed_argument(y)
     bz = np.where(pfaff, c - b, b)
@@ -261,21 +265,12 @@ def _gauss_seeds(a, b, c, y):
     prev, ok = np.ones(y.size), np.zeros(y.size, dtype=bool)
     for ns in _blocks(0):
         index = np.array(ns)[:, None]
-        if isinstance(a, complex):  # Python's arithmetic, as in a loop over the terms
-            seq = []
-            for n in ns:
-                seq += (c + n) * (n + 1.0), a + n, a + 1.0 + n
-            den, shift0, shift1 = np.array(seq).reshape(-1, 3).T[..., None]
-        else:
-            den, shift0, shift1 = (c + index) * (index + 1.0), a + index, a + 1.0 + index
-        f = (bz + index) * z / den
+        f = (bz + index) * z / ((c + index) * (index + 1.0))
         terms = np.empty((len(ns) + 1,) + t.shape, dtype=complex)
-        ratio = np.empty_like(terms[1:])
-        np.multiply(f, shift0, out=ratio[:, 0])
-        np.multiply(f, shift1, out=ratio[:, 1])
         terms[0] = t
-        for before, r, after in zip(terms, ratio, terms[1:]):
-            np.multiply(before, r, out=after)
+        np.multiply(f, a + index, out=terms[1:, 0])
+        np.multiply(f, a + 1.0 + index, out=terms[1:, 1])
+        np.cumprod(terms, axis=0, out=terms)
         rows = np.arange(_CHECK_EVERY, len(ns) + 1, _CHECK_EVERY)  # after n + 1 terms
         last = np.abs(terms[rows]).max(axis=1)
         t, terms[0] = terms[-1].copy(), s
@@ -308,5 +303,5 @@ def gauss_2f1(p: Hyper2F1Params, z):
         _, summed = _summed_argument(flat)
     if not (np.abs(summed) < 1.0).all():
         raise DomainError("2F1 series diverges: |z| >= 1 and Re z >= 1/2 somewhere")
-    a, b, c = complex(p.alpha), complex(p.beta), complex(p.gamma)
+    a, b, c = (np.array([v], dtype=complex) for v in (p.alpha, p.beta, p.gamma))
     return _like_input(_gauss_seeds(a, b, c, flat)[0], arr)

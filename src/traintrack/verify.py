@@ -77,8 +77,8 @@ class RunConfig:
         if self.sample_count is not None and self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
         for name, tol in self.tolerances.items():
-            if tol <= 0:
-                raise ValueError(f"tolerance for {name} must be positive")
+            if not (np.isfinite(tol) and tol > 0):
+                raise ValueError(f"tolerance for {name} must be positive and finite")
 
     def tol(self, suite: str) -> float:
         return self.tolerances.get(suite, DEFAULT_TOLERANCES[suite])

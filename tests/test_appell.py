@@ -370,7 +370,8 @@ class TestDerivativeTable:
         ids=["conformal", "alpha=-3", "alpha=-2"],
     )
     def test_uniform_parameter_arrays_are_bit_identical(self, p):
-        # a parameter with one value at every point takes the scalar path
+        # a parameter with one value at every point is one element, whether
+        # it is given as a number or as an array
         rng = _rng()
         xs = rng.uniform(-0.45, 0.45, 40) + 0.05j * rng.uniform(-1, 1, 40)
         ys = rng.uniform(-0.45, 0.45, 40)
@@ -379,6 +380,22 @@ class TestDerivativeTable:
         got, tail = _f2_row_sum(arrays, xs, ys)
         assert np.array_equal(got, want) and np.array_equal(tail, want_tail)
         assert np.array_equal(got, f2_series_on_arrays(p, xs, ys))
+
+    def test_shared_and_per_point_parameters_are_bit_identical(self):
+        # only alpha varies, so the four shared parameters stay one-element
+        # arrays while points leave the working arrays; norms from 0.05 to
+        # 0.9 stop the points in different blocks of the seeds and the rows
+        rng = _rng()
+        norm = np.linspace(0.05, 0.9, 16)
+        split = rng.uniform(0.1, 0.9, 16)
+        xs = norm * split * np.exp(0.3j * rng.uniform(-1, 1, 16))
+        ys = norm * (1 - split)
+        alphas = rng.uniform(0.2, 1.5, 16) + 0.2j * rng.uniform(-1, 1, 16)
+        alphas[3] = -4.0  # done at the row where a + m = 0
+        vals, tails = _f2_row_sum((alphas, 0.5, 0.7, 1.0, 1.3), xs, ys)
+        for a, x, y, v, t in zip(alphas, xs, ys, vals, tails):
+            want, want_tail = _f2_row_sum((a, 0.5, 0.7, 1.0, 1.3), x, y)
+            assert v.tobytes() == want.tobytes() and t.tobytes() == want_tail.tobytes()
 
     @pytest.mark.filterwarnings("error")
     def test_mixed_alpha_stops_per_element(self):

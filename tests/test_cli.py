@@ -120,6 +120,29 @@ class TestVerify:
         assert rc == 1
         assert json.loads(out.read_text())["passed"] is False
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["factorization", "--samples", "0"],
+            ["factorization", "--samples", "-3"],
+            ["factorization", "--samples", "2.5"],
+            ["bilinear", "--tol-bilinear", "-1"],
+            ["bilinear", "--tol-bilinear", "0"],
+            ["bilinear", "--tol-bilinear", "nan"],
+            ["bilinear", "--tol-bilinear", "inf"],
+        ],
+    )
+    def test_bad_sample_count_or_tolerance_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify"] + argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_run_config_rejects_a_tolerance_not_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="positive and finite"):
+            verify.RunConfig(tolerances={"bilinear": tol})
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "r.csv"
         rc = main(

@@ -132,3 +132,13 @@ def test_cauchy_partials_of_an_exponential(order, monkeypatch):
     want = np.exp(x0 + 2.0 * y0) * 2.0 ** np.arange(order + 1)[None, :]
     assert d.shape == (order + 1, order + 1)
     np.testing.assert_allclose(d, np.broadcast_to(want, d.shape), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "scalar_only",
+    [lambda x, y: 1.0 + 0j, lambda x, y: complex(np.sum(x * y))],
+    ids=["constant", "reduces"],
+)
+def test_cauchy_needs_a_function_that_broadcasts(scalar_only):
+    with pytest.raises(ValueError, match="broadcast"):
+        quadrature.cauchy_derivs_2d(scalar_only, 0.2, 0.1, 0.05, 0.05)
