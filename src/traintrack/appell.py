@@ -10,11 +10,23 @@ The partial derivatives of F2 are F2 values at shifted parameters, so the row
 sum also gives them exactly: ``f2_derivatives_on_arrays`` sums every
 (point, shift) pair of a derivative table in one call, its five parameters
 broadcast with the points.
+
+Work that depends only on the parameters is memoized, so that calls at the
+same parameters pay only for their points.  Where every parameter is the
+same at every point, the row coefficients and the ladder's alpha, beta,
+gamma come from one table per parameter set, and the seeds' factors in a
+and c2 from another (``special._shared``); the Euler prefactor is cached per
+(b1, b2, c1, c2).  Each is keyed by the bits of its parameters and holds
+``special._TABLES`` = 16 entries, the least recently used leaving first;
+tables grow a block at a time, to at most 2,000 rows.  Per-point
+parameters, such as the shifted ones of a derivative table, bypass them.
+The axes of the Euler quadrature are memoized in ``quadrature``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,12 +34,14 @@ from .errors import ConvergenceError, DomainError, SingularityError
 from .quadrature import cauchy_derivs_2d, integrate_01_2d
 from .special import (
     _CHECK_EVERY,
+    _TABLES,
     _blocks,
     _converged,
     _first_stop,
     _gauss_seeds,
     _is_nonpositive_integer,
     _keep,
+    _shared,
     gamma_fn,
 )
 
@@ -140,6 +154,9 @@ def _f2_row_sum(p, x, y):
     terms coef V_m; the ladder steps and the Kahan steps stay one row after
     another (``_ladder``, ``_compensated``).  The stop test runs on all the
     checks of a block at once, and points that stop leave the working arrays.
+    Where all five parameters are shared, the coefficients come from a
+    memoized table of them (``special._shared``), formed by the same
+    arithmetic, so a call pays for them only at rows no call reached before.
 
     Forward recurrence is the stable direction: its characteristic roots are
     1 and 1 / (1 - y), and the ladder contains the solution growing like the
@@ -176,9 +193,13 @@ def _f2_row_sum(p, x, y):
     value, est = np.zeros_like(g0), np.zeros(xf.shape)
     prev, ok = np.abs(g0), np.zeros(xf.shape, dtype=bool)
     live = np.arange(xf.size)  # positions of the points still summing
+    table = _shared(_row_coefficients, a, b1, b2, g1, g2)
     for ms in _blocks(1):
         n, size = len(ms), live.size
-        (coefs, alpha, beta, gamma), coef = _row_coefficients(ms, coef, a, b1, b2, g1, g2)
+        if table is None:
+            (coefs, alpha, beta, gamma), coef = _row_coefficients(ms, coef, a, b1, b2, g1, g2)
+        else:
+            coefs, alpha, beta, gamma = table.rows(ms)
         ladder = _ladder(v_prev, v, x2, alpha, beta * x1 + gamma * xy)
         terms = coefs * ladder[1:-1]
         sums, comps = _compensated(terms, total, comp)
@@ -208,23 +229,24 @@ def _f2_row_sum(p, x, y):
 def _ladder(v_prev, v, x2, alpha, beta_gamma):
     """V_{m-1}, V_m, ..., V_{m+n}: the ladder steps of a block's n rows, one after another.
 
-    The two products of a step, x2 V_{m-1} and (beta x1 + gamma xy) V_m,
-    are one multiply of pairs.  No product writes over its input: numpy
-    rounds that differently for a single point.
+    A step is V_{m+1} = (alpha x2) V_{m-1} + (beta x1 + gamma xy) V_m.  Both
+    factors are formed for the whole block first, so the two products of a
+    step are one multiply of pairs, and a step is that and one add.  No
+    product writes over its input: numpy rounds that differently for a
+    single point.
     """
     n, size = len(alpha), v.size
     factors = np.empty((n, size, 2), dtype=complex)
-    factors[..., 0], factors[..., 1] = x2, beta_gamma
+    factors[..., 0], factors[..., 1] = alpha * x2, beta_gamma
     ladder = np.empty((n + 2, size), dtype=complex)
     ladder[0], ladder[1] = v_prev, v
     row, point = ladder.strides
     pairs = np.lib.stride_tricks.as_strided(ladder, (n + 1, size, 2), (row, point, row))
-    products, scaled = np.empty((size, 2), dtype=complex), np.empty(size, dtype=complex)
+    products = np.empty((size, 2), dtype=complex)
     moved, stayed = products.T
-    for f, al, pair, new in zip(factors, alpha, pairs, ladder[2:]):
+    for f, pair, new in zip(factors, pairs, ladder[2:]):
         np.multiply(f, pair, out=products)
-        np.multiply(al, moved, out=scaled)
-        np.add(scaled, stayed, out=new)
+        np.add(moved, stayed, out=new)
     return ladder
 
 
@@ -305,15 +327,22 @@ def f2_series(p: F2Params, pt: ModuliPoint) -> complex:
 
 
 def _euler_prefactor(p: F2Params) -> complex:
+    """Gamma(c1) Gamma(c2) / (Gamma(b1) Gamma(c1 - b1) Gamma(b2) Gamma(c2 - b2)).
+
+    Memoized, keyed by the bits of the four parameters, as the tables of
+    ``special._shared`` are, and bounded as they are.
+    """
+    b1, b2, g1, g2 = p.beta1, p.beta2, p.gamma1, p.gamma2
+    return _gamma_ratio(np.array([b1, b2, g1, g2], dtype=complex).tobytes())
+
+
+@lru_cache(maxsize=_TABLES)
+def _gamma_ratio(key: bytes) -> complex:
+    b1, b2, g1, g2 = np.frombuffer(key, dtype=complex).tolist()
     return (
-        gamma_fn(p.gamma1)
-        * gamma_fn(p.gamma2)
-        / (
-            gamma_fn(p.beta1)
-            * gamma_fn(p.gamma1 - p.beta1)
-            * gamma_fn(p.beta2)
-            * gamma_fn(p.gamma2 - p.beta2)
-        )
+        gamma_fn(g1)
+        * gamma_fn(g2)
+        / (gamma_fn(b1) * gamma_fn(g1 - b1) * gamma_fn(b2) * gamma_fn(g2 - b2))
     )
 
 

@@ -40,13 +40,14 @@ def _complex_arg(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
 
 
-def _positive(kind):
-    """An argparse type: the text as ``kind``, which must be finite and > 0."""
+def _positive(kind, zero_ok=False):
+    """An argparse type: the text as ``kind``, which must be finite and > 0 (>= 0 if zero_ok)."""
 
     def parse(text: str):
         value = kind(text)  # argparse reports a ValueError as "invalid <kind> value"
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"not positive and finite: {text!r}")
+        if not (math.isfinite(value) and (value > 0 or zero_ok and value == 0)):
+            least = "non-negative" if zero_ok else "positive"
+            raise argparse.ArgumentTypeError(f"not {least} and finite: {text!r}")
         return value
 
     parse.__name__ = kind.__name__
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES + ("all",))
     p_verify.add_argument("--samples", type=_positive(int), default=None)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
     p_verify.add_argument("--output", default=None)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     for name in SUITES:

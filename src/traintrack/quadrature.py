@@ -12,11 +12,19 @@ halves the mesh, keeps the kernel values of the last level's nodes and
 evaluates the kernel on the new rows and columns only.  Error: the change
 between the last two levels, plus the rounding of the last one, plus a
 bound on the dropped nodes.
+
+Memoized: each axis of each level, with the index work of its nesting and
+its error sums, depends only on its exponents, its level and its floor, and
+is kept in a least-recently-used cache of _AXES = 32 entries, keyed by the
+type and bits of the exponents, its arrays read-only.  A call with the
+exponents of an earlier one pays only for its kernel and its sums.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,23 +44,56 @@ _LOG_KEEP = np.log(1e-20)
 _TOL_2D = 1e-11
 _LEVEL_MIN_2D = 3
 LEVEL_MAX_2D = 8
+# Memoized axes (``_axis``): one axis holds 15 kB at levels 3 to 5, where
+# the rule usually stops, and 68 to 85 kB at level 8, so the cache holds
+# at most about 2.7 MB.
+_AXES = 32
 # Cauchy differentiation: nodes on each circle, and the highest order
 _CAUCHY_NODES = 32
 _CAUCHY_ORDER = 2
 
 
-def _axis(p, q, level: int, floor=None):
+class _Axis(NamedTuple):
+    """One axis of the 2-D rule at one level; see ``_axis``."""
+
+    x: np.ndarray  # the kept nodes
+    w: np.ndarray  # their weights, the endpoint powers included
+    new: np.ndarray  # positions of the kept nodes the level below does not have
+    old: np.ndarray  # positions of the others, in the order of the level below
+    dropped: float  # bound on sum |w| over the nodes left out
+    floor: float  # the log-density below which a node is dropped
+    wc: np.ndarray  # |w| (1 + |s|), the rounding weight of each node
+    abs_sum: float  # sum |w| over the kept nodes
+
+
+def _exact(v):
+    """A key for a number that tells apart its type and every bit, signed zeros included."""
+    v = np.asarray(v)
+    return v.dtype.str, v.tobytes()
+
+
+def _axis(p, q, level: int, floor=None) -> _Axis:
     """One axis of the 2-D rule at mesh h = 2**-level, truncated.
 
-    Returns (x, w, c, new, dropped, floor).  The kept nodes x carry the
-    weights w = h pi cosh(t) x^(p+1) (1-x)^(q+1), the endpoint powers
-    included, formed in logs so that they cannot overflow; c = 1 + |s|.
-    ``new`` marks the kept nodes at odd multiples of h, which the level
-    below does not have, and ``dropped`` bounds sum |w| over the nodes left
-    out: those of the grid below ``floor``, the log-density at which a node
-    is dropped, and a geometric tail for those past |t| = 6.  Without
-    a floor it is set from this level's peak.
+    The kept nodes x carry the weights w = h pi cosh(t) x^(p+1) (1-x)^(q+1),
+    the endpoint powers included, formed in logs so that they cannot
+    overflow; wc = |w| (1 + |s|).  ``new`` indexes the kept nodes at odd
+    multiples of h, which the level below does not have, and ``old`` the
+    rest, and ``dropped`` bounds sum |w| over the nodes left out: those of
+    the grid below ``floor``, the log-density at which a node is dropped,
+    and a geometric tail for those past |t| = 6.  Without a floor it is set
+    from this level's peak.
+
+    Memoized: the axis depends only on (p, q, level, floor), with p and q
+    keyed by their type and bits, in a least-recently-used cache of _AXES
+    entries whose arrays are read-only.
     """
+    return _axis_of(_exact(p), _exact(q), level, floor)
+
+
+@lru_cache(maxsize=_AXES)
+def _axis_of(p, q, level, floor) -> _Axis:
+    (p,), (q,) = (np.frombuffer(bits, dtype) for dtype, bits in (p, q))
     h = 2.0**-level
     kmax = int(_T_2D / h)
     k = np.arange(-kmax, kmax + 1)
@@ -71,7 +112,27 @@ def _axis(p, q, level: int, floor=None):
     dropped = h * (np.exp(dens[~keep]).sum() + tail.sum())
     w = h * np.exp(base[keep] - (p + 1.0) * mlog_x[keep] - (q + 1.0) * mlog_omx[keep])
     x = 1.0 / (1.0 + np.exp(-s[keep]))
-    return x, w, 1.0 + np.abs(s[keep]), k[keep] % 2 == 1, dropped, floor
+    odd = k[keep] % 2 == 1
+    wc = np.abs(w) * (1.0 + np.abs(s[keep]))
+    new, old = np.flatnonzero(odd), np.flatnonzero(~odd)
+    axis = _Axis(x, w, new, old, dropped, floor, wc, np.abs(w).sum())
+    for a in (x, w, new, old, wc):
+        a.flags.writeable = False
+    return axis
+
+
+def _bilinear(w1, vals, w2):
+    """w1 @ vals @ w2, with no complex matrix product for a complex grid.
+
+    Between real weights, a complex grid is contracted with w1 as real
+    products, through its (re, im) pairs: numpy would make w1 complex for
+    ``@``, and a complex matrix product can stall in OpenBLAS when the host
+    is loaded.  The row that results is dotted with w2 as complex numbers,
+    a product of vectors: summed as real products too, it lost accuracy.
+    """
+    if np.iscomplexobj(vals) and not (np.iscomplexobj(w1) or np.iscomplexobj(w2)):
+        return complex((w1 @ np.ascontiguousarray(vals).view(float)).view(complex) @ w2)
+    return w1 @ vals @ w2
 
 
 def integrate_01_2d(kernel, exponents, bound: float):
@@ -90,7 +151,9 @@ def integrate_01_2d(kernel, exponents, bound: float):
     each level's kept nodes contain the last level's.  Nesting: h halves
     from level to level, so a level's nodes at even multiples of h are the
     last level's to the bit; their kernel values are copied, and the kernel
-    is evaluated only on the rows and columns of the new nodes.
+    is evaluated only on the rows and columns of the new nodes.  The axes
+    are memoized (``_axis``).  A complex kernel between real weights is
+    summed as real products (``_bilinear``).
 
     Returns (value, error).  The error is the change between the last two
     levels, plus a first-order estimate of the rounding of the last one,
@@ -104,27 +167,24 @@ def integrate_01_2d(kernel, exponents, bound: float):
     (p1, q1), (p2, q2) = exponents
     floor1 = floor2 = prev = vals = None
     for level in range(_LEVEL_MIN_2D, LEVEL_MAX_2D + 1):
-        axis1 = _axis(p1, q1, level, floor1)
-        axis2 = axis1 if (p2, q2) == (p1, q1) else _axis(p2, q2, level, floor2)
-        x1, w1, c1, new1, drop1, floor1 = axis1
-        x2, w2, c2, new2, drop2, floor2 = axis2
+        a1, a2 = _axis(p1, q1, level, floor1), _axis(p2, q2, level, floor2)
+        floor1, floor2 = a1.floor, a2.floor
         if vals is None:
-            vals = kernel(x1[:, None], x2[None, :])
+            vals = kernel(a1.x[:, None], a2.x[None, :])
         else:
-            old1, old2 = ~new1, ~new2
-            grid = np.empty((x1.size, x2.size), dtype=vals.dtype)
-            grid[np.ix_(old1, old2)] = vals
-            grid[new1] = kernel(x1[new1, None], x2[None, :])
-            grid[np.ix_(old1, new2)] = kernel(x1[old1, None], x2[None, new2])
+            old1 = a1.old[:, None]
+            grid = np.empty((a1.x.size, a2.x.size), dtype=vals.dtype)
+            grid[old1, a2.old] = vals
+            grid[a1.new] = kernel(a1.x[a1.new, None], a2.x[None, :])
+            grid[old1, a2.new] = kernel(a1.x[old1], a2.x[None, a2.new])
             vals = grid
-        val = w1 @ vals @ w2
+        val = _bilinear(a1.w, vals, a2.w)
         if prev is not None:
             delta = abs(val - prev)
             if delta <= _TOL_2D * max(1.0, abs(val)):
-                wc1, wc2 = np.abs(w1) * c1, np.abs(w2) * c2
-                rounding = np.finfo(float).eps * (wc1 @ np.abs(vals) @ wc2)
-                s1, s2 = np.abs(w1).sum(), np.abs(w2).sum()
-                dropped = bound * (drop1 * (s2 + drop2) + s1 * drop2)
+                rounding = np.finfo(float).eps * (a1.wc @ np.abs(vals) @ a2.wc)
+                d1, d2 = a1.dropped, a2.dropped
+                dropped = bound * (d1 * (a2.abs_sum + d2) + a1.abs_sum * d2)
                 return val, delta + rounding + dropped
         prev = val
     raise ConvergenceError(f"2d tanh-sinh quadrature did not reach {_TOL_2D:.0e}")

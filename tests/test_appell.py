@@ -25,7 +25,7 @@ from traintrack import (
     gauss_2f1,
     period_basis,
 )
-from traintrack import appell, special
+from traintrack import appell, quadrature, special
 from traintrack.appell import _f2_euler, _f2_row_sum
 
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -314,6 +314,96 @@ class TestBlocks:
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def _clear_caches():
+    special._table.cache_clear()
+    quadrature._axis_of.cache_clear()
+    appell._gamma_ratio.cache_clear()
+
+
+class TestMemo:
+    """Work that depends only on the parameters or the rule is memoized:
+    the series factors (``special._shared``), the quadrature axes
+    (``quadrature._axis``) and the Euler prefactor.  A cache must change no
+    bit of any result, whether it is cold or warm."""
+
+    POINTS = [
+        ModuliPoint(0.3, -0.2 + 0.1j),
+        ModuliPoint(0.12, 0.82),  # about 250 seed terms
+        ModuliPoint(-0.45, 0.5),
+        ModuliPoint(0.5 + 0.3j, 0.2),
+    ]
+    # each twin moves one parameter of CONFORMAL, so that a key which
+    # missed that parameter would serve it the conformal factors
+    PARAMS = [CONFORMAL, F2Params(0.6 + 0.2j, 0.35, 0.55, 1.3, 0.9)] + [
+        F2Params(*(v + 1e-6 * (i == k) for i, v in enumerate(CONFORMAL))) for k in range(5)
+    ]
+
+    @classmethod
+    def _bytes(cls, p):
+        xs = np.array([pt.x for pt in cls.POINTS])
+        ys = np.array([pt.y for pt in cls.POINTS])
+        values = [f2_series(p, pt) for pt in cls.POINTS]
+        values += [f2_euler_integral(p, pt) for pt in cls.POINTS]
+        return np.array(values).tobytes() + f2_derivatives_on_arrays(p, xs, ys, 2).tobytes()
+
+    def test_cold_and_warm_caches_give_the_same_bytes(self, monkeypatch):
+        n = len(self.PARAMS)
+        cases = [(p, block) for block in (special._BLOCK, 4) for p in self.PARAMS]
+        cold = {}
+        for p, block in cases:
+            monkeypatch.setattr(special, "_BLOCK", block)
+            _clear_caches()
+            cold[p, block] = self._bytes(p)
+        for p in self.PARAMS:  # tables extended 4 rows or 32 at a time
+            assert cold[p, 4] == cold[p, special._BLOCK]
+        _clear_caches()
+        # the parameter sets and the block sizes in turn, twice: a table
+        # keyed wrongly would serve one case another's factors
+        turns = [c for pair in zip(cases[:n], reversed(cases[n:])) for c in pair]
+        for p, block in turns * 2:
+            monkeypatch.setattr(special, "_BLOCK", block)
+            assert self._bytes(p) == cold[p, block]
+
+    def test_cached_arrays_are_read_only(self):
+        _clear_caches()
+        f2_series(CONFORMAL, self.POINTS[1])
+        f2_euler_integral(CONFORMAL, self.POINTS[1])
+        params = [np.array([v], dtype=complex) for v in CONFORMAL]
+        rows = special._shared(appell._row_coefficients, *params)
+        seeds = special._shared(special._seed_factors, params[0], params[4])
+        assert special._table.cache_info().hits == 2  # both were made by the calls
+        axis = quadrature._axis(-0.5, -0.5, 3)
+        assert quadrature._axis_of.cache_info().hits >= 1
+        arrays = [*rows.factors, *seeds.factors, *rows.rows(range(1, 5)), *axis[:4], axis.wc]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_more_parameter_sets_than_the_bound(self):
+        _clear_caches()
+        n = special._TABLES + 3
+        for k in range(n):  # b1 moves the rows, the prefactor and one axis
+            p = F2Params(0.5, 0.4 + 0.01 * k, 0.5, 1.0, 1.0)
+            f2_series(p, self.POINTS[0])
+            f2_euler_integral(p, self.POINTS[0])
+        assert special._table.cache_info().misses == n + 1  # and one seed table
+        assert special._table.cache_info().currsize == special._TABLES
+        assert appell._gamma_ratio.cache_info().currsize == special._TABLES
+        assert quadrature._axis_of.cache_info().misses > quadrature._AXES
+        assert quadrature._axis_of.cache_info().currsize == quadrature._AXES
+
+    def test_per_point_parameters_enter_no_cache(self):
+        _clear_caches()
+        xs = np.array([pt.x for pt in self.POINTS])
+        ys = np.array([pt.y for pt in self.POINTS])
+        alphas = np.array([0.5, 0.6, -2.0, 0.3 + 0.2j])
+        _f2_row_sum((alphas, 0.5, 0.7, 1.0, 1.3), xs, ys)
+        f2_derivatives_on_arrays(CONFORMAL, xs, ys, 2)
+        gauss_2f1(Hyper2F1Params(0.5, 0.5, 1.0), ys)  # one parameter set: cached
+        assert special._table.cache_info().currsize == 1
 
 
 class TestDerivativeTable:

@@ -126,6 +126,8 @@ class TestVerify:
             ["factorization", "--samples", "0"],
             ["factorization", "--samples", "-3"],
             ["factorization", "--samples", "2.5"],
+            ["mirror", "--samples", "2", "--seed", "-1"],  # np.random.Philox raised
+            ["mirror", "--samples", "2", "--seed", "1.5"],
             ["bilinear", "--tol-bilinear", "-1"],
             ["bilinear", "--tol-bilinear", "0"],
             ["bilinear", "--tol-bilinear", "nan"],

@@ -1,8 +1,12 @@
-"""Every exported name resolves, so a deletion leaves no stale export behind."""
+"""Every exported name resolves, so a deletion leaves no stale export behind;
+the package imports numpy and nothing else outside the standard library."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import traintrack
@@ -28,3 +32,20 @@ def test_every_export_resolves():
                 if not hasattr(module, a.name) or (exported and a.name not in exported)
             ]
     assert not stale
+
+
+def test_import_loads_numpy_only():
+    # numpy is the one dependency: importing the package in a fresh
+    # interpreter pulls in neither scipy nor mpmath
+    code = (
+        "import sys; before = set(sys.modules); import traintrack; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+    )
+    src = str(Path(traintrack.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    loaded = ast.literal_eval(out.stdout)
+    assert "traintrack" in loaded and "numpy" in loaded
+    assert not {"scipy", "mpmath"} & set(loaded)
