@@ -15,18 +15,19 @@ Work that depends only on the parameters is memoized, so that calls at the
 same parameters pay only for their points.  Where every parameter is the
 same at every point, the row coefficients and the ladder's alpha, beta,
 gamma come from one table per parameter set, and the seeds' factors in a
-and c2 from another (``special._shared``); the Euler prefactor is cached per
-(b1, b2, c1, c2).  Each is keyed by the bits of its parameters and holds
-``special._TABLES`` = 16 entries, the least recently used leaving first;
-tables grow a block at a time, to at most 2,000 rows.  Per-point
-parameters, such as the shifted ones of a derivative table, bypass them.
-The axes of the Euler quadrature are memoized in ``quadrature``.
+and c2 from another (``special._factors``).  A table is formed whole at
+first use, all 2,000 rows, read-only and at most 128 kB; it is keyed by
+the bits of its parameters, and ``special._TABLES`` = 16 tables are kept,
+the least recently used leaving first.  Per-point parameters, such as the
+shifted ones of a derivative table, bypass them.  The Euler prefactor is
+not cached: its six Gamma values cost a few microseconds a call.  The axes
+of the Euler quadrature are memoized in ``quadrature``.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,14 +35,13 @@ from .errors import ConvergenceError, DomainError, SingularityError
 from .quadrature import cauchy_derivs_2d, integrate_01_2d
 from .special import (
     _CHECK_EVERY,
-    _TABLES,
     _blocks,
     _converged,
+    _factors,
     _first_stop,
     _gauss_seeds,
     _is_nonpositive_integer,
     _keep,
-    _shared,
     gamma_fn,
 )
 
@@ -155,8 +155,10 @@ def _f2_row_sum(p, x, y):
     another (``_ladder``, ``_compensated``).  The stop test runs on all the
     checks of a block at once, and points that stop leave the working arrays.
     Where all five parameters are shared, the coefficients come from a
-    memoized table of them (``special._shared``), formed by the same
-    arithmetic, so a call pays for them only at rows no call reached before.
+    memoized table of them (``special._factors``): all 2,000 rows, formed
+    whole at the first call at those parameters by the same arithmetic, so
+    later calls pay nothing for them; at most 16 such tables of at most
+    128 kB are kept.
 
     Forward recurrence is the stable direction: its characteristic roots are
     1 and 1 / (1 - y), and the ladder contains the solution growing like the
@@ -177,8 +179,8 @@ def _f2_row_sum(p, x, y):
     xf = np.broadcast_to(x, shape).ravel()
     yf = np.broadcast_to(y, shape).ravel()
     rho = float(np.max(np.abs(xf) + np.abs(yf))) if xf.size else 0.0
-    if rho >= 1.0:
-        raise DomainError(f"F2 series diverges: max(|x|+|y|) = {rho:.4f} >= 1")
+    if not rho < 1.0:  # NaN, where x or y is not finite, fails it too
+        raise DomainError(f"F2 series needs finite x, y with max(|x|+|y|) < 1, not {rho:.4f}")
     a, b1, b2, g1, g2 = _parameters(p, shape)
     # the rows m at which a + m = 0 for some point
     stops_at = {
@@ -193,13 +195,10 @@ def _f2_row_sum(p, x, y):
     value, est = np.zeros_like(g0), np.zeros(xf.shape)
     prev, ok = np.abs(g0), np.zeros(xf.shape, dtype=bool)
     live = np.arange(xf.size)  # positions of the points still summing
-    table = _shared(_row_coefficients, a, b1, b2, g1, g2)
+    factors = _factors(_row_coefficients, 1, a, b1, b2, g1, g2)
     for ms in _blocks(1):
         n, size = len(ms), live.size
-        if table is None:
-            (coefs, alpha, beta, gamma), coef = _row_coefficients(ms, coef, a, b1, b2, g1, g2)
-        else:
-            coefs, alpha, beta, gamma = table.rows(ms)
+        (coefs, alpha, beta, gamma), coef = factors(ms, coef, a, b1, b2, g1, g2)
         ladder = _ladder(v_prev, v, x2, alpha, beta * x1 + gamma * xy)
         terms = coefs * ladder[1:-1]
         sums, comps = _compensated(terms, total, comp)
@@ -327,18 +326,8 @@ def f2_series(p: F2Params, pt: ModuliPoint) -> complex:
 
 
 def _euler_prefactor(p: F2Params) -> complex:
-    """Gamma(c1) Gamma(c2) / (Gamma(b1) Gamma(c1 - b1) Gamma(b2) Gamma(c2 - b2)).
-
-    Memoized, keyed by the bits of the four parameters, as the tables of
-    ``special._shared`` are, and bounded as they are.
-    """
+    """Gamma(c1) Gamma(c2) / (Gamma(b1) Gamma(c1 - b1) Gamma(b2) Gamma(c2 - b2))."""
     b1, b2, g1, g2 = p.beta1, p.beta2, p.gamma1, p.gamma2
-    return _gamma_ratio(np.array([b1, b2, g1, g2], dtype=complex).tobytes())
-
-
-@lru_cache(maxsize=_TABLES)
-def _gamma_ratio(key: bytes) -> complex:
-    b1, b2, g1, g2 = np.frombuffer(key, dtype=complex).tolist()
     return (
         gamma_fn(g1)
         * gamma_fn(g2)
@@ -377,8 +366,10 @@ def _f2_euler(p: F2Params, pt: ModuliPoint):
         if not (complex(g).real > complex(b).real > 0):
             raise DomainError("Euler integral needs Re(gamma) > Re(beta) > 0")
     x, y, a = complex(pt.x), complex(pt.y), complex(p.alpha)
+    if not (cmath.isfinite(x) and cmath.isfinite(y)):
+        raise DomainError(f"Euler integral needs finite x and y, not {x}, {y}")
     dist = _distance_from_one(x, y)
-    if dist < 1e-9:
+    if not dist >= 1e-9:
         raise SingularityError("1 - x t2 - y t1 vanishes on the unit square")
     bound = max(dist**-a.real, (1.0 + abs(x) + abs(y)) ** -a.real) * np.exp(
         np.pi * abs(a.imag)

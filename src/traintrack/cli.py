@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -34,10 +35,14 @@ _BOUNDARY_EPS = 1e-9
 
 
 def _complex_arg(text: str) -> complex:
+    """An argparse type: a finite complex number, its imaginary unit written j or i."""
     try:
-        return complex(text.replace("i", "j"))
+        value = complex(text[:-1] + "j" if text.endswith("i") else text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not finite: {text!r}")
+    return value
 
 
 def _positive(kind, zero_ok=False):

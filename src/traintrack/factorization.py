@@ -94,7 +94,8 @@ def invert_T_arrays(x, y):
     keeps u + v away from zero; so the formula is the continuation of the
     base branch along that segment.  T ramifies on x = 1, y = 1 and
     x + y = 1, and where the segment meets one of these cuts the branch is
-    not determined: BranchTrackingError.
+    not determined: BranchTrackingError.  A non-finite x or y raises
+    DomainError.
 
     Scalars are computed as arrays of one element, so a point's preimage
     does not depend on the other points passed with it.
@@ -104,6 +105,8 @@ def invert_T_arrays(x, y):
     )
     shape = x.shape
     x, y = x.ravel(), y.ravel()
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DomainError("x and y must be finite")
     # numpy orders complex numbers by real part first: subtracting the larger
     # one from 1 first is exact (Sterbenz) when its real part lies in
     # [1/2, 2], which keeps that rounding out of a small radicand 1 - x - y
@@ -121,7 +124,7 @@ def invert_T_arrays(x, y):
     l2 = s * (1.0 + r) / 2.0
     xr, yr = _map_T_arrays(l1, l2)
     err = (np.abs(xr - x) + np.abs(yr - y)).max()
-    if err > 1e-10 * max(1.0, float((np.abs(x) + np.abs(y)).max())):
+    if not err <= 1e-10 * max(1.0, float((np.abs(x) + np.abs(y)).max())):
         raise BranchTrackingError(
             f"round trip through T failed (residual {err:.2e}); "
             "point outside the tracked neighborhood"

@@ -235,59 +235,57 @@ def _first_stop(stops):
 # Memoized factors.  The factors of a series' terms that depend only on
 # its parameters and the term index are kept in a table per parameter set,
 # for series whose parameters are each one element, the same at every
-# point.  The key is the function that forms the factors and the bits of
-# the parameters; _TABLES tables are kept, the least recently used one
-# leaving first.  A table has at most _MAX_TERMS rows: at most 128 kB for
-# the four factors of the F2 rows, 112 kB for the four of the seeds.
+# point.  The key is the function that forms the factors, the first row and
+# the bits of the parameters; _TABLES tables are kept, the least recently
+# used one leaving first.  A table is formed whole at first use, all
+# _MAX_TERMS rows: 128 kB for the four factors of the F2 rows, 112 kB for
+# the four of the seeds.
 _TABLES = 16
 
 
-class _Table:
-    """The factors ``form`` gives at one parameter set, row by row; read-only.
+@lru_cache(maxsize=_TABLES)
+def _table(form, first, key: bytes):
+    """The factors ``form`` gives at one parameter set, the _MAX_TERMS rows from ``first``.
 
     ``form(ms, carry, *params)`` returns the factors at the rows ms, a tuple
-    of arrays with a row per m, and the carry into the next row.  The table
-    starts at the first row it is asked for and is extended, one request
-    at a time, as far as asked; each row is formed once, carried in order,
-    so its bits do not depend on where the requests split the rows.
+    of arrays with a row per m, and the carry into the next row; one call
+    forms the whole table, carried in order as block after block would
+    carry it, so its bits are those of the per-point path.  The arrays are
+    read-only.  Late rows may overflow a double for large parameters; a
+    point that reaches them fails as it would without the table, so they
+    are formed without a warning.
     """
-
-    def __init__(self, form, params):
-        self.form, self.params = form, params
-        self.first, self.factors, self.carry = None, (), np.ones(1, dtype=complex)
-
-    def rows(self, ms):
-        """The factors at the rows ms, which follow on from the rows asked for before."""
-        if self.first is None:
-            self.first = ms[0]
-        end = self.first + (len(self.factors[0]) if self.factors else 0)
-        if ms[-1] >= end:
-            new, self.carry = self.form(range(end, ms[-1] + 1), self.carry, *self.params)
-            self.factors = tuple(np.concatenate(pair) for pair in zip(self.factors, new)) or new
-            for f in self.factors:
-                f.flags.writeable = False
-        start = ms[0] - self.first
-        stop = start + len(ms)
-        return [f[start:stop] for f in self.factors]
-
-
-@lru_cache(maxsize=_TABLES)
-def _table(form, key: bytes) -> _Table:
     params = np.frombuffer(key, dtype=complex)
-    return _Table(form, [params[i : i + 1] for i in range(params.size)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors, _ = form(
+            range(first, first + _MAX_TERMS),
+            np.ones(1, dtype=complex),
+            *(params[i : i + 1] for i in range(params.size)),
+        )
+    for f in factors:
+        f.flags.writeable = False
+    return factors
 
 
-def _shared(form, *params):
-    """The memoized table of ``form`` if every parameter is one element, else None."""
+def _factors(form, first, *params):
+    """What gives the factors of a series whose rows start at ``first``: ``form`` or its table.
+
+    Either is called as ``form(ms, carry, *params)`` with the rows ms of a
+    block.  Where every parameter is one element, the same at every point,
+    the factors are slices of the memoized table of ``form`` (``_table``)
+    and the carry passes through.  Any per-point parameter keeps the series
+    out of the cache, also once all but one of its points have stopped.
+    """
     if any(v.size != 1 for v in params):
-        return None
-    return _table(form, np.concatenate(params, dtype=complex).tobytes())
+        return form
+    table = _table(form, first, np.concatenate(params, dtype=complex).tobytes())
+    return lambda ms, carry, *_: ([f[ms[0] - first : ms[-1] + 1 - first] for f in table], carry)
 
 
 def _seed_factors(ns, carry, a, c):
     """n, (c + n)(n + 1), a + n and a + 1 + n for the seed terms n in ns, a row each.
 
-    These depend on the parameters alone; ``carry`` passes through (see ``_Table``).
+    These depend on the parameters alone; ``carry`` passes through (see ``_table``).
     """
     n = np.array(ns)[:, None]
     return (n, (c + n) * (n + 1.0), a + n, a + 1.0 + n), carry
@@ -314,8 +312,8 @@ def _gauss_seeds(a, b, c, y):
 
     The terms are formed a block of _BLOCK at a time.  Whole-block
     operations, which act on each element alone, form the term ratios r_n;
-    their factors that depend on a and c alone come from a memoized table
-    (``_seed_factors``, ``_shared``) where a and c are shared.
+    their factors that depend on a and c alone come from ``_factors``, a
+    memoized table where a and c are shared.
     What carries from term to term is sequential, down the block in order
     as a loop over the terms would run: the products t_n = t_{n-1} r_n in
     one ``np.cumprod``, the partial sums in one ``np.cumsum``.
@@ -327,12 +325,9 @@ def _gauss_seeds(a, b, c, y):
     live = np.arange(y.size)  # positions of the points still summing
     t, s = np.ones((2, y.size), dtype=complex), np.ones((2, y.size), dtype=complex)
     prev, ok = np.ones(y.size), np.zeros(y.size, dtype=bool)
-    table = _shared(_seed_factors, a, c)
+    factors = _factors(_seed_factors, 0, a, c)
     for ns in _blocks(0):
-        if table is None:
-            (n, den, an, a1n), _ = _seed_factors(ns, None, a, c)
-        else:
-            n, den, an, a1n = table.rows(ns)
+        (n, den, an, a1n), _ = factors(ns, None, a, c)
         f = (bz + n) * z / den
         terms = np.empty((len(ns) + 1,) + t.shape, dtype=complex)
         terms[0] = t

@@ -1,6 +1,7 @@
 """Appell F2: series vs integral vs defining PDEs, and the series vs mpmath."""
 
 import importlib.util
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -31,6 +32,7 @@ from traintrack.appell import _f2_euler, _f2_row_sum
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 CONFORMAL = F2Params.conformal_case()
+NON_FINITE = [(np.nan, 0.1), (0.1, complex(0.1, np.nan)), (np.inf, 0.1)]
 
 
 def _rng():
@@ -121,6 +123,13 @@ class TestSeries:
     def test_divergence_error(self):
         with pytest.raises(DomainError):
             f2_series(CONFORMAL, ModuliPoint(0.6, 0.5))
+
+    @pytest.mark.parametrize("x, y", NON_FINITE)
+    def test_non_finite_point_is_a_domain_error(self, x, y):
+        # NaN fails every comparison, so only a check of the form
+        # "not (ok)" rejects it before the series runs out of terms
+        with pytest.raises(DomainError, match="finite"):
+            f2_series(CONFORMAL, ModuliPoint(x, y))
 
     def test_symmetry_swap(self):
         rng = _rng()
@@ -319,14 +328,17 @@ class TestBlocks:
 def _clear_caches():
     special._table.cache_clear()
     quadrature._axis_of.cache_clear()
-    appell._gamma_ratio.cache_clear()
+
+
+def _key(*params):
+    return np.array(params, dtype=complex).tobytes()
 
 
 class TestMemo:
     """Work that depends only on the parameters or the rule is memoized:
-    the series factors (``special._shared``), the quadrature axes
-    (``quadrature._axis``) and the Euler prefactor.  A cache must change no
-    bit of any result, whether it is cold or warm."""
+    the series factors (``special._factors``) and the quadrature axes
+    (``quadrature._axis``).  A cache must change no bit of any result,
+    whether it is cold or warm."""
 
     POINTS = [
         ModuliPoint(0.3, -0.2 + 0.1j),
@@ -356,7 +368,7 @@ class TestMemo:
             monkeypatch.setattr(special, "_BLOCK", block)
             _clear_caches()
             cold[p, block] = self._bytes(p)
-        for p in self.PARAMS:  # tables extended 4 rows or 32 at a time
+        for p in self.PARAMS:  # tables sliced 4 rows or 32 at a time
             assert cold[p, 4] == cold[p, special._BLOCK]
         _clear_caches()
         # the parameter sets and the block sizes in turn, twice: a table
@@ -370,14 +382,16 @@ class TestMemo:
         _clear_caches()
         f2_series(CONFORMAL, self.POINTS[1])
         f2_euler_integral(CONFORMAL, self.POINTS[1])
-        params = [np.array([v], dtype=complex) for v in CONFORMAL]
-        rows = special._shared(appell._row_coefficients, *params)
-        seeds = special._shared(special._seed_factors, params[0], params[4])
+        rows = special._table(appell._row_coefficients, 1, _key(*CONFORMAL))
+        seeds = special._table(special._seed_factors, 0, _key(CONFORMAL.alpha, CONFORMAL.gamma2))
         assert special._table.cache_info().hits == 2  # both were made by the calls
+        assert all(len(f) == special._MAX_TERMS for f in (*rows, *seeds))
+        params = [np.array([v], dtype=complex) for v in CONFORMAL]
+        factors = special._factors(appell._row_coefficients, 1, *params)
+        sliced, _ = factors(range(1, 5), None, *params)
         axis = quadrature._axis(-0.5, -0.5, 3)
         assert quadrature._axis_of.cache_info().hits >= 1
-        arrays = [*rows.factors, *seeds.factors, *rows.rows(range(1, 5)), *axis[:4], axis.wc]
-        for a in arrays:
+        for a in [*rows, *seeds, *sliced, *axis[:4], axis.wc]:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0
@@ -385,13 +399,12 @@ class TestMemo:
     def test_more_parameter_sets_than_the_bound(self):
         _clear_caches()
         n = special._TABLES + 3
-        for k in range(n):  # b1 moves the rows, the prefactor and one axis
+        for k in range(n):  # b1 moves the rows and one axis
             p = F2Params(0.5, 0.4 + 0.01 * k, 0.5, 1.0, 1.0)
             f2_series(p, self.POINTS[0])
             f2_euler_integral(p, self.POINTS[0])
         assert special._table.cache_info().misses == n + 1  # and one seed table
         assert special._table.cache_info().currsize == special._TABLES
-        assert appell._gamma_ratio.cache_info().currsize == special._TABLES
         assert quadrature._axis_of.cache_info().misses > quadrature._AXES
         assert quadrature._axis_of.cache_info().currsize == quadrature._AXES
 
@@ -404,6 +417,28 @@ class TestMemo:
         f2_derivatives_on_arrays(CONFORMAL, xs, ys, 2)
         gauss_2f1(Hyper2F1Params(0.5, 0.5, 1.0), ys)  # one parameter set: cached
         assert special._table.cache_info().currsize == 1
+
+    def test_table_rows_that_overflow(self):
+        # a whole table forms rows no point may reach: at these parameters
+        # the row coefficient passes the largest double before row 2,000
+        p = (150.0, 150.0, 0.5, 1.0, 1.0)
+        _clear_caches()
+        # close to the origin the sum stops early; the table is formed on
+        # the first call, with no RuntimeWarning, and serves the bits the
+        # per-point path gives (alpha varies over the two points there)
+        shared, shared_tail = _f2_row_sum(p, 0.001, 0.001)
+        coefs = special._table(appell._row_coefficients, 1, _key(*p))[0]
+        assert not np.isfinite(coefs).all()
+        per_point, tails = _f2_row_sum(([150.0, 0.5],) + p[1:], 0.001, 0.001)
+        assert shared.tobytes() == per_point[0].tobytes()
+        assert shared_tail.tobytes() == tails[0].tobytes()
+        # further out the sum needs those rows and fails, with a warning
+        # where they enter the terms, as the per-point path does
+        for action, error in (("error", RuntimeWarning), ("ignore", ConvergenceError)):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                with pytest.raises(error):
+                    _f2_row_sum(p, 0.5, 0.3)
 
 
 class TestDerivativeTable:
@@ -500,6 +535,12 @@ class TestDerivativeTable:
 
 
 class TestEulerIntegral:
+    @pytest.mark.parametrize("x, y", NON_FINITE)
+    def test_non_finite_point_is_a_domain_error(self, x, y):
+        # rejected before the quadrature, which would refine to its last level
+        with pytest.raises(DomainError, match="finite"):
+            f2_euler_integral(CONFORMAL, ModuliPoint(x, y))
+
     def test_origin_normalization(self):
         # the Beta-function prefactor cancels exactly at (0, 0)
         assert f2_euler_integral(CONFORMAL, ModuliPoint(0.0, 0.0)) == pytest.approx(

@@ -47,6 +47,24 @@ class TestF2Eval:
         rc = main(["f2-eval", "--x", "0.1+0.05i", "--y", "0.2"])
         assert rc == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["f2-eval", "--x", "nan", "--y", "0.1"],
+            ["f2-eval", "--x", "0.1", "--y", "0.1+nani"],
+            ["f2-eval", "--x", "inf", "--y", "0.1"],
+            ["traintrack", "--z1", "inf", "--z2", "1.1881"],
+            ["traintrack", "--z1", "0.36", "--z2", "nan"],
+        ],
+    )
+    def test_non_finite_argument_is_a_usage_error(self, capsys, argv):
+        # the i of "inf" is not the imaginary unit: inf is read, and refused
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "not finite" in err
+
     def test_series_error_is_the_measured_tail(self, capsys):
         rc = main(["f2-eval", "--x", "0.8", "--y", "0.15"])
         assert rc == 0

@@ -1,5 +1,6 @@
 """Every exported name resolves, so a deletion leaves no stale export behind;
-the package imports numpy and nothing else outside the standard library."""
+the package imports numpy and nothing else outside the standard library;
+every cache is bounded."""
 
 import ast
 import importlib
@@ -49,3 +50,16 @@ def test_import_loads_numpy_only():
     loaded = ast.literal_eval(out.stdout)
     assert "traintrack" in loaded and "numpy" in loaded
     assert not {"scipy", "mpmath"} & set(loaded)
+
+
+def test_every_cache_is_bounded():
+    # a functools cache without a maxsize grows with every key it sees,
+    # which would void the memory bound the memoized modules document
+    caches = {}
+    for info in pkgutil.iter_modules(traintrack.__path__):
+        module = importlib.import_module(f"traintrack.{info.name}")
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_parameters", None)):
+                caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
+    assert caches  # the scan finds the caches there are
+    assert all(size is not None for size in caches.values()), caches

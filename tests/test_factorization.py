@@ -87,6 +87,14 @@ class TestInvertT:
             assert abs(complex(back.lambda1) - complex(lp.lambda1)) < 1e-10
             assert abs(complex(back.lambda2) - complex(lp.lambda2)) < 1e-10
 
+    @pytest.mark.parametrize("x, y", [(np.nan, 0.1), (0.1, complex(0.1, np.nan)), (np.inf, 0.1)])
+    def test_non_finite_point_is_a_domain_error(self, x, y):
+        # NaN would pass a round-trip check not written as "not (ok)"
+        with pytest.raises(DomainError, match="finite"):
+            invert_T(ModuliPoint(x, y))
+        with pytest.raises(DomainError, match="finite"):
+            invert_T_arrays(np.array([0.1, x]), np.array([0.2, y]))
+
     def test_round_trip_backward(self):
         rng = _rng()
         for _ in range(25):
