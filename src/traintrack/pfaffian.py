@@ -20,7 +20,7 @@ import numpy as np
 from .appell import F2Params, ModuliPoint
 from .errors import ConvergenceError, DomainError, SingularityError
 from .quadrature import cauchy_derivs_2d
-from .special import Hyper2F1Params, ellint_E, ellint_K
+from .special import Hyper2F1Params, _ellint_KE
 
 __all__ = [
     "PfaffianSystem1D",
@@ -50,6 +50,8 @@ _CLEARANCE = 1e-3
 _NODES = 48
 _STEP = 0.35
 _TAIL = 1e-14
+# The tail test runs once per block of this many terms (see integrate_pfaffian)
+_TAIL_BLOCK = 8
 _RING = np.exp(2j * np.pi * np.arange(_NODES) / _NODES)
 _FLATNESS_NODES = 24
 
@@ -315,9 +317,12 @@ def integrate_pfaffian(s: PfaffianSystem1D, path: PathSpec, initial: np.ndarray)
     the solution that starts from the identity, and the recurrence
     (k + 1) Y_{k+1} = sum_{j<=k} A_j Y_{k-j} runs for all steps at once.  A
     term is small when its Frobenius norm is at most 1e-14; a step is done
-    after two small terms in a row, and the batch stops once every step is
-    done (steps done earlier keep adding terms, which only adds accuracy).
-    The endpoint is P_S ... P_1 initial.
+    after two small terms in a row, and the batch stops at the first term
+    after which every step is done (steps done earlier keep adding terms,
+    which only adds accuracy).  The norms are taken once per block of 8
+    terms, and the rule runs along the block, carrying into the next; terms
+    of the block past the stop are formed but not summed, so the sum is
+    that of a test after every term.  The endpoint is P_S ... P_1 initial.
 
     A step not done after 48 terms raises ConvergenceError; a path closer
     than 1e-3 to a singular point raises DomainError.
@@ -360,17 +365,23 @@ def integrate_pfaffian(s: PfaffianSystem1D, path: PathSpec, initial: np.ndarray)
     # each term's real and imaginary parts as one vector, for its norm
     flat = terms.view(float).reshape(steps, n, 2 * d * d)
     small = done = np.zeros(steps, dtype=bool)
-    for k in range(n - 1):
-        top = (n - 1 - k) * d
-        new = rows[:, top - d : top]
-        np.matmul(a_row[:, :, : (k + 1) * d], rows[:, top:], out=new)
-        new /= k + 1
-        was_small = small
-        parts = flat[:, n - 2 - k]
-        small = np.einsum("si,si->s", parts, parts) <= _TAIL**2
-        done = done | (was_small & small)
-        if np.count_nonzero(done) == steps:
+    for k0 in range(0, n - 1, _TAIL_BLOCK):
+        ks = range(k0, min(k0 + _TAIL_BLOCK, n - 1))
+        for k in ks:
+            top = (n - 1 - k) * d
+            new = rows[:, top - d : top]
+            np.matmul(a_row[:, :, : (k + 1) * d], rows[:, top:], out=new)
+            new /= k + 1
+        # terms k0 + 1 ... ks[-1] + 1 lie in reverse order: flip their flags
+        parts = flat[:, n - 2 - ks[-1] : n - 1 - k0]
+        now = (np.einsum("sbi,sbi->sb", parts, parts) <= _TAIL**2)[:, ::-1]
+        pair = now & np.concatenate((small[:, None], now[:, :-1]), axis=1)
+        done_at = np.logical_or.accumulate(pair, axis=1) | done[:, None]
+        every = done_at.all(axis=0)
+        if every.any():
+            k = k0 + int(every.argmax())
             break
+        small, done = now[:, -1], done_at[:, -1]
     else:
         raise ConvergenceError(
             f"Taylor step at z = {z[np.argmin(done)]:.6g} did not reach its "
@@ -384,13 +395,13 @@ def integrate_pfaffian(s: PfaffianSystem1D, path: PathSpec, initial: np.ndarray)
 def legendre_basis_matrix(z: complex) -> np.ndarray:
     """Fundamental matrix with columns the sections of (2/pi)K(z), (2i/pi)K(1-z).
 
-    K and E are taken at m = z and m = 1 - z in one call each, and
+    K and E are taken at m = z and m = 1 - z from one AGM, and
     dK/dm = (E - (1-m) K) / (2 m (1-m)); z = 0 or 1 raises SingularityError.
     """
     z = complex(z)
     m = np.array([z, 1.0 - z])
-    k = ellint_K(m)
-    dk = (ellint_E(m) - (1.0 - m) * k) / (2.0 * m * (1.0 - m))
+    k, e = _ellint_KE(m)
+    dk = (e - (1.0 - m) * k) / (2.0 * m * (1.0 - m))
     f1, f2 = 2.0 / np.pi * k[0], 2j / np.pi * k[1]
     d1, d2 = 2.0 / np.pi * dk[0], -2j / np.pi * dk[1]
     return np.array([[f1, f2], [z * d1, z * d2]], dtype=complex)

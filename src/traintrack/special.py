@@ -165,9 +165,21 @@ def ellint_E(m) -> complex:
     arr = np.asarray(m, dtype=complex)
     flat = arr.ravel()
     ones = flat == 1
-    agm, total = _agm_sequence(np.where(ones, 0.0, flat), want_sum=True)
-    out = np.where(ones, 1.0 + 0j, np.pi / (2.0 * agm) * (1.0 - total))
-    return _like_input(out, arr)
+    _, e = _ellint_KE(np.where(ones, 0.0, flat))
+    return _like_input(np.where(ones, 1.0 + 0j, e), arr)
+
+
+def _ellint_KE(m):
+    """K and E over a 1-d array of moduli, from one AGM; m = 1 raises SingularityError.
+
+    The AGM's a and b do not depend on the sum that E takes along, so K
+    here equals ``ellint_K`` bit for bit, and E equals ``ellint_E``.
+    """
+    if np.count_nonzero(m == 1):
+        raise SingularityError("K(m) is singular at m = 1")
+    agm, total = _agm_sequence(m, want_sum=True)
+    k = np.pi / (2.0 * agm)
+    return k, k * (1.0 - total)
 
 
 # Series stop rule, shared with the F2 row sum of ``appell``.  A series may

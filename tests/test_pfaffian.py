@@ -402,6 +402,41 @@ class TestTransport:
         with pytest.raises(ConvergenceError, match=r"z = 0\.01\+0j "):
             integrate_pfaffian(stiff, PathSpec.polyline([0.0, 0.01, 1.0]), np.eye(1))
 
+    @staticmethod
+    def _clipped_segment():
+        """A segment upward from 0.5 + 0.2i: two full steps, then one of 1e-4.
+
+        The full steps go 0.35 R, R the distance to 0 or 1, so their terms
+        fall below the tail target only in the fourth block of 8; those of
+        the clipped step do so in the first.
+        """
+        z = 0.5 + 0.2j
+        for _ in range(2):
+            z += 0.35j * min(abs(z), abs(z - 1.0))
+        return PathSpec.polyline([0.5 + 0.2j, z + 1e-4j])
+
+    def test_steps_that_finish_in_different_blocks(self):
+        s = system_2f1(LEGENDRE)
+        path = self._clipped_segment()
+        p, q = path.sample(2)[[0, -1]]
+        out = integrate_pfaffian(s, path, legendre_basis_matrix(p))
+        want = legendre_basis_matrix(q)
+        assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("block", [1, 3, 47])
+    def test_block_size_does_not_change_the_bits(self, monkeypatch, block):
+        # a block of 1 is the test after every term; any block sums the
+        # same terms, so the endpoint has the same bits
+        legendre = system_2f1(LEGENDRE)
+        line = restrict_to_line(system_f2(CONFORMAL), 0.2 + 0.01j, "x", (0.0, 1.0, 0.8 - 0.01j))
+        cases = [(legendre, path, legendre_basis_matrix(path.sample(2)[0]))
+                 for path in _paths_off_the_cuts()[::3] + [self._clipped_segment()]]
+        cases.append((line, PathSpec.polyline([0.3 + 0.2j, 0.5 + 0.25j, 0.7 + 0.2j]), np.eye(4)))
+        want = [integrate_pfaffian(*case) for case in cases]
+        monkeypatch.setattr(pfaffian, "_TAIL_BLOCK", block)
+        for case, w in zip(cases, want):
+            np.testing.assert_array_equal(integrate_pfaffian(*case), w)
+
     def test_zero_turn_arc(self):
         s = system_2f1(LEGENDRE)
         init = legendre_basis_matrix(0.3)

@@ -16,6 +16,7 @@ from traintrack import (
     gamma_fn,
     gauss_2f1,
 )
+from traintrack.special import _ellint_KE
 
 
 def _rng():
@@ -196,6 +197,15 @@ class TestBatchIndependence:
         grid = fn(m.reshape(40, 60))
         assert grid.shape == (40, 60)
         assert np.array_equal(self._bits(grid), self._bits(single.reshape(40, 60)))
+
+    def test_one_agm_gives_k_and_e_to_the_bit(self):
+        # the Legendre basis takes K and E from one AGM; m = 1 is K's pole
+        m = self._moduli()
+        k, e = _ellint_KE(m)
+        assert np.array_equal(self._bits(k), self._bits(ellint_K(m)))
+        assert np.array_equal(self._bits(e), self._bits(ellint_E(m)))
+        with pytest.raises(SingularityError):
+            _ellint_KE(np.array([0.5, 1.0 + 0j]))
 
 
 def _mp_2f1(a, b, c, z):
