@@ -65,6 +65,8 @@ class F2Params:
     gamma2: complex
 
     def __post_init__(self):
+        if not all(cmath.isfinite(complex(v)) for v in self):
+            raise DomainError("F2 parameters must be finite")
         for g in (self.gamma1, self.gamma2):
             if _is_nonpositive_integer(g):
                 raise DomainError("gamma1/gamma2 must not be non-positive integers")

@@ -1,11 +1,11 @@
 """First-order matrix form of the hypergeometric systems and their transport.
 
 The 2x2 connection lives in the section basis (f, z df/dz); the 4x4 one in
-(F, x dF/dx, y dF/dy, x y d2F/dxdy).  Both are derived from the scalar
-equations by eliminating higher derivatives, and accepted only because the
-test suite checks horizontality of known solution sections and flatness.
-Connection matrices are computed on arrays of points, one (d, d) matrix per
-point; the scalar functions wrap the array ones.
+(F, x dF/dx, y dF/dy, x y d2F/dxdy).  Both are logarithmic: sums of constant
+residues times dlog of the singular lines.  The tests check the F2 residues
+against Cramer's rule on the two PDEs, and their integrability exactly in
+rationals.  Connection matrices are computed on arrays of points, one (d, d)
+matrix per point; the scalar functions wrap the array ones.
 """
 
 from __future__ import annotations
@@ -176,16 +176,15 @@ class PathSpec:
 
 
 def a_2f1_arrays(p: Hyper2F1Params, z) -> np.ndarray:
-    """Connection matrices of the 2F1 equation in the basis (f, z f'), shape z.shape + (2, 2)."""
+    """Connection R0/z + R1/(z - 1) of 2F1 in the basis (f, z f'), shape z.shape + (2, 2)."""
     z = np.asarray(z, dtype=complex)
     if np.any((z == 0.0) | (z == 1.0)):
         raise SingularityError("connection singular at z = 0 or z = 1")
     a, b, g = p.alpha, p.beta, p.gamma
-    out = np.zeros(z.shape + (2, 2), dtype=complex)
-    out[..., 0, 1] = 1.0 / z
-    out[..., 1, 0] = a * b / (1.0 - z)
-    out[..., 1, 1] = 1.0 / z - (g - (a + b + 1.0) * z) / (z * (1.0 - z))
-    return out
+    r0 = np.array([[0.0, 1.0], [0.0, 1.0 - g]], dtype=complex)
+    r1 = np.array([[0.0, 0.0], [-a * b, g - a - b - 1.0]], dtype=complex)
+    z = z[..., None, None]
+    return r0 * (1.0 / z) + r1 * (1.0 / (z - 1.0))
 
 
 def a_2f1(p: Hyper2F1Params, z: complex) -> np.ndarray:
@@ -197,48 +196,47 @@ def system_2f1(p: Hyper2F1Params) -> PfaffianSystem1D:
     return PfaffianSystem1D(2, lambda z: a_2f1_arrays(p, z), (0.0 + 0j, 1.0 + 0j))
 
 
-def a_f2_arrays(p: F2Params, x, y):
-    """Pair (A_x, A_y) of stacks of 4x4 connection matrices for the F2 system.
-
-    Derived by closing the section basis (F, xF_x, yF_y, xyF_xy) under d/dx
-    and d/dy: second derivatives come from the two defining PDEs, the third
-    (mixed) ones from their first derivatives, a 2x2 linear system with
-    determinant xy(1 - x - y) solved by Cramer's rule.  Each derivative is a
-    row vector of coefficients on the basis, with the points on the leading
-    axes; both matrices have shape broadcast(x, y).shape + (4, 4).
-    """
-    x, y = np.broadcast_arrays(
-        np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+def _f2_residues(p: F2Params):
+    """F2 residues on x = 0, x = 1, y = 0, y = 1, x + y = 1, as 4x4 lists, exact if p is."""
+    a, b1, b2, g1, g2 = p
+    e1, e2 = a + b1 - g1 + 1, a + b2 - g2 + 1
+    o = [0, 0, 0, 0]
+    return (
+        [[0, 1, 0, 0], [0, 1 - g1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 1 - g1]],
+        [o, [-a * b1, -e1, -b1, -1], o, [a * b1 * b2, b2 * e1, b1 * b2, b2]],
+        [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1 - g2, 0], [0, 0, 0, 1 - g2]],
+        [o, o, [-a * b2, -b2, -e2, -1], [a * b1 * b2, b1 * b2, b1 * e2, b1]],
+        [o, o, o, [-a * b1 * b2, -b2 * e1, -b1 * e2, -(e1 + e2 - a)]],
     )
+
+
+def _f2_connection(p: F2Params, x, y, axes):
+    """[A_x, A_y][i] for each i in ``axes``; see a_f2_arrays."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
     if np.any(
         (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0) | (np.abs(1.0 - x - y) < 1e-14)
     ):
         raise SingularityError("point on the singular locus of the F2 system")
-    a, b1, b2 = complex(p.alpha), complex(p.beta1), complex(p.beta2)
-    g1, g2 = complex(p.gamma1), complex(p.gamma2)
-    x, y = x[..., None], y[..., None]
-    c1 = g1 - (a + b1 + 1.0) * x
-    c2 = g2 - (a + b2 + 1.0) * y
+    r = np.array(_f2_residues(p), dtype=complex)
+    diagonal = r[4] * (1.0 / (x + y - 1.0))[..., None, None]
+    # r[2i] and r[2i + 1] are the residues on v = 0 and v = 1, v = (x, y)[i]
+    return [
+        r[2 * i] * (1.0 / v) + r[2 * i + 1] * (1.0 / (v - 1.0)) + diagonal
+        for i, v in enumerate((x[..., None, None], y[..., None, None]))
+        if i in axes
+    ]
 
-    v_f, v_f1, v_f2, v_f3 = np.eye(4, dtype=complex)
-    v_fx = v_f1 / x
-    v_fy = v_f2 / y
-    v_fxy = v_f3 / (x * y)
-    v_fxx = (a * b1 * v_f - c1 * v_fx + b1 * v_f2 + v_f3) / (x * (1.0 - x))
-    v_fyy = (a * b2 * v_f + b2 * v_f1 - c2 * v_fy + v_f3) / (y * (1.0 - y))
 
-    # x(1-x) F_xxy - xy F_xyy = RA ;  -xy F_xxy + y(1-y) F_xyy = RB
-    ra = (x - c1) * v_fxy + b1 * (1.0 + a) * v_fy + b1 * y * v_fyy
-    rb = (y - c2) * v_fxy + b2 * (1.0 + a) * v_fx + b2 * x * v_fxx
-    # Cramer's rule: the determinant is xy(1 - x - y), and xy F_xxy, xy F_xyy
-    # are what the matrices need
-    omxy = 1.0 - x - y
-    xy_fxxy = y * ((1.0 - y) * ra + x * rb) / omxy
-    xy_fxyy = x * (y * ra + (1.0 - x) * rb) / omxy
+def a_f2_arrays(p: F2Params, x, y):
+    """Pair (A_x, A_y) of stacks of 4x4 connection matrices for the F2 system.
 
-    ax = np.stack([v_fx, v_f1 / x + x * v_fxx, v_f3 / x, v_f3 / x + xy_fxxy], axis=-2)
-    ay = np.stack([v_fy, v_f3 / y, v_f2 / y + y * v_fyy, v_f3 / y + xy_fxyy], axis=-2)
-    return ax, ay
+    In the section basis (F, xF_x, yF_y, xyF_xy) the connection is a sum of
+    constant residues (``_f2_residues``) over its lines through the point:
+    A_x = R_{x=0}/x + R_{x=1}/(x-1) + R_{x+y=1}/(x+y-1), and A_y likewise.
+    Formed elementwise, so a point's matrices do not depend on the other
+    points; both have shape broadcast(x, y).shape + (4, 4).
+    """
+    return tuple(_f2_connection(p, x, y, (0, 1)))
 
 
 def a_f2(p: F2Params, pt: ModuliPoint):
@@ -250,8 +248,8 @@ def a_f2(p: F2Params, pt: ModuliPoint):
 def system_f2(p: F2Params) -> PfaffianSystem2D:
     return PfaffianSystem2D(
         4,
-        lambda x, y: a_f2_arrays(p, x, y)[0],
-        lambda x, y: a_f2_arrays(p, x, y)[1],
+        lambda x, y: _f2_connection(p, x, y, (0,))[0],
+        lambda x, y: _f2_connection(p, x, y, (1,))[0],
         ("x=0", "x=1", "y=0", "y=1", "x+y=1"),
     )
 

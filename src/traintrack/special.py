@@ -36,6 +36,8 @@ class Hyper2F1Params:
     gamma: complex
 
     def __post_init__(self):
+        if not all(cmath.isfinite(complex(v)) for v in (self.alpha, self.beta, self.gamma)):
+            raise DomainError("2F1 parameters must be finite")
         if _is_nonpositive_integer(self.gamma):
             raise DomainError("gamma is a non-positive integer (series pole)")
 
@@ -170,11 +172,7 @@ def ellint_E(m) -> complex:
 
 
 def _ellint_KE(m):
-    """K and E over a 1-d array of moduli, from one AGM; m = 1 raises SingularityError.
-
-    The AGM's a and b do not depend on the sum that E takes along, so K
-    here equals ``ellint_K`` bit for bit, and E equals ``ellint_E``.
-    """
+    """K and E of a 1-d array from one AGM, to the bit those of ellint_K and ellint_E."""
     if np.count_nonzero(m == 1):
         raise SingularityError("K(m) is singular at m = 1")
     agm, total = _agm_sequence(m, want_sum=True)

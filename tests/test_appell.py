@@ -418,6 +418,22 @@ class TestMemo:
         gauss_2f1(Hyper2F1Params(0.5, 0.5, 1.0), ys)  # one parameter set: cached
         assert special._table.cache_info().currsize == 1
 
+    @pytest.mark.parametrize("slot", range(5))
+    def test_non_finite_parameters_are_a_domain_error(self, slot):
+        for bad in (np.nan, np.inf, complex(0.5, np.nan)):
+            params = [0.5, 0.5, 0.5, 1.0, 1.0]
+            params[slot] = bad
+            with pytest.raises(DomainError, match="finite"):
+                F2Params(*params)
+
+    def test_non_finite_parameters_enter_no_cache(self):
+        # NaN parameters once ran the series to ConvergenceError and left a
+        # table of NaN in the cache
+        _clear_caches()
+        with pytest.raises(DomainError):
+            f2_series(F2Params(np.nan, 0.5, 0.5, 1.0, 1.0), ModuliPoint(0.3, 0.2))
+        assert special._table.cache_info().currsize == 0
+
     def test_table_rows_that_overflow(self):
         # a whole table forms rows no point may reach: at these parameters
         # the row coefficient passes the largest double before row 2,000

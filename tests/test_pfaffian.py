@@ -210,6 +210,82 @@ class TestAF2:
             a_f2(CONFORMAL, ModuliPoint(0.0, 0.2))
 
 
+def _cramer_f2(p: F2Params, x, y):
+    """(A_x, A_y) of the F2 system derived from its two PDEs: the residue form's oracle.
+
+    The section basis (F, xF_x, yF_y, xyF_xy) is closed under d/dx and d/dy:
+    second derivatives come from the two defining PDEs, the third (mixed)
+    ones from their first derivatives, a 2x2 linear system with determinant
+    xy(1 - x - y) solved by Cramer's rule.  Each derivative is a row vector
+    of coefficients on the basis, with the points on the leading axes.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+    a, b1, b2, g1, g2 = (complex(v) for v in p)
+    x, y = x[..., None], y[..., None]
+    c1 = g1 - (a + b1 + 1.0) * x
+    c2 = g2 - (a + b2 + 1.0) * y
+
+    v_f, v_f1, v_f2, v_f3 = np.eye(4, dtype=complex)
+    v_fx = v_f1 / x
+    v_fy = v_f2 / y
+    v_fxy = v_f3 / (x * y)
+    v_fxx = (a * b1 * v_f - c1 * v_fx + b1 * v_f2 + v_f3) / (x * (1.0 - x))
+    v_fyy = (a * b2 * v_f + b2 * v_f1 - c2 * v_fy + v_f3) / (y * (1.0 - y))
+
+    # x(1-x) F_xxy - xy F_xyy = RA ;  -xy F_xxy + y(1-y) F_xyy = RB
+    ra = (x - c1) * v_fxy + b1 * (1.0 + a) * v_fy + b1 * y * v_fyy
+    rb = (y - c2) * v_fxy + b2 * (1.0 + a) * v_fx + b2 * x * v_fxx
+    # the determinant is xy(1 - x - y), and xy F_xxy, xy F_xyy are what the
+    # matrices need
+    omxy = 1.0 - x - y
+    xy_fxxy = y * ((1.0 - y) * ra + x * rb) / omxy
+    xy_fxyy = x * (y * ra + (1.0 - x) * rb) / omxy
+
+    ax = np.stack([v_fx, v_f1 / x + x * v_fxx, v_f3 / x, v_f3 / x + xy_fxxy], axis=-2)
+    ay = np.stack([v_fy, v_f3 / y, v_f2 / y + y * v_fyy, v_f3 / y + xy_fxyy], axis=-2)
+    return ax, ay
+
+
+class TestResidueForm:
+    """The F2 connection as constant residues over its five lines."""
+
+    def test_equals_the_derivation_from_the_pdes(self):
+        # 40 generic complex parameter sets, each at 50 seeded complex points
+        rng = _rng()
+        for _ in range(40):
+            params = rng.uniform(-2.0, 2.0, 5) + 1j * rng.uniform(-1.0, 1.0, 5)
+            p = F2Params(*params)
+            x = rng.uniform(-1.5, 1.5, 50) + 1j * rng.uniform(-1.0, 1.0, 50)
+            y = rng.uniform(-1.5, 1.5, 50) + 1j * rng.uniform(-1.0, 1.0, 50)
+            for got, want in zip(a_f2_arrays(p, x, y), _cramer_f2(p, x, y)):
+                scale = np.abs(want).max(axis=(-2, -1))
+                assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= 1e-14 * scale)
+
+    def test_integrability_is_exact(self):
+        # flatness of sum R_D dlog f_D: the residues of lines that meet
+        # transversally commute, and at a triple point each residue
+        # commutes with the sum of the three; in exact rationals
+        from fractions import Fraction as Q
+
+        def mul(m, n):
+            return [[sum(m[i][k] * n[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+
+        def commutes(m, n):
+            return mul(m, n) == mul(n, m)
+
+        def add(*ms):
+            return [[sum(m[i][j] for m in ms) for j in range(4)] for i in range(4)]
+
+        for params in [(Q(1, 2),) * 3 + (1, 1), (Q(3, 7), Q(-2, 5), Q(5, 3), Q(7, 4), Q(-1, 3))]:
+            r_x0, r_x1, r_y0, r_y1, r_xy = pfaffian._f2_residues(F2Params(*params))
+            assert commutes(r_x0, r_y0) and commutes(r_x1, r_y1)
+            at_01 = add(r_x0, r_y1, r_xy)
+            assert commutes(r_x0, at_01) and commutes(r_y1, at_01)
+            at_10 = add(r_x1, r_y0, r_xy)
+            assert commutes(r_x1, at_10) and commutes(r_y0, at_10)
+            assert not commutes(r_x0, r_x1)
+
+
 class TestArrayCores:
     """One array call equals the per-point calls, in 1-d and 2-d shapes."""
 
@@ -261,7 +337,14 @@ class TestArrayCores:
                 one = self._per_point(name, complex(ui), complex(vi))
                 got = stack.reshape(-1, *stack.shape[len(shape) :])[i]
                 assert got.shape == one.shape and one.shape[-1] == d, name
-                assert np.max(np.abs(got - one)) <= 1e-15 * np.max(np.abs(one)), name
+                np.testing.assert_array_equal(got, one, err_msg=name)
+
+    def test_system_coefficients_are_the_pair(self):
+        u, v = self._points((30,))
+        ax, ay = a_f2_arrays(self.GENERIC, u, v)
+        f2 = system_f2(self.GENERIC)
+        np.testing.assert_array_equal(f2.coefficient_x(u, v), ax)
+        np.testing.assert_array_equal(f2.coefficient_y(u, v), ay)
 
     def test_singular_point_in_a_batch_raises(self):
         with pytest.raises(DomainError):

@@ -288,6 +288,14 @@ class TestGauss2F1:
         want = _mp_2f1(0.5, 0.5, 1.0, 0.97)
         assert abs(gauss_2f1(p, 0.97) - want) <= 1e-13 * abs(want)
 
+    @pytest.mark.parametrize("slot", range(3))
+    def test_non_finite_parameters_are_a_domain_error(self, slot):
+        for bad in (np.nan, -np.inf, complex(np.inf, 0.5)):
+            params = [0.5, 0.5, 1.0]
+            params[slot] = bad
+            with pytest.raises(DomainError, match="finite"):
+                Hyper2F1Params(*params)
+
     def test_outside_domain_raises(self):
         # the summed argument, z or z/(z - 1), has modulus >= 1
         p = Hyper2F1Params(0.5, 0.5, 1.0)
