@@ -1,11 +1,12 @@
 """First-order matrix form of the hypergeometric systems and their transport.
 
 The 2x2 connection lives in the section basis (f, z df/dz); the 4x4 one in
-(F, x dF/dx, y dF/dy, x y d2F/dxdy).  Both are logarithmic: sums of constant
-residues times dlog of the singular lines.  The tests check the F2 residues
-against Cramer's rule on the two PDEs, and their integrability exactly in
-rationals.  Connection matrices are computed on arrays of points, one (d, d)
-matrix per point; the scalar functions wrap the array ones.
+(F, x dF/dx, y dF/dy, x y d2F/dxdy).  Both are Fuchsian, held as data: constant
+residues over singular points or lines.  The connection on arrays of points,
+the poles of a restriction to a line, the Taylor coefficients of a transport
+step and the curvature follow from them in closed form.  The tests check the
+F2 residues against Cramer's rule on the two PDEs, and their integrability
+exactly in rationals.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,35 +45,62 @@ __all__ = [
 ]
 
 _CLEARANCE = 1e-3
-# Taylor steps: ring nodes (also the most terms a step may use), the
-# longest step as a fraction of the clearance R of its centre, and the
-# Frobenius norm below which a propagator term is small.
-_NODES = 48
+# Taylor steps: the most terms a step may use, the longest step as a
+# fraction of the clearance R of its centre, and the Frobenius norm below
+# which a propagator term is small.
+_TERMS = 48
 _STEP = 0.35
 _TAIL = 1e-14
 # The tail test runs once per block of this many terms (see integrate_pfaffian)
 _TAIL_BLOCK = 8
-_RING = np.exp(2j * np.pi * np.arange(_NODES) / _NODES)
-_FLATNESS_NODES = 24
 
 
-@dataclass(frozen=True)
+def _residue_sum(residues, weights, forms) -> np.ndarray:
+    """sum_j w_j R_j / l_j over the j with w_j != 0, elementwise; the l_j on a last axis."""
+    out = np.zeros(forms.shape[:-1] + residues.shape[1:], dtype=complex)
+    for j in np.flatnonzero(weights):
+        out += residues[j] * (weights[j] / forms[..., j])[..., None, None]
+    return out
+
+
 class PfaffianSystem1D:
-    """dY/dz = A(z) Y; ``coefficient`` maps an array of z to a (..., d, d) stack."""
+    """dY/dz = A(z) Y, A = sum_j R_j / (z - p_j); complex arrays poles (P,), residues (P, d, d)."""
 
-    dimension: int
-    coefficient: Callable[[np.ndarray], np.ndarray]
-    singular_points: tuple
+    def __init__(self, dimension: int, poles, residues):
+        d = self.dimension = dimension
+        self.poles = np.asarray(poles, dtype=complex).reshape(-1)
+        self.residues = np.asarray(residues, dtype=complex).reshape(len(self.poles), d, d)
+        self.singular_points = tuple(self.poles.tolist())
+
+    def coefficient(self, z) -> np.ndarray:
+        """A at an array of z, shape z.shape + (d, d)."""
+        forms = np.asarray(z, dtype=complex)[..., None] - self.poles
+        return _residue_sum(self.residues, np.ones(len(self.poles)), forms)
 
 
-@dataclass(frozen=True)
 class PfaffianSystem2D:
-    """dY = (A_x dx + A_y dy) Y; the coefficients broadcast over (x, y) arrays."""
+    """dY = (A_x dx + A_y dy) Y, A_x = sum_j a_j R_j / l_j and A_y = sum_j b_j R_j / l_j.
 
-    dimension: int
-    coefficient_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    coefficient_y: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    singular_locus: tuple
+    The complex arrays ``lines`` (L, 3) and ``residues`` (L, d, d) hold the line
+    l_j = a_j x + b_j y - c_j = 0 as (a_j, b_j, c_j) and its residue R_j.
+    """
+
+    def __init__(self, dimension: int, lines, residues):
+        d = self.dimension = dimension
+        self.lines = np.asarray(lines, dtype=complex).reshape(-1, 3)
+        self.residues = np.asarray(residues, dtype=complex).reshape(len(self.lines), d, d)
+
+    def _forms(self, x, y) -> np.ndarray:
+        """l_j at the points (x, y), which broadcast, on a last axis."""
+        a, b, c = self.lines.T
+        x, y = (np.asarray(v, dtype=complex)[..., None] for v in (x, y))
+        return a * x + b * y - c
+
+    def coefficient_x(self, x, y) -> np.ndarray:
+        return _residue_sum(self.residues, self.lines[:, 0], self._forms(x, y))
+
+    def coefficient_y(self, x, y) -> np.ndarray:
+        return _residue_sum(self.residues, self.lines[:, 1], self._forms(x, y))
 
 
 def _piece_position(piece):
@@ -175,25 +203,23 @@ class PathSpec:
         return np.concatenate([_piece_position(q)[0](t) for q in self.pieces])
 
 
+def system_2f1(p: Hyper2F1Params) -> PfaffianSystem1D:
+    """The 2F1 system R0/z + R1/(z - 1) in the basis (f, z f')."""
+    a, b, g = p.alpha, p.beta, p.gamma
+    return PfaffianSystem1D(2, (0, 1), ([[0, 1], [0, 1 - g]], [[0, 0], [-a * b, g - a - b - 1]]))
+
+
 def a_2f1_arrays(p: Hyper2F1Params, z) -> np.ndarray:
-    """Connection R0/z + R1/(z - 1) of 2F1 in the basis (f, z f'), shape z.shape + (2, 2)."""
+    """Connection of ``system_2f1`` at an array of z, shape z.shape + (2, 2)."""
     z = np.asarray(z, dtype=complex)
     if np.any((z == 0.0) | (z == 1.0)):
         raise SingularityError("connection singular at z = 0 or z = 1")
-    a, b, g = p.alpha, p.beta, p.gamma
-    r0 = np.array([[0.0, 1.0], [0.0, 1.0 - g]], dtype=complex)
-    r1 = np.array([[0.0, 0.0], [-a * b, g - a - b - 1.0]], dtype=complex)
-    z = z[..., None, None]
-    return r0 * (1.0 / z) + r1 * (1.0 / (z - 1.0))
+    return system_2f1(p).coefficient(z)
 
 
 def a_2f1(p: Hyper2F1Params, z: complex) -> np.ndarray:
     """Connection matrix of the 2F1 equation in the basis (f, z f')."""
     return a_2f1_arrays(p, [complex(z)])[0]
-
-
-def system_2f1(p: Hyper2F1Params) -> PfaffianSystem1D:
-    return PfaffianSystem1D(2, lambda z: a_2f1_arrays(p, z), (0.0 + 0j, 1.0 + 0j))
 
 
 def _f2_residues(p: F2Params):
@@ -210,21 +236,10 @@ def _f2_residues(p: F2Params):
     )
 
 
-def _f2_connection(p: F2Params, x, y, axes):
-    """[A_x, A_y][i] for each i in ``axes``; see a_f2_arrays."""
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
-    if np.any(
-        (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0) | (np.abs(1.0 - x - y) < 1e-14)
-    ):
-        raise SingularityError("point on the singular locus of the F2 system")
-    r = np.array(_f2_residues(p), dtype=complex)
-    diagonal = r[4] * (1.0 / (x + y - 1.0))[..., None, None]
-    # r[2i] and r[2i + 1] are the residues on v = 0 and v = 1, v = (x, y)[i]
-    return [
-        r[2 * i] * (1.0 / v) + r[2 * i + 1] * (1.0 / (v - 1.0)) + diagonal
-        for i, v in enumerate((x[..., None, None], y[..., None, None]))
-        if i in axes
-    ]
+def system_f2(p: F2Params) -> PfaffianSystem2D:
+    """The F2 system in the section basis, its lines in the order of ``_f2_residues``."""
+    lines = ((1, 0, 0), (1, 0, 1), (0, 1, 0), (0, 1, 1), (1, 1, 1))
+    return PfaffianSystem2D(4, lines, _f2_residues(p))
 
 
 def a_f2_arrays(p: F2Params, x, y):
@@ -233,10 +248,15 @@ def a_f2_arrays(p: F2Params, x, y):
     In the section basis (F, xF_x, yF_y, xyF_xy) the connection is a sum of
     constant residues (``_f2_residues``) over its lines through the point:
     A_x = R_{x=0}/x + R_{x=1}/(x-1) + R_{x+y=1}/(x+y-1), and A_y likewise.
-    Formed elementwise, so a point's matrices do not depend on the other
-    points; both have shape broadcast(x, y).shape + (4, 4).
+    These are the coefficients of ``system_f2``, of shape broadcast(x, y).shape + (4, 4).
     """
-    return tuple(_f2_connection(p, x, y, (0, 1)))
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+    if np.any(
+        (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0) | (np.abs(1.0 - x - y) < 1e-14)
+    ):
+        raise SingularityError("point on the singular locus of the F2 system")
+    s = system_f2(p)
+    return s.coefficient_x(x, y), s.coefficient_y(x, y)
 
 
 def a_f2(p: F2Params, pt: ModuliPoint):
@@ -245,59 +265,62 @@ def a_f2(p: F2Params, pt: ModuliPoint):
     return ax[0], ay[0]
 
 
-def system_f2(p: F2Params) -> PfaffianSystem2D:
-    return PfaffianSystem2D(
-        4,
-        lambda x, y: _f2_connection(p, x, y, (0,))[0],
-        lambda x, y: _f2_connection(p, x, y, (1,))[0],
-        ("x=0", "x=1", "y=0", "y=1", "x+y=1"),
-    )
-
-
-def _kron(a, b):
-    """np.kron of the last two axes, broadcast over the leading ones."""
-    a, b = np.asarray(a), np.asarray(b)
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
-    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return prod.reshape(lead + (m * p, n * q))
-
-
 def tensor_system(s1: PfaffianSystem1D, s2: PfaffianSystem1D) -> PfaffianSystem2D:
-    """Tensor product acting on the Kronecker section, variables (u, v)."""
+    """Tensor product on the Kronecker section (u, v): u = p gets kron(R, I), v = q kron(I, R)."""
     if s1.dimension != s2.dimension:
         raise ValueError("tensor factors must share their dimension")
-    d = s1.dimension
-    eye = np.eye(d, dtype=complex)
-
-    def coefficient_u(u, v):
-        u, _ = np.broadcast_arrays(np.asarray(u, dtype=complex), v)
-        return _kron(s1.coefficient(u), eye)
-
-    def coefficient_v(u, v):
-        _, v = np.broadcast_arrays(u, np.asarray(v, dtype=complex))
-        return _kron(eye, s2.coefficient(v))
-
+    eye = np.eye(s1.dimension)
     return PfaffianSystem2D(
-        d * d,
-        coefficient_u,
-        coefficient_v,
-        tuple(f"u={s}" for s in s1.singular_points)
-        + tuple(f"v={s}" for s in s2.singular_points),
+        s1.dimension**2,
+        [(1, 0, p) for p in s1.poles] + [(0, 1, q) for q in s2.poles],
+        [np.kron(r, eye) for r in s1.residues] + [np.kron(eye, r) for r in s2.residues],
     )
 
 
 def restrict_to_line(
-    sys2d: PfaffianSystem2D, fixed: complex, vary: str, singular_points=()
+    sys2d: PfaffianSystem2D, fixed: complex, vary: str, singular_points=None
 ) -> PfaffianSystem1D:
-    """Freeze one variable of a 2D system, giving an ODE in the other."""
-    if vary == "x":
-        coeff = lambda z: sys2d.coefficient_x(z, fixed)
-    elif vary == "y":
-        coeff = lambda z: sys2d.coefficient_y(fixed, z)
-    else:
+    """Freeze one variable of a 2D system, giving an ODE in the other.
+
+    A line a x + b y = c with a nonzero coefficient a of the varying x gives
+    the pole (c - b fixed)/a with its residue (y likewise); the other lines
+    drop out.  ``singular_points``, if given, must be these poles as a set, else ValueError.
+    """
+    if vary not in ("x", "y"):
         raise ValueError("vary must be 'x' or 'y'")
-    return PfaffianSystem1D(sys2d.dimension, coeff, tuple(singular_points))
+    a, b, c = (sys2d.lines if vary == "x" else sys2d.lines[:, [1, 0, 2]]).T
+    meets = a != 0
+    poles = (c[meets] - b[meets] * fixed) / a[meets]
+    if singular_points is not None and set(map(complex, singular_points)) != set(poles.tolist()):
+        raise ValueError(f"the line's poles are {poles.tolist()}, not {list(singular_points)}")
+    return PfaffianSystem1D(sys2d.dimension, poles, sys2d.residues[meets])
+
+
+def _step_plan(path: PathSpec, sing: Sequence[complex]):
+    """Centres z and steps h of the Taylor steps along the path; see integrate_pfaffian."""
+    plan = []
+    for pos, length in path.segments():
+        t, z = 0.0, complex(pos(0.0))
+        while t < 1.0:
+            radius = min((abs(z - p) for p in sing), default=length)
+            dt = _STEP * radius / length
+            t_next = 1.0 if t + dt >= 1.0 else t + dt
+            z_next = complex(pos(t_next))
+            plan.append((z, z_next - z))
+            t, z = t_next, z_next
+    return np.array(plan, dtype=complex).reshape(-1, 2).T
+
+
+def _step_coefficients(s: PfaffianSystem1D, z, h) -> np.ndarray:
+    """h A_k h^k, k < 48, of the steps h from the centres z, shape (S, 48, d, d).
+
+    Expanding each R_p/(w - p) about z in u = (w - z)/h gives h A(z + h u) =
+    sum_k (h A_k h^k) u^k, h A_k h^k = -sum_p R_p q_p^(k+1), q_p = h/(p - z).
+    """
+    q = h[:, None] / (s.poles - z[:, None])
+    powers = np.cumprod(np.broadcast_to(q[:, None], (len(z), _TERMS, q.shape[1])), axis=1)
+    d = s.dimension
+    return (powers @ -s.residues.reshape(-1, d * d)).reshape(len(z), _TERMS, d, d)
 
 
 def integrate_pfaffian(s: PfaffianSystem1D, path: PathSpec, initial: np.ndarray) -> np.ndarray:
@@ -305,14 +328,13 @@ def integrate_pfaffian(s: PfaffianSystem1D, path: PathSpec, initial: np.ndarray)
 
     A Taylor-series method for the linear system dY/dz = A(z) Y, in four
     stages.  The plan: the path is a chain of pieces (see ``PathSpec``); a
-    step from a point z of a piece with clearance R from the singular points
-    (the length of the piece if there are none) goes h, at most 0.35 R,
-    along the piece, and a piece of length 0 has no steps.  The steps depend
-    on the path alone.  The coefficients: one call of ``s.coefficient``
-    samples A on the rings |w - z| = R/2 of all S steps of all pieces, S x 48
-    points, and one FFT reads off the Taylor coefficients A_j.  The
-    propagators: each step is the matrix P = sum_k Y_k h^k, the series of
-    the solution that starts from the identity, and the recurrence
+    step from a point z of a piece with clearance R from the poles (the
+    length of the piece if there are none) goes h, at most 0.35 R, along the
+    piece, and a piece of length 0 has no steps.  The steps depend on the
+    path alone.  The coefficients: the Taylor coefficients A_j of A about
+    each centre, in closed form from the residues (``_step_coefficients``).
+    The propagators: each step is the matrix P = sum_k Y_k h^k, the series
+    of the solution that starts from the identity, and the recurrence
     (k + 1) Y_{k+1} = sum_{j<=k} A_j Y_{k-j} runs for all steps at once.  A
     term is small when its Frobenius norm is at most 1e-14; a step is done
     after two small terms in a row, and the batch stops at the first term
@@ -323,7 +345,7 @@ def integrate_pfaffian(s: PfaffianSystem1D, path: PathSpec, initial: np.ndarray)
     that of a test after every term.  The endpoint is P_S ... P_1 initial.
 
     A step not done after 48 terms raises ConvergenceError; a path closer
-    than 1e-3 to a singular point raises DomainError.
+    than 1e-3 to a pole raises DomainError.
     """
     state = np.array(initial, dtype=complex)
     clearance = path.clearance(s.singular_points)
@@ -331,30 +353,15 @@ def integrate_pfaffian(s: PfaffianSystem1D, path: PathSpec, initial: np.ndarray)
         raise DomainError(
             f"path clearance {clearance:.2e} below the required {_CLEARANCE:.0e}"
         )
-    sing = [complex(p) for p in s.singular_points]
-    plan = []
-    for pos, length in path.segments():
-        t, z = 0.0, complex(pos(0.0))
-        while t < 1.0:
-            radius = min((abs(z - p) for p in sing), default=length)
-            dt = _STEP * radius / length
-            t_next = 1.0 if t + dt >= 1.0 else t + dt
-            z_next = complex(pos(t_next))
-            plan.append((z, z_next - z, radius))
-            t, z = t_next, z_next
-    if not plan:
+    z, h = _step_plan(path, s.singular_points)
+    if not len(z):
         return state
 
-    n, d, steps = _NODES, s.dimension, len(plan)
-    z, h, radius = np.array(plan).T
-    rho = 0.5 * radius.real
-    # the ring of radius rho samples A_j rho^j, up to aliasing of order
-    # 2^-48; in the variable u = (w - z)/h the terms are Y_k h^k, and
-    # (k + 1) Y_{k+1} h^{k+1} = sum_j (h A_j h^j)(Y_{k-j} h^{k-j})
-    a = np.fft.fft(s.coefficient(z[:, None] + rho[:, None] * _RING), axis=1)
-    a *= ((h / n)[:, None] * (h / rho)[:, None] ** np.arange(n))[..., None, None]
+    n, d, steps = _TERMS, s.dimension, len(z)
+    # in u = (w - z)/h the terms are Y_k h^k, and
+    # (k + 1) Y_{k+1} h^{k+1} = sum_j (h A_j h^j)(Y_{k-j} h^{k-j});
     # per step, [hA_0, h^2 A_1, ...] side by side, so one matmul forms a term
-    a_row = a.transpose(0, 2, 1, 3).reshape(steps, d, n * d)
+    a_row = _step_coefficients(s, z, h).transpose(0, 2, 1, 3).reshape(steps, d, n * d)
     # term k in rows (n-1-k)d ... (n-k)d - 1: terms k, k-1, ..., 0 are one
     # contiguous block of rows
     terms = np.empty((steps, n, d, d), dtype=complex)
@@ -444,28 +451,20 @@ def gamma2_membership(m: np.ndarray, int_tol: float = 1e-8) -> bool:
     return bool(np.all((r - np.eye(2, dtype=np.int64)) % 2 == 0))
 
 
-def flatness_residual(sys2d: PfaffianSystem2D, x0, y0, radius: float = 0.05):
+def flatness_residual(sys2d: PfaffianSystem2D, x0, y0):
     """Curvature d_y A_x - d_x A_y + [A_x, A_y], normalized, at points (x0, y0).
 
-    x0 and y0 broadcast; the result is a float for one point and otherwise
-    an array of their shape.  One call of each coefficient takes the rings
-    of all points, each ring with its centre as its last point.
+    For residues over lines, d_y A_x = d_x A_y = -sum_j a_j b_j R_j / l_j^2
+    identically, so the curvature is the commutator; d_y A_x stays in the
+    scale it is normalized by.  x0 and y0 broadcast; the result is a float
+    for one point and otherwise an array of their shape.
     """
-    x0, y0 = np.broadcast_arrays(np.asarray(x0, dtype=complex), np.asarray(y0, dtype=complex))
-    theta = 2.0 * np.pi * np.arange(_FLATNESS_NODES) / _FLATNESS_NODES
-    ring = np.append(radius * np.exp(1j * theta), 0.0)
-    x0, y0 = x0[..., None], y0[..., None]
-    ax_stack = sys2d.coefficient_x(x0, y0 + ring)
-    ay_stack = sys2d.coefficient_y(x0 + ring, y0)
-    norm = _FLATNESS_NODES * radius
-    day_dx = np.fft.fft(ay_stack[..., :-1, :, :], axis=-3)[..., 1, :, :] / norm
-    dax_dy = np.fft.fft(ax_stack[..., :-1, :, :], axis=-3)[..., 1, :, :] / norm
-    ax0, ay0 = ax_stack[..., -1, :, :], ay_stack[..., -1, :, :]
-    curv = dax_dy - day_dx + ax0 @ ay0 - ay0 @ ax0
-    scale = np.maximum.reduce(
-        [np.abs(m).max(axis=(-2, -1)) for m in (dax_dy, day_dx, ax0 @ ay0)]
-    )
-    out = np.abs(curv).max(axis=(-2, -1)) / np.maximum(scale, 1e-300)
+    ax, ay = sys2d.coefficient_x(x0, y0), sys2d.coefficient_y(x0, y0)
+    a, b, _ = sys2d.lines.T
+    dax_dy = _residue_sum(sys2d.residues, -a * b, sys2d._forms(x0, y0) ** 2)
+    ax_ay = ax @ ay
+    scale = np.maximum(np.abs(dax_dy).max(axis=(-2, -1)), np.abs(ax_ay).max(axis=(-2, -1)))
+    out = np.abs(ax_ay - ay @ ax).max(axis=(-2, -1)) / np.maximum(scale, 1e-300)
     return float(out) if out.ndim == 0 else out
 
 

@@ -430,7 +430,7 @@ def suite_flatness(cfg: RunConfig) -> VerificationReport:
     pts = _flatness_points(rng, cfg.samples("flatness"))
     x = np.array([pt.x for pt in pts])
     y = np.array([pt.y for pt in pts])
-    flats = flatness_residual(sys2, x, y, radius=0.03)
+    flats = flatness_residual(sys2, x, y)
     derivs = f2_derivatives_on_arrays(conformal, x, y, 2)
     horizs = horizontality_residual_from_derivatives(conformal, derivs, x, y)
     cases = []

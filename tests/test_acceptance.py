@@ -230,7 +230,7 @@ def test_criterion_08_connection_validation():
         if margin < 0.07 or abs(x) + abs(y) > 0.6:
             continue
         done += 1
-        worst_flat = max(worst_flat, flatness_residual(sys2, x, y, radius=0.03))
+        worst_flat = max(worst_flat, flatness_residual(sys2, x, y))
         worst_horiz = max(
             worst_horiz,
             horizontality_residual_f2(

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -129,7 +130,7 @@ class TestAF2:
         for _ in range(10):
             x = rng.uniform(0.12, 0.45)
             y = rng.uniform(0.1, 0.3) * (-1 if rng.uniform() < 0.5 else 1)
-            assert flatness_residual(sys2, x, y, radius=0.03) < 1e-8
+            assert flatness_residual(sys2, x, y) < 1e-8
 
     def test_table_residual_at_criterion_8_points(self):
         # the points of acceptance criterion 8, drawn as it draws them
@@ -163,47 +164,37 @@ class TestAF2:
         assert exact < 1e-15 and cauchy < 1e-8
 
     @pytest.mark.parametrize("which", ["f2", "tensor"])
-    def test_flatness_two_coefficient_calls(self, which):
-        # the centres ride on the rings: two calls for all points, and per
-        # point the same curvature bit for bit as four calls (two rings and
-        # two centres)
+    def test_flatness_on_arrays_equals_per_point_calls(self, which):
         if which == "f2":
-            base = system_f2(F2Params(0.6, 0.35, 0.55, 1.3, 0.9))
+            sys2 = system_f2(F2Params(0.6, 0.35, 0.55, 1.3, 0.9))
         else:
             other = system_2f1(Hyper2F1Params(0.3, 0.7, 1.2))
-            base = tensor_system(system_2f1(LEGENDRE), other)
-        calls = []
-
-        def counted(fn):
-            def wrapper(x, y):
-                calls.append(1)
-                return fn(x, y)
-
-            return wrapper
-
-        sys2 = PfaffianSystem2D(
-            base.dimension, counted(base.coefficient_x), counted(base.coefficient_y), ()
-        )
+            sys2 = tensor_system(system_2f1(LEGENDRE), other)
         rng = _rng()
         xs = rng.uniform(0.12, 0.45, 10) + 0j
         ys = rng.uniform(0.1, 0.3, 10) * rng.choice([-1.0, 1.0], 10) + 0j
-        got = flatness_residual(sys2, xs, ys, radius=0.03)
-        assert len(calls) == 2 and got.shape == (10,)
+        got = flatness_residual(sys2, xs, ys)
+        assert got.shape == (10,) and np.max(got) < 1e-14
         for x0, y0, one in zip(xs, ys, got):
-            ring = 0.03 * np.exp(1j * (2.0 * np.pi * np.arange(24) / 24))
-            norm = 24 * 0.03
-            dax_dy = np.fft.fft(base.coefficient_x(x0, y0 + ring), axis=0)[1] / norm
-            day_dx = np.fft.fft(base.coefficient_y(x0 + ring, y0), axis=0)[1] / norm
-            ax0, ay0 = base.coefficient_x(x0, y0), base.coefficient_y(x0, y0)
-            scale = max(
-                np.max(np.abs(dax_dy)), np.max(np.abs(day_dx)), np.max(np.abs(ax0 @ ay0))
-            )
-            curv = dax_dy - day_dx + ax0 @ ay0 - ay0 @ ax0
-            assert one == float(np.max(np.abs(curv)) / scale)
+            assert one == flatness_residual(sys2, x0, y0)
+
+    def test_flatness_sees_a_perturbed_residue(self):
+        # the closed form is not vacuous: moving one entry of the residue on
+        # x + y = 1 by 1e-3 breaks the integrability at every point
+        base = system_f2(F2Params(0.6, 0.35, 0.55, 1.3, 0.9))
+        rng = _rng()
+        xs = rng.uniform(0.12, 0.45, 10)
+        ys = rng.uniform(0.1, 0.3, 10) * rng.choice([-1.0, 1.0], 10)
+        assert np.max(flatness_residual(base, xs, ys)) < 1e-14
+        for entry in [(3, 0), (3, 3), (2, 1)]:
+            residues = base.residues.copy()
+            residues[4][entry] += 1e-3
+            bent = PfaffianSystem2D(4, base.lines, residues)
+            assert np.min(flatness_residual(bent, xs, ys)) > 1e-6, entry
 
     def test_flatness_generic_parameters(self):
         sys2 = system_f2(F2Params(0.6, 0.35, 0.55, 1.3, 0.9))
-        assert flatness_residual(sys2, 0.25, -0.2, radius=0.05) < 1e-8
+        assert flatness_residual(sys2, 0.25, -0.2) < 1e-8
 
     def test_singular_locus_raises(self):
         with pytest.raises(DomainError):
@@ -356,7 +347,7 @@ class TestArrayCores:
 class TestTensorSystem:
     def test_degenerate_factor(self):
         s1 = system_2f1(LEGENDRE)
-        zero = type(s1)(2, lambda z: np.zeros((2, 2), dtype=complex), ())
+        zero = PfaffianSystem1D(2, (), ())
         ts = tensor_system(s1, zero)
         u, v = 0.3, 0.4
         np.testing.assert_allclose(
@@ -393,9 +384,63 @@ class TestTensorSystem:
 
     def test_dimension_mismatch(self):
         s1 = system_2f1(LEGENDRE)
-        s3 = type(s1)(3, lambda z: np.zeros((3, 3), dtype=complex), ())
+        s3 = PfaffianSystem1D(3, (), ())
         with pytest.raises(ValueError):
             tensor_system(s1, s3)
+
+
+class TestRestrictToLine:
+    Y0 = 0.25 + 0.01j
+
+    def test_pole_off_the_axes_is_derived(self):
+        # the F2 line y = y0 has a pole at x = 1 - y0 besides 0 and 1; no
+        # caller lists it, and a path 5e-4 from it is refused
+        line = restrict_to_line(system_f2(CONFORMAL), self.Y0, "x")
+        assert set(line.singular_points) == {0, 1, 1 - self.Y0}
+        path = PathSpec.polyline([0.5 - 0.0095j, 0.9 - 0.0095j])
+        assert path.clearance([1 - self.Y0]) == pytest.approx(5e-4, rel=1e-9)
+        with pytest.raises(DomainError):
+            integrate_pfaffian(line, path, np.eye(4))
+
+    def test_singular_points_that_are_not_the_poles_raise(self):
+        f2 = system_f2(CONFORMAL)
+        for points in [(0.0, 1.0), (0.0, 1.0, 1.0 - self.Y0, 2.0), (0.0, 1.0, 0.75)]:
+            with pytest.raises(ValueError, match="poles"):
+                restrict_to_line(f2, self.Y0, "x", points)
+        with pytest.raises(ValueError):
+            restrict_to_line(f2, self.Y0, "z")
+
+    @pytest.mark.parametrize("vary", ["x", "y"])
+    def test_poles_as_the_benchmark_lists_them(self, vary):
+        # the line's coefficient is the frozen 2-d one, up to rounding
+        f2 = system_f2(CONFORMAL)
+        fixed = 0.3 - 0.02j
+        line = restrict_to_line(f2, fixed, vary, (0.0, 1.0, 1.0 - fixed))
+        z = 0.4 + 0.3j * np.arange(-3, 4)
+        want = f2.coefficient_x(z, fixed) if vary == "x" else f2.coefficient_y(fixed, z)
+        np.testing.assert_allclose(line.coefficient(z), want, rtol=1e-14, atol=0)
+
+
+class TestStepCoefficients:
+    @pytest.mark.parametrize("which", ["legendre", "f2_line", "tensor_line"])
+    def test_series_sums_to_the_connection(self, which):
+        # sum_k (h A_k h^k) u^k = h A(z + h u) on |u| <= 0.5, step by step
+        legendre = system_2f1(LEGENDRE)
+        s = {
+            "legendre": legendre,
+            "f2_line": restrict_to_line(system_f2(CONFORMAL), 0.2 + 0.01j, "x"),
+            "tensor_line": restrict_to_line(tensor_system(legendre, legendre), 0.3, "y"),
+        }[which]
+        path = PathSpec.polyline([0.3 + 0.2j, 0.5 + 0.25j, 0.7 + 0.2j])
+        z, h = pfaffian._step_plan(path, s.singular_points)
+        terms = pfaffian._step_coefficients(s, z, h)
+        rng = _rng()
+        u = 0.5 * np.sqrt(rng.uniform(0, 1, 20)) * np.exp(2j * np.pi * rng.uniform(0, 1, 20))
+        u = np.append(u, 0.5 * np.exp(2j * np.pi * np.arange(8) / 8))
+        series = np.einsum("skij,uk->suij", terms, u[:, None] ** np.arange(terms.shape[1]))
+        direct = h[:, None, None, None] * s.coefficient(z[:, None] + h[:, None] * u)
+        scale = np.abs(direct).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(series - direct) <= 1e-14 * scale)
 
 
 class TestTransport:
@@ -440,50 +485,38 @@ class TestTransport:
             assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_system_without_singular_points(self):
-        # dY/dz = 2z Y, Y = exp(z^2): steps are capped by the segment length,
-        # and the first one, whose series has a zero term 1, goes on past it
-        gauss = PfaffianSystem1D(1, lambda z: 2.0 * np.asarray(z)[..., None, None], ())
-        out = integrate_pfaffian(gauss, PathSpec.polyline([0.0, 1.5j]), np.eye(1))
-        assert abs(out[0, 0] - np.exp(-2.25)) < 1e-14 * np.exp(-2.25)
+        # A = 0: steps are capped by the segment length, the first term of
+        # each series after the identity is zero, and the steps go on past it
+        free = PfaffianSystem1D(2, (), ())
+        path = PathSpec.polyline([0.0, 1.5j])
+        z, h = pfaffian._step_plan(path, free.singular_points)
+        np.testing.assert_allclose(z, [0.0, 0.525j, 1.05j], rtol=0, atol=1e-15)
+        init = legendre_basis_matrix(0.3)
+        np.testing.assert_array_equal(integrate_pfaffian(free, path, init), init)
+
+    def test_single_pole_power(self):
+        # A = r/(z - p) transports 1 to ((z1 - p)/(z0 - p))^r; the path stays
+        # in Re(z - p) > 0, where the principal branch is the continued one
+        r, p = 0.7 - 0.3j, 0.2 + 0.1j
+        s = PfaffianSystem1D(1, [p], [[[r]]])
+        z0, z1 = 0.9 + 0.4j, 0.5 - 0.6j
+        out = integrate_pfaffian(s, PathSpec.polyline([z0, 0.9 - 0.3j, z1]), np.eye(1))
+        want = ((z1 - p) / (z0 - p)) ** r
+        assert abs(out[0, 0] - want) <= 1e-14 * abs(want)
 
     def test_step_that_cannot_converge_raises(self):
-        # dY/dz = 200 Y is entire, so one step spans the segment; its series
-        # there needs over 200 terms, beyond the 48 a step may use
-        stiff = PfaffianSystem1D(1, lambda z: np.full(np.shape(z) + (1, 1), 200.0), ())
+        # A = 200/z: from 0.5 a step goes 0.175 and its series,
+        # (1 + 0.35 u)^200, needs far more than the 48 terms a step may use
+        stiff = PfaffianSystem1D(1, [0.0], [[[200.0]]])
         with pytest.raises(ConvergenceError):
-            integrate_pfaffian(stiff, PathSpec.polyline([0.0, 1.0]), np.eye(1))
-
-    def test_one_coefficient_call_per_transport(self):
-        # every step's ring is sampled in one call, S steps x 48 nodes
-        legendre = system_2f1(LEGENDRE)
-        calls = []
-
-        def coefficient(z):
-            calls.append(np.array(z))
-            return legendre.coefficient(z)
-
-        s = PfaffianSystem1D(2, coefficient, legendre.singular_points)
-        counts = set()
-        for path in (
-            PathSpec.polyline([0.4, 0.45]),
-            PathSpec.polyline([0.3 + 0.2j, 0.5 - 0.1j, 0.02 + 0.01j]),
-            PathSpec.circle(0.0, 0.35, 1.0, 0.3),
-        ):
-            calls.clear()
-            integrate_pfaffian(s, path, legendre_basis_matrix(path.sample(2)[0]))
-            assert len(calls) == 1
-            assert calls[0].ndim == 2 and calls[0].shape[1] == 48
-            # the first ring is centred on the start of the path
-            assert abs(calls[0][0].mean() - path.sample(2)[0]) < 1e-15
-            counts.add(calls[0].shape[0])
-        assert len(counts) == 3 and min(counts) == 1
+            integrate_pfaffian(stiff, PathSpec.polyline([0.5, 1.0]), np.eye(1))
 
     def test_later_step_that_cannot_converge_raises(self):
-        # the steps of the short first segment converge, those of the second
+        # the step of the short first segment converges, those of the second
         # do not; the error names the first step that failed
-        stiff = PfaffianSystem1D(1, lambda z: np.full(np.shape(z) + (1, 1), 200.0), ())
-        with pytest.raises(ConvergenceError, match=r"z = 0\.01\+0j "):
-            integrate_pfaffian(stiff, PathSpec.polyline([0.0, 0.01, 1.0]), np.eye(1))
+        stiff = PfaffianSystem1D(1, [0.0], [[[200.0]]])
+        with pytest.raises(ConvergenceError, match=r"z = 0\.5005\+0j "):
+            integrate_pfaffian(stiff, PathSpec.polyline([0.5, 0.5005, 1.0]), np.eye(1))
 
     @staticmethod
     def _clipped_segment():
@@ -519,6 +552,29 @@ class TestTransport:
         monkeypatch.setattr(pfaffian, "_TAIL_BLOCK", block)
         for case, w in zip(cases, want):
             np.testing.assert_array_equal(integrate_pfaffian(*case), w)
+
+    def test_step_plan_equals_the_loop(self):
+        # the plan's centres and steps, against the loop over the path's
+        # pieces and the singular points that transport has always used
+        def loop(path, sing):
+            plan = []
+            for pos, length in path.segments():
+                t, z = 0.0, complex(pos(0.0))
+                while t < 1.0:
+                    radius = min((abs(z - p) for p in sing), default=length)
+                    dt = 0.35 * radius / length
+                    t_next = 1.0 if t + dt >= 1.0 else t + dt
+                    plan.append((z, complex(pos(t_next)) - z))
+                    t, z = t_next, complex(pos(t_next))
+            return plan
+
+        legendre = system_2f1(LEGENDRE).singular_points
+        line = restrict_to_line(system_f2(CONFORMAL), 0.2 + 0.01j, "x").singular_points
+        paths = _paths_off_the_cuts() + [self._clipped_segment()]
+        for path in paths + [PathSpec.circle(0.0, 0.35, 1.0, 0.3)]:
+            for sing in (legendre, line, ()):
+                z, h = pfaffian._step_plan(path, sing)
+                assert list(zip(z.tolist(), h.tolist())) == loop(path, sing)
 
     def test_zero_turn_arc(self):
         s = system_2f1(LEGENDRE)
@@ -653,46 +709,42 @@ class TestMonodromy:
             m = monodromy_2f1(s, around, basepoint=base)
             assert np.max(np.abs(m - np.array(want))) <= 1e-12
 
-    def test_legs_and_circle_in_one_call(self, monkeypatch):
-        # from 0.8 the circle about 0 is capped at radius 0.5: leg out,
-        # circle and leg back are one path, one transport and one
-        # coefficient call
-        legendre = system_2f1(LEGENDRE)
-        transports, samples = [], []
-
-        def coefficient(z):
-            samples.append(np.shape(z))
-            return legendre.coefficient(z)
+    @staticmethod
+    def _transported(monkeypatch):
+        """The paths of the integrate_pfaffian calls made from now on."""
+        integrate, paths = pfaffian.integrate_pfaffian, []
 
         def counting(*args):
-            transports.append(args[1])
+            paths.append(args[1])
             return integrate(*args)
 
-        integrate = pfaffian.integrate_pfaffian
         monkeypatch.setattr(pfaffian, "integrate_pfaffian", counting)
-        s = PfaffianSystem1D(2, coefficient, legendre.singular_points)
-        m = monodromy_2f1(s, 0.0, basepoint=0.8)
-        assert len(transports) == 1 and len(samples) == 1
+        return paths
+
+    def test_legs_and_circle_in_one_call(self, monkeypatch):
+        # from 0.8 the circle about 0 is capped at radius 0.5: leg out,
+        # circle and leg back are one path and one transport
+        transports = self._transported(monkeypatch)
+        m = monodromy_2f1(system_2f1(LEGENDRE), 0.0, basepoint=0.8)
+        assert len(transports) == 1
         assert [len(piece) for piece in transports[0].pieces] == [2, 4, 2]
         assert np.max(np.abs(m - np.array([[1, 2], [0, 1]]))) <= 1e-12
 
-    def test_uncapped_loop_has_no_legs(self):
+    def test_uncapped_loop_has_no_legs(self, monkeypatch):
         # 0.9 + 0.02i is 0.1 from 1, so the circle passes through it; its
         # radial projection differs from it by rounding (3.5e-18), which
         # must not cost a step each way
         legendre = system_2f1(LEGENDRE)
-        rings = []
-
-        def coefficient(z):
-            rings.append(np.shape(z)[0])
-            return legendre.coefficient(z)
-
-        s = PfaffianSystem1D(2, coefficient, legendre.singular_points)
+        transports = self._transported(monkeypatch)
         base = 0.9 + 0.02j
-        monodromy_2f1(s, 1.0, basepoint=base)
+        monodromy_2f1(legendre, 1.0, basepoint=base)
         circle = PathSpec.circle(1.0, abs(base - 1.0), 1.0, float(np.angle(base - 1.0)))
-        integrate_pfaffian(s, circle, np.eye(2))
-        assert len(rings) == 2 and rings[0] == rings[1]
+        assert len(transports) == 1
+        for got, want in zip(
+            pfaffian._step_plan(transports[0], legendre.singular_points),
+            pfaffian._step_plan(circle, legendre.singular_points),
+        ):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestLegendreBasis:
@@ -754,3 +806,20 @@ def test_scipy_is_never_imported():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_transport_items_pass():
+    # the benchmark calls restrict_to_line and integrate_pfaffian itself:
+    # one loop and one line item of its transport workload, run through its
+    # own call and check (its source is read, not imported, so nothing is
+    # written next to it)
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    workloads = types.ModuleType("bench_workloads")
+    exec(compile(path.read_text(), str(path), "exec"), workloads.__dict__)
+    transport = workloads.Transport()
+    items = transport.items(0)
+    for kind in ("loop", "line"):
+        item = next(it for it in items if it[0] == kind)
+        ref = transport.reference(None, [item])[0]
+        check = transport.check(None, ref, transport.call(traintrack, item))
+        assert check.failed == 0, item
