@@ -29,6 +29,7 @@ from .factorization import (
     invert_T,
     map_T,
     period_basis,
+    period_derivatives,
     positivity_pairing,
     quadratic_relation,
     traintrack_value,

@@ -1,10 +1,11 @@
 """Appell F2: row sum of Gauss functions, Euler double integral, PDE residuals.
 
-Three mutually independent routes to the same function are kept side by side
+Two mutually independent routes to the same function are kept side by side
 on purpose: the Burchnall–Chaundy row sum of the double series, whose rows are
-Gauss 2F1 values advanced by the contiguous recurrence in a, the
-double-exponential evaluation of the Euler integral, and the residual of the
-defining second-order system checked with Cauchy-integral derivatives.
+Gauss 2F1 values advanced by the contiguous recurrence in a, and the
+double-exponential evaluation of the Euler integral.  A third check is the
+residual of the defining second-order system, ``f2_pde_residual``, on a
+table of exact partial derivatives.
 
 The partial derivatives of F2 are F2 values at shifted parameters, so the row
 sum also gives them exactly: ``f2_derivatives_on_arrays`` sums every
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularityError
-from .quadrature import cauchy_derivs_2d, integrate_01_2d
+from .quadrature import integrate_01_2d
 from .special import (
     _CHECK_EVERY,
     _blocks,
@@ -402,51 +403,23 @@ def f2_euler_integral(p: F2Params, pt: ModuliPoint) -> complex:
     return _f2_euler(p, pt)[0]
 
 
-def default_pde_radii(pt: ModuliPoint):
-    """Bi-circle radii, 0.4 of the distance to the singular locus x,y in {0,1}, x+y=1."""
-    x, y = complex(pt.x), complex(pt.y)
-    margin = min(abs(x), abs(1 - x), abs(y), abs(1 - y), abs(1 - x - y))
-    if margin <= 0:
-        raise SingularityError("point lies on the singular locus")
-    r = 0.4 * margin
-    return r, r
+def f2_pde_residual(p: F2Params, d, x, y):
+    """Normalized residuals of the two defining PDEs, from a table of partials.
 
-
-def f2_pde_residual(F, p: F2Params, pt: ModuliPoint, radius=None):
-    """Normalized residuals of the two defining PDEs at pt.
-
-    F must be analytic on the bi-circle of the given radii (a pair, or one
-    float used for both) and take arrays that broadcast, as
-    ``cauchy_derivs_2d`` calls it once on a grid of the nodes; derivatives
-    are taken by Cauchy-integral differentiation, and each residual is
+    d[m, n] holds d^(m+n) F / dx^m dy^n, m + n <= 2, at the points (x, y) on
+    trailing axes that broadcast with them, as ``f2_derivatives_on_arrays``
+    and ``factorization.period_derivatives`` give it.  Each residual is
     divided by the largest term magnitude entering its equation.
     """
-    x, y = complex(pt.x), complex(pt.y)
-    if radius is None:
-        rx, ry = default_pde_radii(pt)
-    elif np.isscalar(radius):
-        rx = ry = float(radius)
-    else:
-        rx, ry = radius
-    d = cauchy_derivs_2d(F, x, y, rx, ry)
-    f, fx, fy = d[0, 0], d[1, 0], d[0, 1]
-    fxx, fyy, fxy = d[2, 0], d[0, 2], d[1, 1]
-    a, b1, b2, g1, g2 = p.alpha, p.beta1, p.beta2, p.gamma1, p.gamma2
-    terms1 = [
-        x * (1 - x) * fxx,
-        -x * y * fxy,
-        (g1 - (a + b1 + 1) * x) * fx,
-        -b1 * y * fy,
-        -a * b1 * f,
-    ]
-    terms2 = [
-        y * (1 - y) * fyy,
-        -x * y * fxy,
-        (g2 - (a + b2 + 1) * y) * fy,
-        -b2 * x * fx,
-        -a * b2 * f,
-    ]
-    s1 = max(max(abs(t) for t in terms1), 1e-300)
-    s2 = max(max(abs(t) for t in terms2), 1e-300)
-    return sum(terms1) / s1, sum(terms2) / s2
+    a, b1, b2, g1, g2 = p
 
+    def residual(u, v, fuu, fu, fv, b, g):
+        terms = np.broadcast_arrays(
+            u * (1 - u) * fuu, -u * v * d[1, 1], (g - (a + b + 1) * u) * fu, -b * v * fv,
+            -a * b * d[0, 0],
+        )
+        return sum(terms) / np.maximum(np.abs(terms).max(axis=0), 1e-300)
+
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    first = residual(x, y, d[2, 0], d[1, 0], d[0, 1], b1, g1)
+    return first, residual(y, x, d[0, 2], d[0, 1], d[1, 0], b2, g2)

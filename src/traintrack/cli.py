@@ -45,14 +45,15 @@ def _complex_arg(text: str) -> complex:
     return value
 
 
-def _positive(kind, zero_ok=False):
-    """An argparse type: the text as ``kind``, which must be finite and > 0 (>= 0 if zero_ok)."""
+def _finite(kind, least=None):
+    """An argparse type: the text as ``kind``, finite and, if ``least`` is set, at least that."""
 
     def parse(text: str):
         value = kind(text)  # argparse reports a ValueError as "invalid <kind> value"
-        if not (math.isfinite(value) and (value > 0 or zero_ok and value == 0)):
-            least = "non-negative" if zero_ok else "positive"
-            raise argparse.ArgumentTypeError(f"not {least} and finite: {text!r}")
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"not finite: {text!r}")
+        if least and not (value > 0 or least == "non-negative" and value == 0):
+            raise argparse.ArgumentTypeError(f"not {least}: {text!r}")
         return value
 
     parse.__name__ = kind.__name__
@@ -88,12 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES + ("all",))
-    p_verify.add_argument("--samples", type=_positive(int), default=None)
-    p_verify.add_argument("--seed", type=_positive(int, zero_ok=True), default=0)
+    p_verify.add_argument("--samples", type=_finite(int, "positive"), default=None)
+    p_verify.add_argument("--seed", type=_finite(int, "non-negative"), default=0)
     p_verify.add_argument("--output", default=None)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     for name in SUITES:
-        p_verify.add_argument(f"--tol-{name}", type=_positive(float), default=None)
+        p_verify.add_argument(f"--tol-{name}", type=_finite(float, "positive"), default=None)
 
     p_train = sub.add_parser(
         "traintrack", help="pairing value of the traintrack integral"
@@ -104,12 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser(
         "scan", help="tabulate a quantity over a grid of factorized coordinates"
     )
-    p_scan.add_argument("--lambda1-min", type=float, required=True)
-    p_scan.add_argument("--lambda1-max", type=float, required=True)
-    p_scan.add_argument("--lambda2-min", type=float, required=True)
-    p_scan.add_argument("--lambda2-max", type=float, required=True)
-    p_scan.add_argument("--n1", type=int, default=3)
-    p_scan.add_argument("--n2", type=int, default=3)
+    for name in ("--lambda1-min", "--lambda1-max", "--lambda2-min", "--lambda2-max"):
+        p_scan.add_argument(name, type=_finite(float), required=True)
+    p_scan.add_argument("--n1", type=_finite(int, "non-negative"), default=3)
+    p_scan.add_argument("--n2", type=_finite(int, "non-negative"), default=3)
     p_scan.add_argument(
         "--quantity", choices=("pi0", "pairing", "lambda_map"), default="pi0"
     )
@@ -244,8 +243,8 @@ def cmd_traintrack(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    l1_vals = np.linspace(args.lambda1_min, args.lambda1_max, args.n1) if args.n1 > 0 else []
-    l2_vals = np.linspace(args.lambda2_min, args.lambda2_max, args.n2) if args.n2 > 0 else []
+    l1_vals = np.linspace(args.lambda1_min, args.lambda1_max, args.n1)
+    l2_vals = np.linspace(args.lambda2_min, args.lambda2_max, args.n2)
     rows = []
     for l1 in l1_vals:
         for l2 in l2_vals:

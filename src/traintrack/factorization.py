@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .appell import ModuliPoint
-from .errors import BranchTrackingError, DomainError
-from .special import ellint_K
+from .errors import BranchTrackingError, DomainError, SingularityError
+from .special import _ellint_K_dK, ellint_K
 
 __all__ = [
     "LambdaPair",
@@ -24,7 +24,7 @@ __all__ = [
     "map_T",
     "invert_T",
     "period_basis",
-    "period_component_fn",
+    "period_derivatives",
     "quadratic_relation",
     "positivity_pairing",
     "traintrack_value",
@@ -187,16 +187,80 @@ def period_basis(lp: LambdaPair) -> PeriodVector:
     return PeriodVector(complex(p0), complex(p1), complex(p2), complex(p3))
 
 
-def period_component_fn(index: int):
-    """Vectorized handle (x, y) -> Pi_index(invert_T(x, y)) for PDE checks."""
-    if index not in (0, 1, 2, 3):
-        raise ValueError("index must be 0..3")
+class _Jet:
+    """f(x, y) to second order: c[m, n] = d^(m+n) f / dx^m dy^n / (m! n!), 0 past m + n = 2.
 
-    def handle(x, y):
-        l1, l2 = invert_T_arrays(x, y)
-        return periods_from_lambdas(l1, l2)[index]
+    Each c[m, n] is an array over the points; a number or such an array is a
+    constant.  ``apply`` composes g of one variable, given g, g', g''.
+    """
 
-    return handle
+    def __init__(self, c):
+        self.c = c
+
+    def __add__(self, other):
+        return _Jet(self.c + (other.c if isinstance(other, _Jet) else _ONE * other))
+
+    def __mul__(self, other):
+        if not isinstance(other, _Jet):
+            return _Jet(self.c * other)
+        c = np.zeros_like(self.c)
+        for (i, j), (k, l) in _PAIRS:
+            c[i + k, j + l] += self.c[i, j] * other.c[k, l]
+        return _Jet(c)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def apply(self, g, dg, d2g):
+        d = _Jet(self.c - _ONE * self.c[0, 0])
+        return d * dg + d * d * (0.5 * d2g) + g
+
+    def reciprocal(self):
+        w = 1.0 / self.c[0, 0]
+        return self.apply(w, -w * w, 2.0 * w * w * w)
+
+    def sqrt(self):
+        w = np.sqrt(self.c[0, 0])
+        return self.apply(w, 0.5 / w, -0.25 / (w * self.c[0, 0]))
+
+
+# the jets 1, dy and dx; the pairs of terms a product keeps; m! n!
+_ONE, _DY, _DX = np.eye(9).reshape(9, 3, 3, 1)[[0, 1, 3]]
+_PAIRS = [((i, j), (k, l)) for i, j, k, l in np.ndindex(3, 3, 3, 3) if i + j + k + l <= 2]
+_SCALE = np.array([[1.0, 1.0, 2.0], [1.0, 1.0, np.nan], [2.0, np.nan, np.nan]])[..., None, None]
+
+
+def period_derivatives(x, y):
+    """The partials of the four periods at the points (x, y), to second order, exactly.
+
+    D[m, n, i] = d^(m+n) Pi_i / dx^m dy^n for m + n <= 2, on trailing axes
+    of the broadcast shape of x and y, and NaN for m + n > 2.  A point that
+    invert_T_arrays rejects raises as it raises; one on x = 0 or y = 0, where
+    some periods are singular, raises SingularityError.  The closed forms of
+    invert_T_arrays and periods_from_lambdas are carried as jets: K and dK/dm
+    come from one AGM, and K'' from Legendre's equation
+    m (1 - m) K'' + (1 - 2m) K' = K/4 (DLMF §19.4).  A point's partials do not
+    depend on the other points.
+    """
+    invert_T_arrays(x, y)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+    shape, x, y = x.shape, x.ravel(), y.ravel()
+    if np.count_nonzero((x == 0) | (y == 0)):
+        raise SingularityError("periods singular on x = 0 and y = 0")
+    # sqrt(1 - y), sqrt(1 - x), sqrt(1 - x - y), the radicands as invert_T_arrays forms them
+    radicands = (1.0 - y, 1.0 - x, (1.0 - np.maximum(x, y)) - np.minimum(x, y))
+    u, r, v = (_Jet(_ONE * c - e).sqrt() for c, e in zip(radicands, (_DY, _DX, _DX + _DY)))
+    s = 2.0 * (u + v).reciprocal()
+    l1 = s * _Jet(_ONE * x + _DX) * (2.0 * (1.0 + r)).reciprocal()
+    l2 = 0.5 * s * (1.0 + r)
+    moduli = [q for sq in (l1 * l1, l2 * l2) for q in (sq, 1.0 + -1.0 * sq)]
+    m = np.concatenate([j.c[0, 0] for j in moduli])
+    k, dk = _ellint_K_dK(m)
+    d2k = (k / 4.0 - (1.0 - 2.0 * m) * dk) / (m * (1.0 - m))
+    parts = np.split(np.array([k, dk, d2k]), 4, axis=1)
+    k1, k1c, k2, k2c = (j.apply(*g) for j, g in zip(moduli, parts))
+    pref = 4.0 / np.pi**2 * (l1 + l2)
+    periods = (pref * k1 * k2c, 1j * pref * k1c * k2c, 1j * pref * k1 * k2, -1.0 * pref * k1c * k2)
+    return (_SCALE * np.stack([p.c for p in periods], axis=2)).reshape((3, 3, 4) + shape)
 
 
 def quadratic_relation(pv: PeriodVector) -> complex:

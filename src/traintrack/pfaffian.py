@@ -20,8 +20,7 @@ import numpy as np
 
 from .appell import F2Params, ModuliPoint
 from .errors import ConvergenceError, DomainError, SingularityError
-from .quadrature import cauchy_derivs_2d
-from .special import Hyper2F1Params, _ellint_KE
+from .special import Hyper2F1Params, _ellint_K_dK
 
 __all__ = [
     "PfaffianSystem1D",
@@ -40,7 +39,6 @@ __all__ = [
     "legendre_basis_matrix",
     "gamma2_membership",
     "flatness_residual",
-    "horizontality_residual_f2",
     "horizontality_residual_from_derivatives",
 ]
 
@@ -56,9 +54,12 @@ _TAIL_BLOCK = 8
 
 
 def _residue_sum(residues, weights, forms) -> np.ndarray:
-    """sum_j w_j R_j / l_j over the j with w_j != 0, elementwise; the l_j on a last axis."""
+    """sum_j w_j R_j / l_j over the j with w_j != 0, the l_j on a last axis; l_j = 0 raises."""
+    used = np.flatnonzero(weights)
+    if np.count_nonzero(forms[..., used] == 0):
+        raise SingularityError("point on a singular line or pole of the system")
     out = np.zeros(forms.shape[:-1] + residues.shape[1:], dtype=complex)
-    for j in np.flatnonzero(weights):
+    for j in used:
         out += residues[j] * (weights[j] / forms[..., j])[..., None, None]
     return out
 
@@ -210,10 +211,7 @@ def system_2f1(p: Hyper2F1Params) -> PfaffianSystem1D:
 
 
 def a_2f1_arrays(p: Hyper2F1Params, z) -> np.ndarray:
-    """Connection of ``system_2f1`` at an array of z, shape z.shape + (2, 2)."""
-    z = np.asarray(z, dtype=complex)
-    if np.any((z == 0.0) | (z == 1.0)):
-        raise SingularityError("connection singular at z = 0 or z = 1")
+    """Connection of ``system_2f1`` at z, an array; shape z.shape + (2, 2), z = 0 or 1 raises."""
     return system_2f1(p).coefficient(z)
 
 
@@ -249,11 +247,10 @@ def a_f2_arrays(p: F2Params, x, y):
     constant residues (``_f2_residues``) over its lines through the point:
     A_x = R_{x=0}/x + R_{x=1}/(x-1) + R_{x+y=1}/(x+y-1), and A_y likewise.
     These are the coefficients of ``system_f2``, of shape broadcast(x, y).shape + (4, 4).
+    A point on a line raises SingularityError, as does one within 1e-14 of x + y = 1.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
-    if np.any(
-        (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0) | (np.abs(1.0 - x - y) < 1e-14)
-    ):
+    if np.any(np.abs(1.0 - x - y) < 1e-14):
         raise SingularityError("point on the singular locus of the F2 system")
     s = system_f2(p)
     return s.coefficient_x(x, y), s.coefficient_y(x, y)
@@ -400,13 +397,11 @@ def integrate_pfaffian(s: PfaffianSystem1D, path: PathSpec, initial: np.ndarray)
 def legendre_basis_matrix(z: complex) -> np.ndarray:
     """Fundamental matrix with columns the sections of (2/pi)K(z), (2i/pi)K(1-z).
 
-    K and E are taken at m = z and m = 1 - z from one AGM, and
-    dK/dm = (E - (1-m) K) / (2 m (1-m)); z = 0 or 1 raises SingularityError.
+    K and dK/dm are taken at m = z and m = 1 - z from one AGM
+    (``special._ellint_K_dK``); z = 0 or 1 raises SingularityError.
     """
     z = complex(z)
-    m = np.array([z, 1.0 - z])
-    k, e = _ellint_KE(m)
-    dk = (e - (1.0 - m) * k) / (2.0 * m * (1.0 - m))
+    k, dk = _ellint_K_dK(np.array([z, 1.0 - z]))
     f1, f2 = 2.0 / np.pi * k[0], 2j / np.pi * k[1]
     d1, d2 = 2.0 / np.pi * dk[0], -2j / np.pi * dk[1]
     return np.array([[f1, f2], [z * d1, z * d2]], dtype=complex)
@@ -457,7 +452,8 @@ def flatness_residual(sys2d: PfaffianSystem2D, x0, y0):
     For residues over lines, d_y A_x = d_x A_y = -sum_j a_j b_j R_j / l_j^2
     identically, so the curvature is the commutator; d_y A_x stays in the
     scale it is normalized by.  x0 and y0 broadcast; the result is a float
-    for one point and otherwise an array of their shape.
+    for one point and otherwise an array of their shape.  A point on a line
+    of the system raises SingularityError.
     """
     ax, ay = sys2d.coefficient_x(x0, y0), sys2d.coefficient_y(x0, y0)
     a, b, _ = sys2d.lines.T
@@ -496,17 +492,3 @@ def horizontality_residual_from_derivatives(p: F2Params, d, x, y) -> np.ndarray:
     )
     scale = np.maximum.reduce([np.abs(v).max(axis=-1) for v in (dvec_dx, dvec_dy, vec)])
     return resid / np.maximum(scale, 1e-300)
-
-
-def horizontality_residual_f2(p: F2Params, F, pt: ModuliPoint, radius) -> float:
-    """Residual of the 4x4 system on the section of a scalar solution F.
-
-    The partials come from Cauchy integrals of F on the bi-circle of the
-    given radii (a pair, or one float for both), which take F at a grid of
-    nodes in one call: F must take arrays that broadcast.  See
-    ``horizontality_residual_from_derivatives``.
-    """
-    x, y = complex(pt.x), complex(pt.y)
-    rx, ry = (radius, radius) if np.isscalar(radius) else radius
-    d = cauchy_derivs_2d(F, x, y, rx, ry)
-    return float(horizontality_residual_from_derivatives(p, d, x, y))

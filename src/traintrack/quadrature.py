@@ -1,4 +1,4 @@
-"""Double-exponential quadrature on (0,1)^2 and Cauchy-integral differentiation.
+"""Double-exponential quadrature on (0,1)^2.
 
 The 2-D rule, ``integrate_01_2d``, takes the endpoint powers
 t^p (1-t)^q apart from a kernel; they handle algebraic endpoint
@@ -23,7 +23,6 @@ exponents of an earlier one pays only for its kernel and its sums.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +31,6 @@ from .errors import ConvergenceError
 
 __all__ = [
     "integrate_01_2d",
-    "cauchy_derivs_2d",
 ]
 
 # The 2-D rule keeps nodes on |t| <= 6, a multiple of every mesh, so that
@@ -48,9 +46,6 @@ LEVEL_MAX_2D = 8
 # the rule usually stops, and 68 to 85 kB at level 8, so the cache holds
 # at most about 2.7 MB.
 _AXES = 32
-# Cauchy differentiation: nodes on each circle, and the highest order
-_CAUCHY_NODES = 32
-_CAUCHY_ORDER = 2
 
 
 class _Axis(NamedTuple):
@@ -188,26 +183,3 @@ def integrate_01_2d(kernel, exponents, bound: float):
                 return val, delta + rounding + dropped
         prev = val
     raise ConvergenceError(f"2d tanh-sinh quadrature did not reach {_TOL_2D:.0e}")
-
-
-def cauchy_derivs_2d(f, x0, y0, rx: float, ry: float):
-    """Mixed partials d^(m+k) F / dx^m dy^k at (x0, y0) on a bi-circle.
-
-    32 nodes on each circle.  F must take arrays that broadcast: it is
-    called once, on a column of x nodes and a row of y nodes, and
-    ValueError is raised unless it returns their 32 x 32 grid of values.
-    Returns a (3, 3) array D, orders up to 2, with D[m, k] the partial of
-    order m in x and k in y.
-    """
-    theta = 2.0 * np.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES
-    zx = x0 + rx * np.exp(1j * theta)
-    zy = y0 + ry * np.exp(1j * theta)
-    vals = np.asarray(f(zx[:, None], zy[None, :]), dtype=complex)
-    if vals.shape != (_CAUCHY_NODES, _CAUCHY_NODES):
-        raise ValueError(f"F must take arrays that broadcast; it returned shape {vals.shape}")
-    coeff = np.fft.fft2(vals) / _CAUCHY_NODES**2
-    out = np.empty((_CAUCHY_ORDER + 1, _CAUCHY_ORDER + 1), dtype=complex)
-    for m in range(_CAUCHY_ORDER + 1):
-        for k in range(_CAUCHY_ORDER + 1):
-            out[m, k] = factorial(m) * factorial(k) * coeff[m, k] / (rx**m * ry**k)
-    return out

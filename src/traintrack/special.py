@@ -180,6 +180,12 @@ def _ellint_KE(m):
     return k, k * (1.0 - total)
 
 
+def _ellint_K_dK(m):
+    """K and dK/dm = (E - (1 - m) K) / (2 m (1 - m)) of a 1-d array, from one AGM."""
+    k, e = _ellint_KE(m)
+    return k, (e - (1.0 - m) * k) / (2.0 * m * (1.0 - m))
+
+
 # Series stop rule, shared with the F2 row sum of ``appell``.  A series may
 # take up to _MAX_TERMS terms and is checked every _CHECK_EVERY terms.  A
 # point stops once its tail estimate is below

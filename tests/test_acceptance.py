@@ -51,9 +51,9 @@ from traintrack import (
     theta3,
     theta4,
 )
-from traintrack.appell import f2_series_on_arrays
-from traintrack.factorization import period_component_fn
-from traintrack.pfaffian import flatness_residual, horizontality_residual_f2
+from traintrack.appell import f2_derivatives_on_arrays
+from traintrack.factorization import period_derivatives
+from traintrack.pfaffian import flatness_residual, horizontality_residual_from_derivatives
 from traintrack.special import Hyper2F1Params
 from traintrack.verify import RunConfig, run_all, sample_theorem_domain
 
@@ -86,24 +86,23 @@ def test_criterion_01_factorization_theorem():
 def test_criterion_02_full_basis_pde():
     started = time.perf_counter()
     rng = _rng(2)
-    worst = 0.0
-    handles = [period_component_fn(i) for i in range(4)]
+    pts = []
     for _ in range(20):
         lp = LambdaPair(
             complex(rng.uniform(0.25, 0.5), rng.uniform(-0.03, 0.03)),
             complex(rng.uniform(0.55, 0.9), rng.uniform(-0.03, 0.03)),
         )
-        pt = map_T(lp)
-        margin = min(
-            abs(pt.x), abs(1 - pt.x), abs(pt.y), abs(1 - pt.y), abs(1 - pt.x - pt.y)
-        )
-        for h in handles:
-            r1, r2 = f2_pde_residual(h, CONFORMAL, pt, radius=0.06 * margin)
-            worst = max(worst, abs(r1), abs(r2))
+        pts.append(map_T(lp))
+    x = np.array([pt.x for pt in pts])
+    y = np.array([pt.y for pt in pts])
+    # the exact partials of all four periods at every point, in one table
+    r1, r2 = f2_pde_residual(CONFORMAL, period_derivatives(x, y), x, y)
+    assert r1.shape == r2.shape == (4, 20)
+    worst = float(max(np.abs(r1).max(), np.abs(r2).max()))
     elapsed = time.perf_counter() - started
-    ok = worst < 1e-7 and elapsed < 60.0
+    ok = worst < 1e-12 and elapsed < 60.0
     _verdict(2, "full-basis PDE residuals", ok,
-             f"max residual {worst:.3e} (tol 1e-7), {elapsed:.1f}s")
+             f"max residual {worst:.3e} (tol 1e-12), {elapsed:.1f}s")
     assert ok
 
 
@@ -219,27 +218,25 @@ def test_criterion_07_monodromy():
 def test_criterion_08_connection_validation():
     rng = _rng(8)
     sys2 = system_f2(CONFORMAL)
-    section = lambda x, y: f2_series_on_arrays(CONFORMAL, x, y)
-    worst_flat = 0.0
-    worst_horiz = 0.0
-    done = 0
-    while done < 10:
+    xs, ys = [], []
+    while len(xs) < 10:
         x = rng.uniform(0.1, 0.45)
         y = rng.uniform(0.08, 0.35) * (-1 if rng.uniform() < 0.5 else 1)
         margin = min(abs(x), abs(1 - x), abs(y), abs(1 - y), abs(1 - x - y))
         if margin < 0.07 or abs(x) + abs(y) > 0.6:
             continue
-        done += 1
-        worst_flat = max(worst_flat, flatness_residual(sys2, x, y))
-        worst_horiz = max(
-            worst_horiz,
-            horizontality_residual_f2(
-                CONFORMAL, section, ModuliPoint(x, y), radius=0.3 * margin
-            ),
-        )
-    ok = worst_flat < 1e-8 and worst_horiz < 1e-8
+        xs.append(x)
+        ys.append(y)
+    worst_flat = float(np.max(flatness_residual(sys2, xs, ys)))
+    # the section's partials from the exact F2 derivative table
+    d = f2_derivatives_on_arrays(CONFORMAL, xs, ys, 2)
+    horiz = horizontality_residual_from_derivatives(CONFORMAL, d, xs, ys)
+    assert horiz.shape == (10,)
+    worst_horiz = float(np.max(horiz))
+    ok = worst_flat < 1e-8 and worst_horiz < 1e-14
     _verdict(8, "connection validation", ok,
-             f"flatness {worst_flat:.3e}, horizontality {worst_horiz:.3e} (tol 1e-8)")
+             f"flatness {worst_flat:.3e} (tol 1e-8), "
+             f"horizontality {worst_horiz:.3e} (tol 1e-14)")
     assert ok
 
 

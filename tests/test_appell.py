@@ -672,17 +672,18 @@ class TestEulerIntegral:
 class TestPdeResidual:
     def test_series_solves_system(self):
         rng = _rng()
-        section = lambda x, y: f2_series_on_arrays(CONFORMAL, x, y)
-        for pt in _random_interior_points(rng, 20, cap=0.6):
-            r1, r2 = f2_pde_residual(section, CONFORMAL, pt)
-            assert abs(r1) < 1e-7 and abs(r2) < 1e-7
+        pts = _random_interior_points(rng, 20, cap=0.6)
+        x, y = np.array([pt.x for pt in pts]), np.array([pt.y for pt in pts])
+        d = f2_derivatives_on_arrays(CONFORMAL, x, y, 2)
+        r1, r2 = f2_pde_residual(CONFORMAL, d, x, y)
+        assert r1.shape == r2.shape == (20,)
+        assert np.max(np.abs(r1)) < 1e-12 and np.max(np.abs(r2)) < 1e-12
 
     def test_constant_function_fails(self):
         p = F2Params(0.7, 0.4, 0.3, 1.2, 1.1)
-        const = lambda x, y: np.ones(
-            np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=complex
-        )
-        r1, r2 = f2_pde_residual(const, p, ModuliPoint(0.2, 0.1))
+        d = np.zeros((3, 3), dtype=complex)
+        d[0, 0] = 1.0
+        r1, r2 = f2_pde_residual(p, d, 0.2, 0.1)
         # only the -alpha beta_i F term survives; after normalization the
         # residual is exactly -1 (the sign of -alpha beta_i for positive data)
         assert r1 == pytest.approx(-1.0, abs=1e-12)
@@ -690,7 +691,7 @@ class TestPdeResidual:
 
     def test_generic_parameters(self):
         p = F2Params(0.6, 0.35, 0.55, 1.3, 0.9)
-        section = lambda x, y: f2_series_on_arrays(p, x, y)
-        r1, r2 = f2_pde_residual(section, p, ModuliPoint(0.25, -0.15))
-        assert abs(r1) < 1e-7 and abs(r2) < 1e-7
+        d = f2_derivatives_on_arrays(p, 0.25, -0.15, 2)
+        r1, r2 = f2_pde_residual(p, d, 0.25, -0.15)
+        assert abs(r1) < 1e-12 and abs(r2) < 1e-12
 

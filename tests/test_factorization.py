@@ -12,6 +12,7 @@ from traintrack import (
     LambdaPair,
     ModuliPoint,
     PeriodVector,
+    SingularityError,
     f2_series,
     invert_T,
     map_T,
@@ -20,7 +21,7 @@ from traintrack import (
     quadratic_relation,
     traintrack_value,
 )
-from traintrack.factorization import invert_T_arrays, periods_from_lambdas
+from traintrack.factorization import invert_T_arrays, period_derivatives, periods_from_lambdas
 from traintrack.verify import sample_theorem_domain
 
 
@@ -248,6 +249,70 @@ class TestPeriodBasis:
         assert np.array_equal(batch.view(np.uint64), single.view(np.uint64))
         grid = periods_from_lambdas(l1.reshape(10, 20), l2.reshape(10, 20))
         assert np.array_equal(np.stack(grid, axis=-1).reshape(200, 4), batch)
+
+
+def _mp_period(i, x, y):
+    """Pi_i at (x, y) through the closed forms of invert_T and the periods, in mpmath."""
+    u, r, v = mp.sqrt(1 - y), mp.sqrt(1 - x), mp.sqrt(1 - x - y)
+    s = 2 / (u + v)
+    l1, l2 = s * x / (2 * (1 + r)), s * (1 + r) / 2
+    k1, k1c, k2, k2c = (mp.ellipk(m) for m in (l1**2, 1 - l1**2, l2**2, 1 - l2**2))
+    pref = 4 / mp.pi**2 * (l1 + l2)
+    return (pref * k1 * k2c, 1j * pref * k1c * k2c, 1j * pref * k1 * k2, -pref * k1c * k2)[i]
+
+
+ORDERS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+class TestPeriodDerivatives:
+    def test_partials_against_mpmath(self):
+        # all six partials of all four periods against mpmath's numerical
+        # differentiation of the closed forms at 30 digits
+        pts = [pt for _, pt in sample_theorem_domain(_rng_seeded(0), 5)]
+        x, y = np.array([pt.x for pt in pts]), np.array([pt.y for pt in pts])
+        d = period_derivatives(x, y)
+        worst = 0.0
+        with mp.workdps(30):
+            for j, (xj, yj) in enumerate(zip(x.tolist(), y.tolist())):
+                at = (mp.mpc(xj), mp.mpc(yj))
+                for i in range(4):
+                    for m, n in ORDERS:
+                        want = complex(mp.diff(lambda a, b: _mp_period(i, a, b), at, (m, n)))
+                        worst = max(worst, abs(d[m, n, i, j] - want) / abs(want))
+        assert worst < 1e-12
+
+    def test_value_row_is_the_periods(self):
+        pts = [pt for _, pt in sample_theorem_domain(_rng_seeded(1), 2000)]
+        x, y = np.array([pt.x for pt in pts]), np.array([pt.y for pt in pts])
+        want = np.array(periods_from_lambdas(*invert_T_arrays(x, y)))
+        got = period_derivatives(x, y)[0, 0]
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
+
+    def test_array_equals_per_point_calls(self):
+        # bit for bit, in any shape, with the entries past order 2 NaN
+        pts = [pt for _, pt in sample_theorem_domain(_rng_seeded(2), 24)]
+        x, y = np.array([pt.x for pt in pts]), np.array([pt.y for pt in pts])
+        d = period_derivatives(x, y)
+        assert d.shape == (3, 3, 4, 24)
+        single = np.stack([period_derivatives(a, b) for a, b in zip(x, y)], axis=-1)
+        assert np.array_equal(d, single, equal_nan=True)
+        grid = period_derivatives(x.reshape(4, 6), y.reshape(4, 6))
+        assert np.array_equal(grid.reshape(3, 3, 4, 24), d, equal_nan=True)
+        past = np.array([[m + n > 2 for n in range(3)] for m in range(3)])
+        assert np.isnan(d[past]).all() and not np.isnan(d[~past]).any()
+
+    @pytest.mark.parametrize(
+        "x, y, error",
+        [(0.6, 0.4, BranchTrackingError), (0.3, 1.0, BranchTrackingError),
+         (np.nan, 0.1, DomainError), (np.inf, 0.1, DomainError),
+         (0.0, 0.3, SingularityError), (0.3, 0.0, SingularityError),
+         (0.2 + 0.1j, 0.0, SingularityError)],
+    )
+    def test_off_the_tracked_domain_raises(self, x, y, error):
+        with pytest.raises(error):
+            period_derivatives(x, y)
+        with pytest.raises(error):
+            period_derivatives([0.2, x], [0.1, y])
 
 
 class TestBilinear:

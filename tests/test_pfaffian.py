@@ -30,13 +30,12 @@ from traintrack import (
     tensor_system,
 )
 from traintrack import pfaffian
-from traintrack.appell import f2_derivatives_on_arrays, f2_series_on_arrays
+from traintrack.appell import f2_derivatives_on_arrays
 from traintrack.pfaffian import (
     PfaffianSystem2D,
     a_2f1_arrays,
     a_f2_arrays,
     flatness_residual,
-    horizontality_residual_f2,
     horizontality_residual_from_derivatives,
     legendre_basis_matrix,
     restrict_to_line,
@@ -119,11 +118,6 @@ class TestAF2:
         np.testing.assert_allclose(ax[0], [0.0, 1.0 / x, 0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(ay[0], [0.0, 0.0, 1.0 / y, 0.0], atol=1e-15)
 
-    def test_horizontality_of_series_section(self):
-        section = lambda x, y: f2_series_on_arrays(CONFORMAL, x, y)
-        r = horizontality_residual_f2(CONFORMAL, section, ModuliPoint(0.2, 0.1), 0.05)
-        assert r < 1e-8
-
     def test_flatness_random_points(self):
         rng = _rng()
         sys2 = system_f2(CONFORMAL)
@@ -132,36 +126,12 @@ class TestAF2:
             y = rng.uniform(0.1, 0.3) * (-1 if rng.uniform() < 0.5 else 1)
             assert flatness_residual(sys2, x, y) < 1e-8
 
-    def test_table_residual_at_criterion_8_points(self):
-        # the points of acceptance criterion 8, drawn as it draws them
-        rng = np.random.Generator(np.random.Philox(8))
-        xs, ys = [], []
-        while len(xs) < 10:
-            x = rng.uniform(0.1, 0.45)
-            y = rng.uniform(0.08, 0.35) * (-1 if rng.uniform() < 0.5 else 1)
-            margin = min(abs(x), abs(1 - x), abs(y), abs(1 - y), abs(1 - x - y))
-            if margin >= 0.07 and abs(x) + abs(y) <= 0.6:
-                xs.append(x)
-                ys.append(y)
-        d = f2_derivatives_on_arrays(CONFORMAL, xs, ys, 2)
-        resid = horizontality_residual_from_derivatives(CONFORMAL, d, xs, ys)
-        assert resid.shape == (10,)
-        assert np.max(resid) < 1e-14
-
     def test_table_residual_tells_the_systems_apart(self):
         generic = F2Params(0.6 + 0.1j, 0.35, 0.55, 1.3, 0.9 - 0.1j)
         x, y = np.array([0.2, -0.3 + 0.1j]), np.array([0.1 - 0.05j, 0.25])
         d = f2_derivatives_on_arrays(generic, x, y, 2)
         assert np.max(horizontality_residual_from_derivatives(generic, d, x, y)) < 1e-14
         assert np.min(horizontality_residual_from_derivatives(CONFORMAL, d, x, y)) > 1e-3
-
-    def test_cauchy_route_feeds_the_same_core(self):
-        section = lambda x, y: f2_series_on_arrays(CONFORMAL, x, y)
-        pt = ModuliPoint(0.2, 0.1)
-        d = f2_derivatives_on_arrays(CONFORMAL, pt.x, pt.y, 2)
-        exact = float(horizontality_residual_from_derivatives(CONFORMAL, d, pt.x, pt.y))
-        cauchy = horizontality_residual_f2(CONFORMAL, section, pt, 0.05)
-        assert exact < 1e-15 and cauchy < 1e-8
 
     @pytest.mark.parametrize("which", ["f2", "tensor"])
     def test_flatness_on_arrays_equals_per_point_calls(self, which):
@@ -199,6 +169,36 @@ class TestAF2:
     def test_singular_locus_raises(self):
         with pytest.raises(DomainError):
             a_f2(CONFORMAL, ModuliPoint(0.0, 0.2))
+
+    @pytest.mark.parametrize(
+        "x, y, on_x, on_y",
+        [(0.0, 0.3, True, False), (1.0, 0.3, True, False), (0.3, 0.0, False, True),
+         (0.3, 1.0, False, True), (0.5, 0.5, True, True)],
+        ids=["x=0", "x=1", "y=0", "y=1", "x+y=1"],
+    )
+    def test_flatness_on_a_line_raises(self, x, y, on_x, on_y):
+        # a line raises in the coefficient whose residue sum divides by it,
+        # and in the curvature, alone or in a batch of good points
+        sys2 = system_f2(CONFORMAL)
+        for name, raises in (("coefficient_x", on_x), ("coefficient_y", on_y)):
+            if raises:
+                with pytest.raises(SingularityError):
+                    getattr(sys2, name)(x, y)
+            else:
+                assert np.isfinite(getattr(sys2, name)(x, y)).all()
+        for xs, ys in ((x, y), ([0.2, x, -0.3], [0.1, y, 0.25])):
+            with pytest.raises(SingularityError):
+                flatness_residual(sys2, xs, ys)
+
+    @pytest.mark.parametrize("x, y", [(0.0, 0.3), (1.0, 0.3), (0.3, 0.0), (0.3, 1.0)])
+    def test_flatness_at_a_tensor_pole_raises(self, x, y):
+        legendre = system_2f1(LEGENDRE)
+        sys2 = tensor_system(legendre, legendre)
+        for xs, ys in ((x, y), ([0.2, x], [0.4, y])):
+            with pytest.raises(SingularityError):
+                flatness_residual(sys2, xs, ys)
+        with pytest.raises(SingularityError):
+            legendre.coefficient([0.3, x, y])
 
 
 def _cramer_f2(p: F2Params, x, y):

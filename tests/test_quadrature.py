@@ -150,23 +150,3 @@ def test_weights_that_do_not_decay_raise():
     with pytest.raises(ConvergenceError):
         integrate_01_2d(_one, ((-1.0, 0.0), (0.0, 0.0)), 1.0)
 
-
-@pytest.mark.parametrize("order", [2, 3])
-def test_cauchy_partials_of_an_exponential(order, monkeypatch):
-    # d^(m+k)/dx^m dy^k exp(x + 2y) = 2^k exp(x + 2y), orders up to the constant
-    monkeypatch.setattr(quadrature, "_CAUCHY_ORDER", order)
-    x0, y0 = 0.2 + 0.1j, -0.3
-    d = quadrature.cauchy_derivs_2d(lambda x, y: np.exp(x + 2.0 * y), x0, y0, 0.3, 0.3)
-    want = np.exp(x0 + 2.0 * y0) * 2.0 ** np.arange(order + 1)[None, :]
-    assert d.shape == (order + 1, order + 1)
-    np.testing.assert_allclose(d, np.broadcast_to(want, d.shape), rtol=1e-12)
-
-
-@pytest.mark.parametrize(
-    "scalar_only",
-    [lambda x, y: 1.0 + 0j, lambda x, y: complex(np.sum(x * y))],
-    ids=["constant", "reduces"],
-)
-def test_cauchy_needs_a_function_that_broadcasts(scalar_only):
-    with pytest.raises(ValueError, match="broadcast"):
-        quadrature.cauchy_derivs_2d(scalar_only, 0.2, 0.1, 0.05, 0.05)
