@@ -126,6 +126,22 @@ class TestAF2:
             y = rng.uniform(0.1, 0.3) * (-1 if rng.uniform() < 0.5 else 1)
             assert flatness_residual(sys2, x, y) < 1e-8
 
+    def test_table_residual_at_criterion_8_points(self):
+        # the points of acceptance criterion 8, drawn as it draws them
+        rng = np.random.Generator(np.random.Philox(8))
+        xs, ys = [], []
+        while len(xs) < 10:
+            x = rng.uniform(0.1, 0.45)
+            y = rng.uniform(0.08, 0.35) * (-1 if rng.uniform() < 0.5 else 1)
+            margin = min(abs(x), abs(1 - x), abs(y), abs(1 - y), abs(1 - x - y))
+            if margin >= 0.07 and abs(x) + abs(y) <= 0.6:
+                xs.append(x)
+                ys.append(y)
+        d = f2_derivatives_on_arrays(CONFORMAL, xs, ys, 2)
+        resid = horizontality_residual_from_derivatives(CONFORMAL, d, xs, ys)
+        assert resid.shape == (10,)
+        assert np.max(resid) < 1e-14
+
     def test_table_residual_tells_the_systems_apart(self):
         generic = F2Params(0.6 + 0.1j, 0.35, 0.55, 1.3, 0.9 - 0.1j)
         x, y = np.array([0.2, -0.3 + 0.1j]), np.array([0.1 - 0.05j, 0.25])
