@@ -10,7 +10,6 @@ import cmath
 import csv
 import io
 import json
-import math
 import sys
 import time
 
@@ -27,9 +26,7 @@ from .factorization import (
     positivity_pairing,
 )
 from .modular import lambda_hauptmodul, mirror_map
-from .pfaffian import gamma2_membership, monodromy_2f1, system_2f1
-from .special import Hyper2F1Params
-from .verify import SUITES, RunConfig, run_all, run_suite
+from .verify import DEFAULT_TOLERANCES, SUITES, RunConfig, _monodromy_cases, run_all, run_suite
 
 _BOUNDARY_EPS = 1e-9
 
@@ -46,11 +43,14 @@ def _complex_arg(text: str) -> complex:
 
 
 def _finite(kind, least=None):
-    """An argparse type: the text as ``kind``, finite and, if ``least`` is set, at least that."""
+    """An argparse type: the text as ``kind``, finite and, if ``least`` is set, at least that.
+
+    An int too large for a float counts as not finite.
+    """
 
     def parse(text: str):
         value = kind(text)  # argparse reports a ValueError as "invalid <kind> value"
-        if not math.isfinite(value):
+        if not abs(value) <= sys.float_info.max:
             raise argparse.ArgumentTypeError(f"not finite: {text!r}")
         if least and not (value > 0 or least == "non-negative" and value == 0):
             raise argparse.ArgumentTypeError(f"not {least}: {text!r}")
@@ -203,7 +203,7 @@ def cmd_verify(args) -> int:
         if not rep.passed:
             for case in rep.cases:
                 if not case.passed:
-                    print("failing case:", json.dumps(rep.to_dict()["cases"][case.index]))
+                    print("failing case:", json.dumps(report_dict["cases"][case.index]))
                     break
         passed = rep.passed
     _write_report(report_dict, _report_rows(report_dict), args.output, args.format)
@@ -286,21 +286,15 @@ def cmd_scan(args) -> int:
 
 
 def cmd_monodromy(args) -> int:
-    sys1 = system_2f1(Hyper2F1Params(0.5, 0.5, 1.0))
+    tol = DEFAULT_TOLERANCES["monodromy"]
     ok = True
-    for around in (0.0, 1.0):
-        m = monodromy_2f1(sys1, around, basepoint=args.basepoint)
-        rounded = np.round(m.real).astype(int)
-        resid = float(np.max(np.abs(m - np.round(m.real))))
-        try:
-            member = gamma2_membership(m)
-        except ValueError:
-            member = False
-        print(f"loop around z = {around:g}:")
-        print(f"  matrix = {rounded.tolist()}")
-        print(f"  integrality residual = {resid:.3e}")
+    for case in _monodromy_cases(tol, args.basepoint):
+        member = case.outputs["gamma2_member"]
+        print(f"loop around z = {case.inputs['around']:g}:")
+        print(f"  matrix = {case.outputs['matrix']}")
+        print(f"  integrality residual = {case.residual:.3e}")
         print(f"  gamma(2) member = {member}")
-        ok = ok and member and resid < 1e-8
+        ok = ok and member and case.residual < tol
     return 0 if ok else 1
 
 

@@ -4,6 +4,11 @@ Sampling uses the counter-based Philox generator so any implementation that
 seeds Philox identically reproduces the draws.  Reports are serialized with
 sorted keys; the wall-clock duration is reported on stderr only and stored as
 null, so identical configurations produce byte-identical files.
+
+Each suite computes its cases as columns, one value per case, and one
+builder, ``_cases``, turns them into records; only the modular weight probes
+are built one at a time.  The report layout lives only in ``to_dict``: the
+``all`` summary is a report too, with one case per suite.
 """
 
 from __future__ import annotations
@@ -77,6 +82,8 @@ class RunConfig:
         if self.sample_count is not None and self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
         for name, tol in self.tolerances.items():
+            if name not in DEFAULT_TOLERANCES:
+                raise ValueError(f"tolerance for unknown suite {name!r}; choose from {SUITES}")
             if not (np.isfinite(tol) and tol > 0):
                 raise ValueError(f"tolerance for {name} must be positive and finite")
 
@@ -84,6 +91,8 @@ class RunConfig:
         return self.tolerances.get(suite, DEFAULT_TOLERANCES[suite])
 
     def samples(self, suite: str) -> int:
+        if suite == "monodromy":  # it runs its two loops whatever the count
+            return DEFAULT_SAMPLES[suite]
         return self.sample_count or DEFAULT_SAMPLES[suite]
 
 
@@ -198,48 +207,43 @@ def _lambda_arrays(pairs):
     return [lp.lambda1 for lp in pairs], [lp.lambda2 for lp in pairs]
 
 
+def _cases(inputs, outputs, residuals, passed):
+    """One CaseRecord per row of the columns.
+
+    ``inputs`` and ``outputs`` map each name to a list with one value per
+    case, as ``residuals`` and ``passed`` are.
+    """
+
+    def rows(columns):
+        return [dict(zip(columns, values)) for values in zip(*columns.values(), strict=True)]
+
+    return [
+        CaseRecord(i, case_in, case_out, float(resid), bool(ok))
+        for i, (case_in, case_out, resid, ok) in enumerate(
+            zip(rows(inputs), rows(outputs), residuals, passed, strict=True)
+        )
+    ]
+
+
 def _finish(suite, cfg, cases):
-    max_residual = max((c.residual for c in cases), default=0.0)
-    passed = all(c.passed for c in cases)
-    return VerificationReport(
-        suite=suite,
-        config={
-            "sample_count": cfg.samples(suite),
-            "rng_seed": cfg.rng_seed,
-            "tolerance": cfg.tol(suite),
-        },
-        cases=cases,
-        max_residual=float(max_residual),
-        tolerance=cfg.tol(suite),
-        passed=passed,
-    )
+    tol = cfg.tol(suite)
+    config = {"sample_count": cfg.samples(suite), "rng_seed": cfg.rng_seed, "tolerance": tol}
+    resid = max((c.residual for c in cases), default=0.0)
+    return VerificationReport(suite, config, cases, resid, tol, all(c.passed for c in cases))
 
 
 def suite_factorization(cfg: RunConfig) -> VerificationReport:
     """Central identity: Pi0 equals the conformal F2 row sum under T."""
-    tol = cfg.tol("factorization")
-    rng = _rng(cfg.rng_seed)
-    samples = sample_theorem_domain(rng, cfg.samples("factorization"))
-    pi0_values = periods_from_lambdas(*_lambda_arrays(lp for lp, _ in samples))[0]
-    f2_values = f2_series_on_arrays(
-        F2Params.conformal_case(),
-        [pt.x for _, pt in samples],
-        [pt.y for _, pt in samples],
-    )
-    cases = []
-    for i, ((lp, pt), pi0, f2) in enumerate(
-        zip(samples, pi0_values.tolist(), f2_values.tolist())
-    ):
-        resid = abs(pi0 - f2) / abs(pi0)
-        cases.append(
-            CaseRecord(
-                i,
-                {"lambda1": lp.lambda1, "lambda2": lp.lambda2, "x": pt.x, "y": pt.y},
-                {"pi0": pi0, "f2_series": f2},
-                float(resid),
-                resid < tol,
-            )
-        )
+    samples = sample_theorem_domain(_rng(cfg.rng_seed), cfg.samples("factorization"))
+    l1, l2 = _lambda_arrays(lp for lp, _ in samples)
+    x, y = [pt.x for _, pt in samples], [pt.y for _, pt in samples]
+    pi0 = periods_from_lambdas(l1, l2)[0].tolist()
+    f2 = f2_series_on_arrays(F2Params.conformal_case(), x, y).tolist()
+    # Python's abs, not np.abs: the two round some moduli differently
+    resids = [abs(p - f) / abs(p) for p, f in zip(pi0, f2)]
+    inputs = {"lambda1": l1, "lambda2": l2, "x": x, "y": y}
+    passed = np.less(resids, cfg.tol("factorization"))
+    cases = _cases(inputs, {"pi0": pi0, "f2_series": f2}, resids, passed)
     return _finish("factorization", cfg, cases)
 
 
@@ -251,23 +255,15 @@ def suite_bilinear(cfg: RunConfig) -> VerificationReport:
         LambdaPair(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
         for _ in range(cfg.samples("bilinear"))
     ]
-    periods = np.stack(periods_from_lambdas(*_lambda_arrays(pairs)), axis=1)
-    cases = []
-    for i, (lp, row) in enumerate(zip(pairs, periods.tolist())):
-        pv = PeriodVector(*row)
-        quad = quadratic_relation(pv)
-        scale = abs(pv.pi0 * pv.pi3) + abs(pv.pi1 * pv.pi2)
-        resid = abs(quad) / scale
-        pairing = positivity_pairing(pv)
-        cases.append(
-            CaseRecord(
-                i,
-                {"lambda1": lp.lambda1, "lambda2": lp.lambda2},
-                {"quadratic_relation": quad, "pairing": pairing},
-                float(resid),
-                resid < tol and pairing > 0,
-            )
-        )
+    l1, l2 = _lambda_arrays(pairs)
+    pvs = [PeriodVector(*row) for row in np.stack(periods_from_lambdas(l1, l2), 1).tolist()]
+    quads = [quadratic_relation(pv) for pv in pvs]
+    pairings = [positivity_pairing(pv) for pv in pvs]
+    scales = [abs(pv.pi0 * pv.pi3) + abs(pv.pi1 * pv.pi2) for pv in pvs]
+    resids = [abs(quad) / scale for quad, scale in zip(quads, scales)]
+    passed = [r < tol and p > 0 for r, p in zip(resids, pairings)]
+    outputs = {"quadratic_relation": quads, "pairing": pairings}
+    cases = _cases({"lambda1": l1, "lambda2": l2}, outputs, resids, passed)
     return _finish("bilinear", cfg, cases)
 
 
@@ -279,24 +275,15 @@ def suite_mirror(cfg: RunConfig) -> VerificationReport:
         LambdaPair(rng.uniform(0.05, 0.7), rng.uniform(0.4, 0.95))
         for _ in range(cfg.samples("mirror"))
     ]
-    l1, l2 = (np.array(v, dtype=complex) for v in _lambda_arrays(pairs))
+    l1s, l2s = _lambda_arrays(pairs)
+    l1, l2 = np.array(l1s, dtype=complex), np.array(l2s, dtype=complex)
     t1, t2 = mirror_map_arrays(l1, l2)
     back1, back2 = inverse_mirror_arrays(t1, t2)
     r1 = np.abs(lambda_hauptmodul(t1) - l1 * l1)
     r2 = np.abs(1.0 - lambda_hauptmodul(t2) - l2 * l2)
     resids = np.maximum.reduce([r1, r2, np.abs(back1 - l1), np.abs(back2 - l2)])
-    cases = [
-        CaseRecord(
-            i,
-            {"lambda1": lp.lambda1, "lambda2": lp.lambda2},
-            {"tau1": tau1, "tau2": tau2},
-            resid,
-            resid < tol,
-        )
-        for i, (lp, tau1, tau2, resid) in enumerate(
-            zip(pairs, t1.tolist(), t2.tolist(), resids.tolist())
-        )
-    ]
+    outputs = {"tau1": t1.tolist(), "tau2": t2.tolist()}
+    cases = _cases({"lambda1": l1s, "lambda2": l2s}, outputs, resids, resids < tol)
     return _finish("mirror", cfg, cases)
 
 
@@ -336,69 +323,52 @@ def suite_modular(cfg: RunConfig) -> VerificationReport:
     bridges = np.abs(pi0_modular_arrays(*mirror_map_arrays(l1s, l2s)) - pi0)
     k_from_theta = np.pi / 2 * theta3(np.array(taus)) ** 2
     kthetas = np.abs(ellint_K(np.array(lams, dtype=complex)) - k_from_theta)
-    cases = []
-    for idx, (lp, tau, bridge, ktheta) in enumerate(
-        zip(pairs, taus, bridges.tolist(), kthetas.tolist())
-    ):
-        resid = max(bridge, ktheta)
-        cases.append(
-            CaseRecord(
-                idx,
-                {"lambda1": lp.lambda1, "lambda2": lp.lambda2, "tau": tau},
-                {"pi0_bridge": bridge, "k_theta_identity": ktheta},
-                float(resid),
-                resid < tol,
-            )
-        )
-    idx = len(cases)
+    resids = np.maximum(bridges, kthetas)
+    inputs = {"lambda1": l1s, "lambda2": l2s, "tau": taus}
+    outputs = {"pi0_bridge": bridges.tolist(), "k_theta_identity": kthetas.tolist()}
+    cases = _cases(inputs, outputs, resids, resids < tol)
     probe_samples = _weight_probe_samples(rng)
-    for g in _WEIGHT_GENERATORS:
-        for slot in (1, 2):
-            inputs = {"generator": [g.a, g.b, g.c, g.d], "slot": slot}
-            try:
-                eps = multiplier_probe(g, slot, probe_samples)
-                outputs = {"multiplier": eps}
-                resid = abs(eps - 1.0)
-                ok = resid < tol
-            except NonConstantRatioError as exc:
-                outputs = {"ratios": list(exc.ratios), "error": str(exc)}
-                mean = sum(exc.ratios) / len(exc.ratios)
-                resid = max(abs(r - mean) for r in exc.ratios)
-                ok = False
-            cases.append(CaseRecord(idx, inputs, outputs, float(resid), ok))
-            idx += 1
+    for g, slot in itertools.product(_WEIGHT_GENERATORS, (1, 2)):
+        inputs = {"generator": [g.a, g.b, g.c, g.d], "slot": slot}
+        try:
+            eps = multiplier_probe(g, slot, probe_samples)
+            outputs = {"multiplier": eps}
+            resid = abs(eps - 1.0)
+            ok = resid < tol
+        except NonConstantRatioError as exc:
+            outputs = {"ratios": list(exc.ratios), "error": str(exc)}
+            mean = sum(exc.ratios) / len(exc.ratios)
+            resid = max(abs(r - mean) for r in exc.ratios)
+            ok = False
+        cases.append(CaseRecord(len(cases), inputs, outputs, float(resid), ok))
     return _finish("modular", cfg, cases)
 
 
-def suite_monodromy(cfg: RunConfig) -> VerificationReport:
-    """Loops around z = 0 and z = 1 in the Legendre K-basis."""
-    tol = cfg.tol("monodromy")
+def _monodromy_cases(tol, basepoint):
+    """The loops around z = 0 and z = 1 from ``basepoint``, scored as cases."""
     sys1 = system_2f1(Hyper2F1Params(0.5, 0.5, 1.0))
-    cases = []
-    for i, around in enumerate((0.0, 1.0)):
-        m = monodromy_2f1(sys1, around)
+    outputs = {"matrix": [], "gamma2_member": [], "unipotent": []}
+    resids, passed = [], []
+    for around in (0.0, 1.0):
+        m = monodromy_2f1(sys1, around, basepoint)
         rounded = np.round(m.real)
-        int_resid = float(np.max(np.abs(m - rounded)))
+        resids.append(float(np.max(np.abs(m - rounded))))
         try:
             member = gamma2_membership(m, int_tol=tol)
         except ValueError:
             member = False
-        eigs = np.linalg.eigvals(rounded)
-        unipotent = bool(np.allclose(eigs, 1.0))
-        cases.append(
-            CaseRecord(
-                i,
-                {"around": around},
-                {
-                    "matrix": [[int(v) for v in row] for row in rounded.astype(int)],
-                    "gamma2_member": member,
-                    "unipotent": unipotent,
-                },
-                int_resid,
-                int_resid < tol and member and unipotent,
-            )
-        )
-    return _finish("monodromy", cfg, cases)
+        unipotent = bool(np.allclose(np.linalg.eigvals(rounded), 1.0))
+        outputs["matrix"].append(rounded.astype(int).tolist())
+        outputs["gamma2_member"].append(member)
+        outputs["unipotent"].append(unipotent)
+        passed.append(resids[-1] < tol and member and unipotent)
+    return _cases({"around": [0.0, 1.0]}, outputs, resids, passed)
+
+
+def suite_monodromy(cfg: RunConfig) -> VerificationReport:
+    """Loops around z = 0 and z = 1 in the Legendre K-basis."""
+    # from the basepoint that monodromy_2f1 and `traintrack monodromy` default to
+    return _finish("monodromy", cfg, _monodromy_cases(cfg.tol("monodromy"), 0.35 + 0.01j))
 
 
 def _flatness_points(rng, n):
@@ -424,28 +394,16 @@ def suite_flatness(cfg: RunConfig) -> VerificationReport:
     F2 come from its exact derivative table.
     """
     tol = cfg.tol("flatness")
-    rng = _rng(cfg.rng_seed)
     conformal = F2Params.conformal_case()
-    sys2 = system_f2(conformal)
-    pts = _flatness_points(rng, cfg.samples("flatness"))
-    x = np.array([pt.x for pt in pts])
-    y = np.array([pt.y for pt in pts])
-    flats = flatness_residual(sys2, x, y)
+    pts = _flatness_points(_rng(cfg.rng_seed), cfg.samples("flatness"))
+    xs, ys = [pt.x for pt in pts], [pt.y for pt in pts]
+    x, y = np.array(xs), np.array(ys)
+    flats = flatness_residual(system_f2(conformal), x, y)
     derivs = f2_derivatives_on_arrays(conformal, x, y, 2)
     horizs = horizontality_residual_from_derivatives(conformal, derivs, x, y)
-    cases = []
-    for i, (pt, flat, horiz) in enumerate(zip(pts, flats.tolist(), horizs.tolist())):
-        resid = max(flat, horiz)
-        cases.append(
-            CaseRecord(
-                i,
-                {"x": pt.x, "y": pt.y},
-                {"flatness": flat, "horizontality": horiz},
-                float(resid),
-                resid < tol,
-            )
-        )
-    return _finish("flatness", cfg, cases)
+    resids = np.maximum(flats, horizs)
+    outputs = {"flatness": flats.tolist(), "horizontality": horizs.tolist()}
+    return _finish("flatness", cfg, _cases({"x": xs, "y": ys}, outputs, resids, resids < tol))
 
 
 _SUITE_FUNCTIONS = {
@@ -465,32 +423,21 @@ def run_suite(name: str, cfg: RunConfig) -> VerificationReport:
 
 
 def run_all(cfg: RunConfig):
-    """Run every suite; returns (reports, combined_report_dict)."""
+    """Run every suite; returns (reports, combined_report_dict).
+
+    The combined report is a summary report with one case per suite, and
+    the suites' own reports under "suites".
+    """
     reports = [run_suite(name, cfg) for name in SUITES]
-    combined = {
-        "schema_version": SCHEMA_VERSION,
-        "suite": "all",
-        "config": _jsonable(
-            {
-                "rng_seed": cfg.rng_seed,
-                "sample_count": cfg.sample_count,
-                "tolerances": {name: cfg.tol(name) for name in SUITES},
-            }
-        ),
-        "cases": [
-            {
-                "index": i,
-                "inputs": {"suite": r.suite},
-                "outputs": {"max_residual": r.max_residual, "passed": r.passed},
-                "residual": r.max_residual,
-                "passed": r.passed,
-            }
-            for i, r in enumerate(reports)
-        ],
-        "suites": [r.to_dict() for r in reports],
-        "max_residual": max(r.max_residual for r in reports),
-        "tolerance": max(r.tolerance for r in reports),
-        "passed": all(r.passed for r in reports),
-        "duration_ms": None,
+    resids = [r.max_residual for r in reports]
+    passed = [r.passed for r in reports]
+    config = {
+        "rng_seed": cfg.rng_seed,
+        "sample_count": cfg.sample_count,
+        "tolerances": {name: cfg.tol(name) for name in SUITES},
     }
-    return reports, combined
+    outputs = {"max_residual": resids, "passed": passed}
+    cases = _cases({"suite": list(SUITES)}, outputs, resids, passed)
+    tol = max(r.tolerance for r in reports)
+    summary = VerificationReport("all", config, cases, max(resids), tol, all(passed))
+    return reports, {**summary.to_dict(), "suites": [r.to_dict() for r in reports]}

@@ -2,14 +2,19 @@
 
 import csv
 import json
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import traintrack
 from traintrack import F2Params, LambdaPair, period_basis, positivity_pairing
 from traintrack import appell, verify
 from traintrack.appell import _euler_prefactor, _f2_row_sum
-from traintrack.cli import main
+from traintrack.cli import build_parser, main
+
+HUGE = "9" * 400  # an int beyond the float range
 
 
 class TestF2Eval:
@@ -166,10 +171,77 @@ class TestVerify:
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "mirror", "--samples", HUGE],
+            ["verify", "mirror", "--seed", HUGE],
+            ["scan", "--lambda1-min", "0", "--lambda1-max", "1",
+             "--lambda2-min", "0", "--lambda2-max", "1", "--n1", HUGE],
+        ],
+    )
+    def test_integer_beyond_the_float_range_is_a_usage_error(self, capsys, argv):
+        # parsed only: a count this large must never reach a suite or a grid
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "not finite" in err
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_run_config_rejects_a_tolerance_not_positive_and_finite(self, tol):
         with pytest.raises(ValueError, match="positive and finite"):
             verify.RunConfig(tolerances={"bilinear": tol})
+
+    def test_run_config_rejects_a_tolerance_of_an_unknown_suite(self):
+        # a misspelt name would otherwise leave the default tolerance in force
+        with pytest.raises(ValueError, match="'bilinar'"):
+            verify.RunConfig(tolerances={"bilinar": 1e-30})
+
+    def test_monodromy_reports_the_loops_it_runs(self):
+        for cfg in (verify.RunConfig(sample_count=7), verify.RunConfig()):
+            report = verify.run_suite("monodromy", cfg).to_dict()
+            assert report["config"]["sample_count"] == len(report["cases"]) == 2
+
+    def test_all_report_is_a_report_of_the_suites(self):
+        cfg = verify.RunConfig(sample_count=2, rng_seed=3, tolerances={"bilinear": 0.5})
+        reports, combined = verify.run_all(cfg)
+        suites = [verify.run_suite(name, cfg).to_dict() for name in verify.SUITES]
+        assert combined["suites"] == suites
+        assert [r.suite for r in reports] == list(verify.SUITES)
+        assert set(combined) == set(suites[0]) | {"suites"}
+        assert combined["suite"] == "all" and combined["duration_ms"] is None
+        for i, (case, suite) in enumerate(zip(combined["cases"], suites)):
+            assert case == {
+                "index": i,
+                "inputs": {"suite": suite["suite"]},
+                "outputs": {"max_residual": suite["max_residual"], "passed": suite["passed"]},
+                "residual": suite["max_residual"],
+                "passed": suite["passed"],
+            }
+        assert combined["max_residual"] == max(s["max_residual"] for s in suites)
+        assert combined["tolerance"] == max(s["tolerance"] for s in suites) == 0.5
+        assert combined["passed"] is all(s["passed"] for s in suites) is False
+        assert combined["config"] == {
+            "rng_seed": 3,
+            "sample_count": 2,
+            "tolerances": {**verify.DEFAULT_TOLERANCES, "bilinear": 0.5},
+        }
+
+    def test_benchmark_verify_all_item_passes(self):
+        # one item of the benchmark's verify_all workload, run through its own
+        # call and checked by its own check against its mpmath oracle; both
+        # sources are read, not imported, so nothing is written next to them
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        modules = {}
+        for name in ("workloads", "oracle"):
+            modules[name] = types.ModuleType(f"bench_{name}")
+            path = bench / f"{name}.py"
+            exec(compile(path.read_text(), str(path), "exec"), modules[name].__dict__)
+        workload = modules["workloads"].VerifyAll()
+        out = workload.call(traintrack, workload.items(0)[0])
+        check = workload.check(modules["oracle"], None, out)
+        assert (check.failed, check.by_design) == (0, 1)
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -345,3 +417,27 @@ class TestMonodromyCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.count("gamma(2) member = True") == 2
+
+    def test_prints_the_suite_cases(self, capsys):
+        # at the default basepoint, the command prints the monodromy suite's cases
+        assert main(["monodromy"]) == 0
+        lines = []
+        for case in verify.run_suite("monodromy", verify.RunConfig()).cases:
+            lines += [
+                f"loop around z = {case.inputs['around']:g}:",
+                f"  matrix = {case.outputs['matrix']}",
+                f"  integrality residual = {case.residual:.3e}",
+                f"  gamma(2) member = {case.outputs['gamma2_member']}",
+            ]
+        assert capsys.readouterr().out.splitlines() == lines
+
+    def test_other_basepoint(self, capsys):
+        assert main(["monodromy", "--basepoint", "0.2+0.3i"]) == 0
+        out = capsys.readouterr().out
+        assert "matrix = [[1, 2], [0, 1]]" in out and "matrix = [[1, 0], [-2, 1]]" in out
+        assert out.count("gamma(2) member = True") == 2
+
+    def test_exit_1_when_a_loop_is_not_in_gamma2(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "gamma2_membership", lambda m, int_tol: False)
+        assert main(["monodromy"]) == 1
+        assert capsys.readouterr().out.count("gamma(2) member = False") == 2
