@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage, domain or --output write error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .appell import F2Params, ModuliPoint, _f2_euler, _f2_row_sum
 from .errors import ConvergenceError, DomainError
 from .factorization import (
     LambdaPair,
-    _pairing,
+    _pairing_arrays,
     invert_T,
     map_T,
     period_basis,
@@ -136,25 +136,30 @@ def cmd_f2_eval(args) -> int:
     return 0
 
 
+def _flat_row(values):
+    """The values, each complex one or its {re, im} form split into <name>_re and <name>_im."""
+    row = {}
+    for key, val in values.items():
+        if isinstance(val, complex):
+            val = {"re": val.real, "im": val.imag}
+        if isinstance(val, dict) and set(val) == {"re", "im"}:
+            row[f"{key}_re"], row[f"{key}_im"] = val["re"], val["im"]
+        else:
+            row[key] = val
+    return row
+
+
 def _report_rows(report_dict):
-    rows = []
-    for case in report_dict.get("cases", []):
-        row = {"index": case["index"], "residual": case["residual"], "passed": case["passed"]}
-        for group in ("inputs", "outputs"):
-            for key, val in case[group].items():
-                if isinstance(val, dict) and set(val) == {"re", "im"}:
-                    row[f"{key}_re"] = val["re"]
-                    row[f"{key}_im"] = val["im"]
-                else:
-                    row[key] = val
-        rows.append(row)
-    return rows
+    head = ("index", "residual", "passed")
+    cases = report_dict.get("cases", [])
+    return [_flat_row({k: c[k] for k in head} | c["inputs"] | c["outputs"]) for c in cases]
 
 
-def _write_report(payload, rows, path, fmt, columns=()) -> None:
+def _write_report(payload, rows, path, fmt, columns=()) -> int:
     """Write payload as JSON, or rows as CSV, to path or else to stdout.
 
     The CSV header is the sorted union of the row keys and ``columns``.
+    Returns the exit code: 0, or 2 when path cannot be written.
     """
     if fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -163,14 +168,18 @@ def _write_report(payload, rows, path, fmt, columns=()) -> None:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         text = buf.getvalue()
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -200,18 +209,16 @@ def cmd_verify(args) -> int:
             f"suite {rep.suite}: max residual {rep.max_residual:.3e} "
             f"(tol {rep.tolerance:.1e}) -> {'pass' if rep.passed else 'FAIL'}"
         )
-        if not rep.passed:
-            for case in rep.cases:
-                if not case.passed:
-                    print("failing case:", json.dumps(report_dict["cases"][case.index]))
-                    break
+        failing = [case for case in report_dict["cases"] if not case["passed"]]
+        if failing:
+            print("failing case:", json.dumps(failing[0]))
         passed = rep.passed
-    _write_report(report_dict, _report_rows(report_dict), args.output, args.format)
+    written = _write_report(report_dict, _report_rows(report_dict), args.output, args.format)
     print(
         f"wall clock: {1000.0 * (time.perf_counter() - started):.0f} ms",
         file=sys.stderr,
     )
-    return 0 if passed else 1
+    return written or (0 if passed else 1)
 
 
 def cmd_traintrack(args) -> int:
@@ -231,10 +238,10 @@ def cmd_traintrack(args) -> int:
             file=sys.stderr,
         )
         return 2
-    value, raw = _pairing(period_basis(lp))
+    value = _pairing_arrays(period_basis(lp).as_array())[1]
     tp = mirror_map(lp)
-    print(f"pairing = {value:.15e}")
-    print(f"imag_residue = {abs(raw.imag):.3e}")
+    print(f"pairing = {float(value.real):.15e}")
+    print(f"imag_residue = {abs(float(value.imag)):.3e}")
     print(f"lambda1 = {_fmt_complex(l1)}")
     print(f"lambda2 = {_fmt_complex(l2)}")
     print(f"tau1 = {_fmt_complex(tp.tau1)}")
@@ -243,46 +250,32 @@ def cmd_traintrack(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    l1_vals = np.linspace(args.lambda1_min, args.lambda1_max, args.n1)
-    l2_vals = np.linspace(args.lambda2_min, args.lambda2_max, args.n2)
+    l1_vals = np.linspace(args.lambda1_min, args.lambda1_max, args.n1).tolist()
+    l2_vals = np.linspace(args.lambda2_min, args.lambda2_max, args.n2).tolist()
     rows = []
     for l1 in l1_vals:
         for l2 in l2_vals:
-            row = {"lambda1_re": float(l1), "lambda1_im": 0.0, "lambda2_re": float(l2), "lambda2_im": 0.0}
+            row = {"lambda1": complex(l1), "lambda2": complex(l2)}
+            rows.append(row)
             if abs(l1 + l2) < 1e-12:
                 row["status"] = "degenerate"
-                rows.append(row)
                 continue
             try:
                 lp = LambdaPair(complex(l1), complex(l2))
                 pt = map_T(lp)
                 tp = mirror_map(lp)
-                row.update(
-                    {
-                        "x_re": pt.x.real,
-                        "x_im": pt.x.imag,
-                        "y_re": pt.y.real,
-                        "y_im": pt.y.imag,
-                        "tau1_re": tp.tau1.real,
-                        "tau1_im": tp.tau1.imag,
-                        "tau2_re": tp.tau2.real,
-                        "tau2_im": tp.tau2.imag,
-                    }
-                )
+                row.update({"x": pt.x, "y": pt.y, "tau1": tp.tau1, "tau2": tp.tau2})
                 if args.quantity == "pi0":
-                    val = period_basis(lp).pi0
-                    row["pi0_re"], row["pi0_im"] = val.real, val.imag
+                    row["pi0"] = period_basis(lp).pi0
                 elif args.quantity == "pairing":
                     row["pairing"] = positivity_pairing(period_basis(lp))
                 else:
-                    val = lambda_hauptmodul(tp.tau1)
-                    row["lambda_map_re"], row["lambda_map_im"] = val.real, val.imag
+                    row["lambda_map"] = lambda_hauptmodul(tp.tau1)
                 row["status"] = "ok"
             except DomainError as exc:
                 row["status"] = f"domain_error: {exc}"
-            rows.append(row)
-    _write_report(rows, rows, args.output, args.format, columns=("status",))
-    return 0
+    rows = [_flat_row(row) for row in rows]
+    return _write_report(rows, rows, args.output, args.format, columns=("status",))
 
 
 def cmd_monodromy(args) -> int:

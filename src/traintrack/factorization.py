@@ -263,24 +263,32 @@ def period_derivatives(x, y):
     return (_SCALE * np.stack([p.c for p in periods], axis=2)).reshape((3, 3, 4) + shape)
 
 
+def _pairing_arrays(v):
+    """Pi^T Sigma Pi and -Pi^dagger Sigma Pi of the period vectors on the last axis of v.
+
+    Each vector is multiplied as a 1 x 4 row and a 4 x 1 column, rounding as
+    the 1-D v @ SIGMA @ v does (a sum over the last axis does not).  Either
+    form raises DomainError if a pairing, real for every vector, has an
+    imaginary residue above 1e-12 max(1, |pairing|).
+    """
+    v = np.asarray(v, dtype=complex)
+    row, col = v[..., None, :], v[..., None]
+    quad = (row @ SIGMA @ col)[..., 0, 0]
+    val = (-np.conj(row) @ SIGMA @ col)[..., 0, 0]
+    bad = np.abs(val.imag) > 1e-12 * np.maximum(1.0, np.abs(val))
+    if np.count_nonzero(bad):
+        raise DomainError(f"pairing has imaginary residue {val.imag[bad][0]:.3e}")
+    return quad, val
+
+
 def quadratic_relation(pv: PeriodVector) -> complex:
     """Pi^T Sigma Pi = 2 (Pi0 Pi3 - Pi1 Pi2); vanishes for genuine periods."""
-    v = pv.as_array()
-    return complex(v @ SIGMA @ v)
-
-
-def _pairing(pv: PeriodVector):
-    """The real pairing -Pi^dagger Sigma Pi, and the complex product it is read from."""
-    v = pv.as_array()
-    val = -np.conj(v) @ SIGMA @ v
-    if abs(val.imag) > 1e-12 * max(1.0, abs(val)):
-        raise DomainError(f"pairing has imaginary residue {val.imag:.3e}")
-    return float(val.real), val
+    return complex(_pairing_arrays(pv.as_array())[0])
 
 
 def positivity_pairing(pv: PeriodVector) -> float:
     """The real pairing (-i)^2 Pi^dagger Sigma Pi = -Pi^dagger Sigma Pi."""
-    return _pairing(pv)[0]
+    return float(_pairing_arrays(pv.as_array())[1].real)
 
 
 def traintrack_value(z1: complex, z2: complex) -> float:

@@ -1,9 +1,14 @@
 """Seeded verification suites and machine-readable reports.
 
 Sampling uses the counter-based Philox generator so any implementation that
-seeds Philox identically reproduces the draws.  Reports are serialized with
-sorted keys; the wall-clock duration is reported on stderr only and stored as
-null, so identical configurations produce byte-identical files.
+seeds Philox identically reproduces the draws.  Inputs are drawn as column
+blocks, rng.uniform(lows, highs, (n, k)), equal bit for bit to a loop of
+scalar rng.uniform calls in row order.  suite_modular keeps its scalar loop,
+which redraws each tau until it passes a test; the weight probes draw after
+it, so blocks there would change the samples reported.  Reports are
+serialized with sorted keys; the wall-clock duration is reported on stderr
+only and stored as null, so identical configurations produce byte-identical
+files.
 
 Each suite computes its cases as columns, one value per case, and one
 builder, ``_cases``, turns them into records; only the modular weight probes
@@ -22,12 +27,10 @@ from .appell import F2Params, ModuliPoint, f2_derivatives_on_arrays, f2_series_o
 from .errors import NonConstantRatioError
 from .factorization import (
     LambdaPair,
-    PeriodVector,
     _in_theorem_domain,
+    _pairing_arrays,
     map_T,
     periods_from_lambdas,
-    positivity_pairing,
-    quadratic_relation,
 )
 from .modular import (
     ModularGroupElement,
@@ -158,19 +161,15 @@ def _first_accepted(rng, n: int, lows, highs, accept):
     """The first n candidates that ``accept`` keeps, with the draws made in blocks.
 
     A candidate is one rng.uniform(lo, hi) draw per (lo, hi) column, in
-    order.  rng.random takes the same doubles as the scalar draws would, in
-    the same order, and lo + (hi - lo) u is the value uniform forms from
-    them, so every candidate equals a scalar rejection loop's bit for bit.
+    order, so every candidate equals a scalar rejection loop's bit for bit.
     ``accept`` maps a block of candidate rows to one entry per row, the kept
     item or None; it may be a generator, which is run only as far as needed.
     The rest of the last block is drawn but not used: each suite draws from
     its own generator, and no more once its samples are taken.
     """
-    lows = np.asarray(lows, dtype=float)
-    spans = np.asarray(highs, dtype=float) - lows
     out = []
     while len(out) < n:
-        rows = lows + spans * rng.random((4 * (n - len(out)) + 16, len(lows)))
+        rows = rng.uniform(lows, highs, (4 * (n - len(out)) + 16, len(lows)))
         kept = (item for item in accept(rows) if item is not None)
         out.extend(itertools.islice(kept, n - len(out)))
     return out
@@ -201,12 +200,6 @@ def sample_theorem_domain(rng, n: int):
     )
 
 
-def _lambda_arrays(pairs):
-    """The lambda1 and lambda2 values of the pairs, as two lists."""
-    pairs = list(pairs)
-    return [lp.lambda1 for lp in pairs], [lp.lambda2 for lp in pairs]
-
-
 def _cases(inputs, outputs, residuals, passed):
     """One CaseRecord per row of the columns.
 
@@ -235,7 +228,7 @@ def _finish(suite, cfg, cases):
 def suite_factorization(cfg: RunConfig) -> VerificationReport:
     """Central identity: Pi0 equals the conformal F2 row sum under T."""
     samples = sample_theorem_domain(_rng(cfg.rng_seed), cfg.samples("factorization"))
-    l1, l2 = _lambda_arrays(lp for lp, _ in samples)
+    l1, l2 = [lp.lambda1 for lp, _ in samples], [lp.lambda2 for lp, _ in samples]
     x, y = [pt.x for _, pt in samples], [pt.y for _, pt in samples]
     pi0 = periods_from_lambdas(l1, l2)[0].tolist()
     f2 = f2_series_on_arrays(F2Params.conformal_case(), x, y).tolist()
@@ -250,16 +243,12 @@ def suite_factorization(cfg: RunConfig) -> VerificationReport:
 def suite_bilinear(cfg: RunConfig) -> VerificationReport:
     """Quadratic relation Pi^T Sigma Pi = 0 and positivity of the pairing."""
     tol = cfg.tol("bilinear")
-    rng = _rng(cfg.rng_seed)
-    pairs = [
-        LambdaPair(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
-        for _ in range(cfg.samples("bilinear"))
-    ]
-    l1, l2 = _lambda_arrays(pairs)
-    pvs = [PeriodVector(*row) for row in np.stack(periods_from_lambdas(l1, l2), 1).tolist()]
-    quads = [quadratic_relation(pv) for pv in pvs]
-    pairings = [positivity_pairing(pv) for pv in pvs]
-    scales = [abs(pv.pi0 * pv.pi3) + abs(pv.pi1 * pv.pi2) for pv in pvs]
+    l1, l2 = _rng(cfg.rng_seed).uniform(0.05, 0.95, (cfg.samples("bilinear"), 2)).T.tolist()
+    periods = np.stack(periods_from_lambdas(l1, l2), 1)
+    quads, pairings = _pairing_arrays(periods)
+    quads, pairings = quads.tolist(), pairings.real.tolist()
+    # Python's abs, not np.abs: the two round some moduli differently
+    scales = [abs(p0 * p3) + abs(p1 * p2) for p0, p1, p2, p3 in periods.tolist()]
     resids = [abs(quad) / scale for quad, scale in zip(quads, scales)]
     passed = [r < tol and p > 0 for r, p in zip(resids, pairings)]
     outputs = {"quadratic_relation": quads, "pairing": pairings}
@@ -270,20 +259,14 @@ def suite_bilinear(cfg: RunConfig) -> VerificationReport:
 def suite_mirror(cfg: RunConfig) -> VerificationReport:
     """Hauptmodul round trips of the canonical coordinates."""
     tol = cfg.tol("mirror")
-    rng = _rng(cfg.rng_seed)
-    pairs = [
-        LambdaPair(rng.uniform(0.05, 0.7), rng.uniform(0.4, 0.95))
-        for _ in range(cfg.samples("mirror"))
-    ]
-    l1s, l2s = _lambda_arrays(pairs)
-    l1, l2 = np.array(l1s, dtype=complex), np.array(l2s, dtype=complex)
+    l1, l2 = _rng(cfg.rng_seed).uniform((0.05, 0.4), (0.7, 0.95), (cfg.samples("mirror"), 2)).T
     t1, t2 = mirror_map_arrays(l1, l2)
     back1, back2 = inverse_mirror_arrays(t1, t2)
     r1 = np.abs(lambda_hauptmodul(t1) - l1 * l1)
     r2 = np.abs(1.0 - lambda_hauptmodul(t2) - l2 * l2)
     resids = np.maximum.reduce([r1, r2, np.abs(back1 - l1), np.abs(back2 - l2)])
     outputs = {"tau1": t1.tolist(), "tau2": t2.tolist()}
-    cases = _cases({"lambda1": l1s, "lambda2": l2s}, outputs, resids, resids < tol)
+    cases = _cases({"lambda1": l1.tolist(), "lambda2": l2.tolist()}, outputs, resids, resids < tol)
     return _finish("mirror", cfg, cases)
 
 
@@ -291,16 +274,12 @@ _WEIGHT_GENERATORS = (
     ModularGroupElement(1, 2, 0, 1),
     ModularGroupElement(1, 0, 2, 1),
 )
+_WEIGHT_PROBES = 5  # tau pairs per probe
 
 
-def _weight_probe_samples(rng, n=5):
-    return [
-        TauPair(
-            rng.uniform(-0.3, 0.3) + 1j * rng.uniform(0.8, 1.6),
-            rng.uniform(-0.3, 0.3) + 1j * rng.uniform(0.8, 1.6),
-        )
-        for _ in range(n)
-    ]
+def _weight_probe_samples(rng):
+    draws = rng.uniform((-0.3, 0.8, -0.3, 0.8), (0.3, 1.6, 0.3, 1.6), (_WEIGHT_PROBES, 4))
+    return [TauPair(a + 1j * b, c + 1j * d) for a, b, c, d in draws.tolist()]
 
 
 def suite_modular(cfg: RunConfig) -> VerificationReport:
@@ -309,7 +288,7 @@ def suite_modular(cfg: RunConfig) -> VerificationReport:
     rng = _rng(cfg.rng_seed)
     pairs, taus, lams = [], [], []
     for _ in range(cfg.samples("modular")):
-        pairs.append(LambdaPair(rng.uniform(0.05, 0.7), rng.uniform(0.4, 0.95)))
+        pairs.append(rng.uniform((0.05, 0.4), (0.7, 0.95)))
         while True:
             tau = rng.uniform(-0.9, 0.9) + 1j * rng.uniform(0.5, 2.0)
             lam = lambda_hauptmodul(tau)
@@ -318,7 +297,7 @@ def suite_modular(cfg: RunConfig) -> VerificationReport:
                 break
         taus.append(tau)
         lams.append(lam)
-    l1s, l2s = _lambda_arrays(pairs)
+    l1s, l2s = np.transpose(pairs).tolist()
     pi0 = periods_from_lambdas(l1s, l2s)[0]
     bridges = np.abs(pi0_modular_arrays(*mirror_map_arrays(l1s, l2s)) - pi0)
     k_from_theta = np.pi / 2 * theta3(np.array(taus)) ** 2

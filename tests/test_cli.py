@@ -314,6 +314,33 @@ class TestVerify:
         got = [(pt.x, pt.y) for pt in verify._flatness_points(verify._rng(seed), 10)]
         assert got == scalar_loop(verify._rng(seed), 10)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_block_draws_equal_scalar_loop(self, seed):
+        def scalar_loop(lows, highs, n):
+            rng = verify._rng(seed)
+            return [[rng.uniform(lo, hi) for lo, hi in zip(lows, highs)] for _ in range(n)]
+
+        cfg = verify.RunConfig(rng_seed=seed)
+        for suite, lows, highs in (
+            ("bilinear", (0.05, 0.05), (0.95, 0.95)),
+            ("mirror", (0.05, 0.4), (0.7, 0.95)),
+        ):
+            cases = verify.run_suite(suite, cfg).cases
+            got = [[c.inputs["lambda1"], c.inputs["lambda2"]] for c in cases]
+            assert got == scalar_loop(lows, highs, cfg.samples(suite))
+        probes = verify._weight_probe_samples(verify._rng(seed))
+        draws = scalar_loop((-0.3, 0.8, -0.3, 0.8), (0.3, 1.6, 0.3, 1.6), len(probes))
+        assert len(probes) == 5
+        assert [(tp.tau1, tp.tau2) for tp in probes] == [
+            (a + 1j * b, c + 1j * d) for a, b, c, d in draws
+        ]
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "r.json"
+        assert main(["verify", "bilinear", "--output", str(path)]) == 2
+        assert f"cannot write {path}: " in capsys.readouterr().err
+        assert not path.parent.exists()
+
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -402,6 +429,38 @@ class TestScan:
         statuses = [r["status"] for r in rows]
         assert "degenerate" in statuses
         assert "ok" in statuses
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("quantity", ["pi0", "pairing", "lambda_map"])
+    def test_rows_are_flat(self, tmp_path, quantity, fmt):
+        # the grid of test_degenerate_rows_marked: lambda1 = -0.5, 0, 0.5 at lambda2 = 0.5
+        out = tmp_path / f"scan.{fmt}"
+        rc = main(
+            ["scan", "--lambda1-min", "-0.5", "--lambda1-max", "0.5",
+             "--lambda2-min", "0.5", "--lambda2-max", "0.5", "--n1", "3", "--n2", "1",
+             "--quantity", quantity, "--format", fmt, "--output", str(out)]
+        )
+        assert rc == 0
+        if fmt == "json":
+            rows = json.loads(out.read_text())
+        else:  # an empty CSV cell is a column the row does not carry
+            reader = csv.DictReader(out.read_text().splitlines())
+            rows = [{k: v for k, v in row.items() if v != ""} for row in reader]
+        assert not any(isinstance(v, dict) for row in rows for v in row.values())
+        degenerate, domain_error, ok = rows
+        lambdas = {f"lambda{i}_{part}" for i in (1, 2) for part in ("re", "im")}
+        assert set(degenerate) == set(domain_error) == lambdas | {"status"}
+        assert degenerate["status"] == "degenerate"
+        assert domain_error["status"].startswith("domain_error: ")
+        split = ["x", "y", "tau1", "tau2"] + ([] if quantity == "pairing" else [quantity])
+        keys = lambdas | {f"{name}_{part}" for name in split for part in ("re", "im")}
+        assert set(ok) == keys | {"status"} | ({"pairing"} if quantity == "pairing" else set())
+        assert ok["status"] == "ok"
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "s.csv"
+        assert main(self._grid_args() + ["--output", str(path)]) == 2
+        assert f"cannot write {path}: " in capsys.readouterr().err
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "scan.json"

@@ -21,7 +21,12 @@ from traintrack import (
     quadratic_relation,
     traintrack_value,
 )
-from traintrack.factorization import invert_T_arrays, period_derivatives, periods_from_lambdas
+from traintrack.factorization import (
+    _pairing_arrays,
+    invert_T_arrays,
+    period_derivatives,
+    periods_from_lambdas,
+)
 from traintrack.verify import sample_theorem_domain
 
 
@@ -341,6 +346,38 @@ class TestBilinear:
     def test_pairing_returns_real_float(self):
         val = positivity_pairing(period_basis(LambdaPair(0.3, 0.7)))
         assert isinstance(val, float)
+
+    def test_stack_rows_equal_scalar_wrappers(self):
+        # periods at complex pairs, and vectors with entries from 1e-8 to 1e8 in
+        # size, where a sum over the last axis rounds unlike v @ SIGMA @ v
+        rng = _rng()
+        l1 = rng.uniform(0.05, 0.95, 40) + 1j * rng.uniform(-0.05, 0.05, 40)
+        l2 = rng.uniform(0.05, 0.95, 40) + 1j * rng.uniform(-0.05, 0.05, 40)
+        spread = 10.0 ** rng.integers(-8, 8, (40, 4))
+        wide = spread * (rng.normal(size=(40, 4)) + 1j * rng.normal(size=(40, 4)))
+        stack = np.concatenate((np.stack(periods_from_lambdas(l1, l2), 1), wide))
+        quads, pairings = _pairing_arrays(stack)
+        assert quads.shape == pairings.shape == (80,)
+        for row, quad, pairing in zip(stack.tolist(), quads, pairings):
+            pv = PeriodVector(*row)
+            assert np.complex128(quadratic_relation(pv)).tobytes() == quad.tobytes()
+            assert np.float64(positivity_pairing(pv)).tobytes() == pairing.real.tobytes()
+            # the 1-D products of the per-point implementation, as the reference
+            v = np.array(row)
+            assert (v @ SIGMA @ v).tobytes() == quad.tobytes()
+            assert (-np.conj(v) @ SIGMA @ v).tobytes() == pairing.tobytes()
+
+    def test_imaginary_residue_raises(self):
+        # -Pi^dagger Sigma Pi is real for every vector, but rounding leaves an
+        # imaginary part of 1 here, where terms of 1e17 cancel and the real part is 0
+        bad = [1j, 1e9 - 1e9j, -1e8 - 1e8j, -1]
+        good = period_basis(LambdaPair(0.3, 0.7)).as_array()
+        _pairing_arrays(good)
+        with pytest.raises(DomainError, match="imaginary residue"):
+            _pairing_arrays(np.array([good, bad]))
+        for wrapper in (positivity_pairing, quadratic_relation):
+            with pytest.raises(DomainError, match="imaginary residue"):
+                wrapper(PeriodVector(*bad))
 
 
 class TestTraintrackValue:
