@@ -32,6 +32,7 @@ __all__ = [
 
 J = np.array([[0, 1], [-1, 0]], dtype=np.int64)
 SIGMA = np.kron(J, J)  # antidiagonal blocks; SIGMA @ SIGMA = identity
+_SIGMA_C = SIGMA.astype(complex)  # so the pairing does not cast SIGMA per matmul
 
 
 @dataclass(frozen=True)
@@ -273,8 +274,8 @@ def _pairing_arrays(v):
     """
     v = np.asarray(v, dtype=complex)
     row, col = v[..., None, :], v[..., None]
-    quad = (row @ SIGMA @ col)[..., 0, 0]
-    val = (-np.conj(row) @ SIGMA @ col)[..., 0, 0]
+    quad = (row @ _SIGMA_C @ col)[..., 0, 0]
+    val = (-np.conj(row) @ _SIGMA_C @ col)[..., 0, 0]
     bad = np.abs(val.imag) > 1e-12 * np.maximum(1.0, np.abs(val))
     if np.count_nonzero(bad):
         raise DomainError(f"pairing has imaginary residue {val.imag[bad][0]:.3e}")

@@ -3,9 +3,11 @@
 Sampling uses the counter-based Philox generator so any implementation that
 seeds Philox identically reproduces the draws.  Inputs are drawn as column
 blocks, rng.uniform(lows, highs, (n, k)), equal bit for bit to a loop of
-scalar rng.uniform calls in row order.  suite_modular keeps its scalar loop,
-which redraws each tau until it passes a test; the weight probes draw after
-it, so blocks there would change the samples reported.  Reports are
+scalar rng.uniform calls in row order.  suite_modular redraws a tau until it
+passes a test; at the first rejected row of a block it puts the generator
+back to the block's start, moves it past that row, redraws the tau one at a
+time and starts a new block, so its samples and the weight probes drawn
+after them are those of a scalar rejection loop.  Reports are
 serialized with sorted keys; the wall-clock duration is reported on stderr
 only and stored as null, so identical configurations produce byte-identical
 files.
@@ -35,12 +37,12 @@ from .factorization import (
 from .modular import (
     ModularGroupElement,
     TauPair,
+    _thetas,
     inverse_mirror_arrays,
     lambda_hauptmodul,
     mirror_map_arrays,
     multiplier_probe,
     pi0_modular_arrays,
-    theta3,
 )
 from .pfaffian import (
     flatness_residual,
@@ -140,7 +142,15 @@ class VerificationReport:
         }
 
 
+_LEAVES = frozenset((float, int, bool, str, type(None)))
+
+
 def _jsonable(obj):
+    # Python leaves by exact type first: numpy's float64 subclasses float
+    if type(obj) in _LEAVES:
+        return obj
+    if type(obj) is complex:
+        return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -282,28 +292,58 @@ def _weight_probe_samples(rng):
     return [TauPair(a + 1j * b, c + 1j * d) for a, b, c, d in draws.tolist()]
 
 
+def _hauptmodul_off_cut(tau):
+    """lambda(tau) and theta3(tau) from one theta call, and where lambda(tau)
+    is off the cut [1, oo) of K, as the K/theta identity needs."""
+    th2, th3, _ = _thetas(tau)
+    lam = th2**4 / th3**4
+    return lam, th3, ~((lam.real > 0.95) & (np.abs(lam.imag) < 0.01))
+
+
+def _modular_samples(rng, n):
+    """Columns lambda1, lambda2, tau, lambda(tau), theta3(tau) of n samples.
+
+    The draws equal a scalar loop that draws each pair and then redraws tau
+    until lambda(tau) is off the cut.  Rows (lambda1, lambda2, Re tau, Im tau)
+    are drawn in blocks.  At the first rejected row k of a block the
+    generator is put back to the block's start and moved past the 4(k + 1)
+    doubles up to row k; that sample's tau is redrawn one at a time, and a
+    new block starts after it.  So the generator ends where the scalar loop
+    ends, and whatever is drawn after the samples is unchanged.
+    """
+    columns, count = [], 0
+    while count < n:
+        state = rng.bit_generator.state
+        rows = rng.uniform((0.05, 0.4, -0.9, 0.5), (0.7, 0.95, 0.9, 2.0), (n - count, 4))
+        tau = rows[:, 2] + 1j * rows[:, 3]
+        lam, th3, ok = _hauptmodul_off_cut(tau)
+        k = len(rows) if ok.all() else int(ok.argmin())
+        columns.append((rows[:k, 0], rows[:k, 1], tau[:k], lam[:k], th3[:k]))
+        count += k
+        if k < len(rows):
+            rng.bit_generator.state = state
+            rng.random(4 * (k + 1))
+            while True:
+                t = rng.uniform(-0.9, 0.9) + 1j * rng.uniform(0.5, 2.0)
+                lam, th3, ok = _hauptmodul_off_cut(t)
+                if ok[0]:
+                    break
+            columns.append((rows[k : k + 1, 0], rows[k : k + 1, 1], [t], lam, th3))
+            count += 1
+    return [np.concatenate(c) for c in zip(*columns)]
+
+
 def suite_modular(cfg: RunConfig) -> VerificationReport:
     """Theta expression of Pi0, the K/theta identity, and the weight probes."""
     tol = cfg.tol("modular")
     rng = _rng(cfg.rng_seed)
-    pairs, taus, lams = [], [], []
-    for _ in range(cfg.samples("modular")):
-        pairs.append(rng.uniform((0.05, 0.4), (0.7, 0.95)))
-        while True:
-            tau = rng.uniform(-0.9, 0.9) + 1j * rng.uniform(0.5, 2.0)
-            lam = lambda_hauptmodul(tau)
-            # the K/theta identity needs lambda(tau) off the cut [1, oo) of K
-            if not (lam.real > 0.95 and abs(lam.imag) < 0.01):
-                break
-        taus.append(tau)
-        lams.append(lam)
-    l1s, l2s = np.transpose(pairs).tolist()
+    l1, l2, taus, lams, th3 = _modular_samples(rng, cfg.samples("modular"))
+    l1s, l2s = l1.tolist(), l2.tolist()
     pi0 = periods_from_lambdas(l1s, l2s)[0]
     bridges = np.abs(pi0_modular_arrays(*mirror_map_arrays(l1s, l2s)) - pi0)
-    k_from_theta = np.pi / 2 * theta3(np.array(taus)) ** 2
-    kthetas = np.abs(ellint_K(np.array(lams, dtype=complex)) - k_from_theta)
+    kthetas = np.abs(ellint_K(lams) - np.pi / 2 * th3**2)
     resids = np.maximum(bridges, kthetas)
-    inputs = {"lambda1": l1s, "lambda2": l2s, "tau": taus}
+    inputs = {"lambda1": l1s, "lambda2": l2s, "tau": taus.tolist()}
     outputs = {"pi0_bridge": bridges.tolist(), "k_theta_identity": kthetas.tolist()}
     cases = _cases(inputs, outputs, resids, resids < tol)
     probe_samples = _weight_probe_samples(rng)

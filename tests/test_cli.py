@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, report formats."""
 
 import csv
+import hashlib
 import json
 import types
 from pathlib import Path
@@ -13,6 +14,7 @@ from traintrack import F2Params, LambdaPair, period_basis, positivity_pairing
 from traintrack import appell, verify
 from traintrack.appell import _euler_prefactor, _f2_row_sum
 from traintrack.cli import build_parser, main
+from traintrack.modular import lambda_hauptmodul
 
 HUGE = "9" * 400  # an int beyond the float range
 
@@ -228,6 +230,29 @@ class TestVerify:
             "tolerances": {**verify.DEFAULT_TOLERANCES, "bilinear": 0.5},
         }
 
+    # SHA-256 of the `verify all` JSON, as the CLI and the benchmark write it,
+    # taken with numpy 2.4.6; seed 31 redraws a tau in the modular suite
+    ALL_REPORT_SHA256 = {
+        0: "d01a030494fedc9c583fe4e990c5d43c7c107bb2fb21c8168a029a87c4a29c2f",
+        1: "18ff75aa5f7bd54126087f2c9c84a75ceefb0389995a3a21beb30bd7f3db95fa",
+        2: "fece003ae254785513d098e8dcd1e207155d071fb3ff3121ff8275eee99d2ceb",
+        3: "1a6e2145b297d8d1e491b3faa8e9990cf3f9b5a1673b3fc1300480a105aaa347",
+        4: "7fdad1558aca0ee6e6f2a4684ed9bb82c85ff923d927507f7e388883042d51f2",
+        5: "035041a888cc4297e6c4331981be9640e9cf60ecb54f915f0c7585b72ec98539",
+        6: "d78ea40643e7957c33c84822f35a87e591f4a9ea802b68b2e83791c533278e3f",
+        7: "5223c049878db6727fffe97818251bcb5d35377271145d084a1430f6b5a7d546",
+        8: "f7127076d4fed06f265f8ed0739f8971f1423a19a0cc6ccc04db5d2236ba3c3f",
+        9: "d21f24c2a5623aeb762890ad956b6890580dd80e3c1d3f76ef4974cdd34d7edb",
+        10: "1fbe6d823ae27935ae3a9eda7280639e409bd3365814094e3cf1b1bd2fc8473f",
+        31: "1e55b8063c3860c80422df729cf9febdf001965ff19b99f68f97b2bf656309f6",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(ALL_REPORT_SHA256))
+    def test_all_report_bytes_are_pinned(self, seed):
+        _, combined = verify.run_all(verify.RunConfig(rng_seed=seed))
+        text = json.dumps(combined, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == self.ALL_REPORT_SHA256[seed]
+
     def test_benchmark_verify_all_item_passes(self):
         # one item of the benchmark's verify_all workload, run through its own
         # call and checked by its own check against its mpmath oracle; both
@@ -314,8 +339,45 @@ class TestVerify:
         got = [(pt.x, pt.y) for pt in verify._flatness_points(verify._rng(seed), 10)]
         assert got == scalar_loop(verify._rng(seed), 10)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_block_draws_equal_scalar_loop(self, seed):
+    @staticmethod
+    def _modular_draws(monkeypatch, cfg):
+        """The suite's (lambda1, lambda2, tau) inputs and its weight-probe samples."""
+        seen = []
+
+        def probe(g, slot, samples):
+            seen.append(samples)
+            return 1.0 + 0j
+
+        monkeypatch.setattr(verify, "multiplier_probe", probe)
+        n = cfg.samples("modular")
+        cases = verify.suite_modular(cfg).cases
+        assert len(cases) == n + 4 and all(s == seen[0] for s in seen)
+        got = [[c.inputs[k] for k in ("lambda1", "lambda2", "tau")] for c in cases[:n]]
+        return got, [(tp.tau1, tp.tau2) for tp in seen[0]]
+
+    @staticmethod
+    def _modular_scalar_loop(rng, n):
+        """suite_modular's draws as a scalar rejection loop: each pair, then tau
+        redrawn until lambda(tau) is off the cut; then the weight probes.  Also
+        the samples at which tau was redrawn."""
+        rows, redrawn = [], []
+        for i in range(n):
+            l1, l2 = rng.uniform((0.05, 0.4), (0.7, 0.95)).tolist()
+            while True:
+                tau = rng.uniform(-0.9, 0.9) + 1j * rng.uniform(0.5, 2.0)
+                lam = lambda_hauptmodul(tau)
+                if not (lam.real > 0.95 and abs(lam.imag) < 0.01):
+                    break
+                redrawn.append(i)
+            rows.append([l1, l2, tau])
+        probes = []
+        for _ in range(verify._WEIGHT_PROBES):
+            a, b, c, d = (rng.uniform(lo, hi) for lo, hi in ((-0.3, 0.3), (0.8, 1.6)) * 2)
+            probes.append((a + 1j * b, c + 1j * d))
+        return rows, probes, redrawn
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 31])
+    def test_block_draws_equal_scalar_loop(self, seed, monkeypatch):
         def scalar_loop(lows, highs, n):
             rng = verify._rng(seed)
             return [[rng.uniform(lo, hi) for lo, hi in zip(lows, highs)] for _ in range(n)]
@@ -334,6 +396,16 @@ class TestVerify:
         assert [(tp.tau1, tp.tau2) for tp in probes] == [
             (a + 1j * b, c + 1j * d) for a, b, c, d in draws
         ]
+        rows, probes, redrawn = self._modular_scalar_loop(verify._rng(seed), 50)
+        assert redrawn == {5: [48], 31: [38]}.get(seed, [])
+        assert self._modular_draws(monkeypatch, cfg) == (rows, probes)
+
+    def test_modular_draws_across_two_redraws(self, monkeypatch):
+        # a block that redraws, a second block that redraws, and a last block
+        rows, probes, redrawn = self._modular_scalar_loop(verify._rng(5), 200)
+        assert redrawn == [48, 163]
+        cfg = verify.RunConfig(rng_seed=5, sample_count=200)
+        assert self._modular_draws(monkeypatch, cfg) == (rows, probes)
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         path = tmp_path / "missing" / "r.json"
