@@ -159,6 +159,8 @@ def periods_from_lambdas(l1, l2):
     The moduli L1^2, 1 - L1^2, L2^2, 1 - L2^2 of every point go to K in one
     call.  Scalars are computed as arrays of one element, so a point's
     components do not depend on the other points passed with it.
+    Each K is principal, so in the theorem domain only Pi0 is continuous: Pi1 jumps across
+    the cut of K(1 - L1^2) at L1^2 <= 0, Pi2 and Pi3 across that of K(L2^2) at L2^2 >= 1.
     """
     l1, l2 = np.broadcast_arrays(
         np.asarray(l1, dtype=complex), np.asarray(l2, dtype=complex)
@@ -179,7 +181,7 @@ def periods_from_lambdas(l1, l2):
 
 
 def period_basis(lp: LambdaPair) -> PeriodVector:
-    """Periods Pi0..Pi3 as elliptic-integral products, on the tracked domain."""
+    """Periods Pi0..Pi3, elliptic-integral products, on the tracked domain; only Pi0 has no cut."""
     if not lp.in_theorem_domain:
         raise DomainError(
             "lambda pair outside the domain |L1^2| < 1, |1 - L2^2| < 1"

@@ -3,10 +3,10 @@
 The 2x2 connection lives in the section basis (f, z df/dz); the 4x4 one in
 (F, x dF/dx, y dF/dy, x y d2F/dxdy).  Both are Fuchsian, held as data: constant
 residues over singular points or lines.  The connection on arrays of points,
-the poles of a restriction to a line, the Taylor coefficients of a transport
-step and the curvature follow from them in closed form.  The tests check the
-F2 residues against Cramer's rule on the two PDEs, and their integrability
-exactly in rationals.
+the poles of a restriction to a line and the curvature follow from them in
+closed form, and the Taylor terms of a transport step by a recurrence per
+pole.  The tests check the F2 residues against Cramer's rule on the two PDEs,
+and their integrability exactly in rationals.
 """
 
 from __future__ import annotations
@@ -150,10 +150,10 @@ class PathSpec:
     A piece is a segment (z0, z1) or an arc (centre, radius, start angle,
     sweep), the sweep in radians and positive counter-clockwise.
     ``polyline`` and ``circle`` build chains of one kind, and ``a + b`` is
-    ``a`` followed by ``b``.  A chain whose pieces do not join raises
-    ValueError when it is built.  A polyline through one point is a segment of
-    length 0 and a circle of no turns an arc of no sweep: such a piece adds
-    no step to a transport, but its point counts for the clearance.
+    ``a`` followed by ``b``.  Pieces that do not join, are not finite or of finite
+    length, or are arcs of negative radius raise ValueError.  A polyline through one
+    point is a segment of length 0 and a circle of no turns an arc of no sweep: such
+    a piece adds no step to a transport, but its point counts for the clearance.
     """
 
     pieces: tuple
@@ -161,6 +161,10 @@ class PathSpec:
     def __post_init__(self):
         if not self.pieces:
             raise ValueError("a path needs at least one piece")
+        for piece in self.pieces:
+            numbers = (*piece, _piece_position(piece)[1])  # the length may overflow
+            if not all(map(cmath.isfinite, numbers)) or (len(piece) == 4 and piece[1] < 0):
+                raise ValueError(f"not a finite segment or an arc of radius >= 0: {piece}")
         for before, after in zip(self.pieces, self.pieces[1:]):
             (_, end, size), (start, _, other) = _piece_ends(before), _piece_ends(after)
             if abs(end - start) > _JOIN_TOL * max(size, other):
@@ -308,38 +312,47 @@ def _step_plan(path: PathSpec, sing: Sequence[complex]):
     return np.array(plan, dtype=complex).reshape(-1, 2).T
 
 
-def _step_coefficients(s: PfaffianSystem1D, z, h) -> np.ndarray:
-    """h A_k h^k, k < 48, of the steps h from the centres z, shape (S, 48, d, d).
-
-    Expanding each R_p/(w - p) about z in u = (w - z)/h gives h A(z + h u) =
-    sum_k (h A_k h^k) u^k, h A_k h^k = -sum_p R_p q_p^(k+1), q_p = h/(p - z).
-    """
-    q = h[:, None] / (s.poles - z[:, None])
-    powers = np.cumprod(np.broadcast_to(q[:, None], (len(z), _TERMS, q.shape[1])), axis=1)
+def _step_terms(s: PfaffianSystem1D, z, h):
+    """Terms Y_k h^k (S, 48, d, d) of the steps h from the centres z, term 0 the identity,
+    and form(k), which forms term k + 1 if called for k = 0, 1, ... in turn."""
     d = s.dimension
-    return (powers @ -s.residues.reshape(-1, d * d)).reshape(len(z), _TERMS, d, d)
+    q = (h[:, None] / (s.poles - z[:, None]))[:, :, None, None]
+    # -[R_1 ... R_P]/(k + 1) side by side: one matmul with the W_p stacked
+    blocks = -s.residues.transpose(1, 0, 2).reshape(d, -1) / np.arange(1.0, _TERMS)[:, None, None]
+    sums = np.zeros(q.shape[:2] + (d, d), dtype=complex)
+    stacked = sums.reshape(len(z), -1, d)
+    terms = np.empty((len(z), _TERMS, d, d), dtype=complex)
+    terms[:, 0] = np.eye(d)
+
+    def form(k):
+        np.add(sums, terms[:, k, None], out=sums)
+        np.multiply(sums, q, out=sums)
+        np.matmul(blocks[k], stacked, out=terms[:, k + 1])
+
+    return terms, form
 
 
 def integrate_pfaffian(s: PfaffianSystem1D, path: PathSpec, initial: np.ndarray) -> np.ndarray:
     """Parallel-transport `initial` along the path; returns the endpoint matrix.
 
-    A Taylor-series method for the linear system dY/dz = A(z) Y, in four
-    stages.  The plan: the path is a chain of pieces (see ``PathSpec``); a
-    step from a point z of a piece with clearance R from the poles (the
-    length of the piece if there are none) goes h, at most 0.35 R, along the
-    piece, and a piece of length 0 has no steps.  The steps depend on the
-    path alone.  The coefficients: the Taylor coefficients A_j of A about
-    each centre, in closed form from the residues (``_step_coefficients``).
-    The propagators: each step is the matrix P = sum_k Y_k h^k, the series
-    of the solution that starts from the identity, and the recurrence
-    (k + 1) Y_{k+1} = sum_{j<=k} A_j Y_{k-j} runs for all steps at once.  A
-    term is small when its Frobenius norm is at most 1e-14; a step is done
-    after two small terms in a row, and the batch stops at the first term
-    after which every step is done (steps done earlier keep adding terms,
-    which only adds accuracy).  The norms are taken once per block of 8
-    terms, and the rule runs along the block, carrying into the next; terms
-    of the block past the stop are formed but not summed, so the sum is
-    that of a test after every term.  The endpoint is P_S ... P_1 initial.
+    A Taylor-series method for dY/dz = A(z) Y, in four stages.  The plan: a
+    step from a point z of a piece (see ``PathSpec``) with clearance R from
+    the poles (the piece's length if there are none) goes h, at most 0.35 R,
+    along the piece; a piece of length 0 has none.  The steps depend on the
+    path alone.  The ratios q_p = h/(p - z), one per step and pole p: in
+    u = (w - z)/h, h A(z + h u) = -sum_p R_p q_p / (1 - q_p u).  The
+    propagators: each step is P = sum_k Y_k h^k, the solution from the
+    identity, and its recurrence (k + 1) Y_{k+1} = sum_{j<=k} A_j Y_{k-j}, a
+    sum of geometric series, runs per pole as W_p = q_p (Y_k h^k + W_p),
+    (k + 1) Y_{k+1} h^{k+1} = -sum_p R_p W_p, for all steps at once
+    (``_step_terms``).  A term is small when its Frobenius norm is at most
+    1e-14; a step is done after two small terms in a row, and the batch
+    stops at the first term after which every step is done (steps done
+    earlier keep adding terms, which only adds accuracy).  The norms are
+    taken once per block of 8 terms, the rule running along the block and
+    carrying into the next; terms past the stop are formed but not summed,
+    so the sum is that of a test after every term.  The endpoint: each P
+    summed from its last term to the identity, P_S ... P_1 initial.
 
     A step not done after 48 terms raises ConvergenceError; a path closer
     than 1e-3 to a pole raises DomainError.
@@ -347,36 +360,21 @@ def integrate_pfaffian(s: PfaffianSystem1D, path: PathSpec, initial: np.ndarray)
     state = np.array(initial, dtype=complex)
     clearance = path.clearance(s.singular_points)
     if clearance < _CLEARANCE:
-        raise DomainError(
-            f"path clearance {clearance:.2e} below the required {_CLEARANCE:.0e}"
-        )
+        raise DomainError(f"path clearance {clearance:.2e} below the required {_CLEARANCE:.0e}")
     z, h = _step_plan(path, s.singular_points)
     if not len(z):
         return state
 
-    n, d, steps = _TERMS, s.dimension, len(z)
-    # in u = (w - z)/h the terms are Y_k h^k, and
-    # (k + 1) Y_{k+1} h^{k+1} = sum_j (h A_j h^j)(Y_{k-j} h^{k-j});
-    # per step, [hA_0, h^2 A_1, ...] side by side, so one matmul forms a term
-    a_row = _step_coefficients(s, z, h).transpose(0, 2, 1, 3).reshape(steps, d, n * d)
-    # term k in rows (n-1-k)d ... (n-k)d - 1: terms k, k-1, ..., 0 are one
-    # contiguous block of rows
-    terms = np.empty((steps, n, d, d), dtype=complex)
-    terms[:, -1] = np.eye(d)
-    rows = terms.reshape(steps, n * d, d)
+    terms, form = _step_terms(s, z, h)
     # each term's real and imaginary parts as one vector, for its norm
-    flat = terms.view(float).reshape(steps, n, 2 * d * d)
-    small = done = np.zeros(steps, dtype=bool)
-    for k0 in range(0, n - 1, _TAIL_BLOCK):
-        ks = range(k0, min(k0 + _TAIL_BLOCK, n - 1))
+    flat = terms.view(float).reshape(len(z), _TERMS, -1)
+    small = done = np.zeros(len(z), dtype=bool)
+    for k0 in range(0, _TERMS - 1, _TAIL_BLOCK):
+        ks = range(k0, min(k0 + _TAIL_BLOCK, _TERMS - 1))
         for k in ks:
-            top = (n - 1 - k) * d
-            new = rows[:, top - d : top]
-            np.matmul(a_row[:, :, : (k + 1) * d], rows[:, top:], out=new)
-            new /= k + 1
-        # terms k0 + 1 ... ks[-1] + 1 lie in reverse order: flip their flags
-        parts = flat[:, n - 2 - ks[-1] : n - 1 - k0]
-        now = (np.einsum("sbi,sbi->sb", parts, parts) <= _TAIL**2)[:, ::-1]
+            form(k)
+        parts = flat[:, k0 + 1 : ks[-1] + 2]
+        now = np.einsum("sbi,sbi->sb", parts, parts) <= _TAIL**2
         pair = now & np.concatenate((small[:, None], now[:, :-1]), axis=1)
         done_at = np.logical_or.accumulate(pair, axis=1) | done[:, None]
         every = done_at.all(axis=0)
@@ -387,9 +385,9 @@ def integrate_pfaffian(s: PfaffianSystem1D, path: PathSpec, initial: np.ndarray)
     else:
         raise ConvergenceError(
             f"Taylor step at z = {z[np.argmin(done)]:.6g} did not reach its "
-            f"tail target {_TAIL:.0e} in {n} terms"
+            f"tail target {_TAIL:.0e} in {_TERMS} terms"
         )
-    for p in terms[:, n - 2 - k :].sum(axis=1):
+    for p in terms[:, k + 1 :: -1].sum(axis=1):
         state = p @ state
     return state
 

@@ -145,6 +145,14 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert all(c["outputs"]["gamma2_member"] for c in report["cases"])
 
+    def test_monodromy_loops_are_integral_to_far_below_the_tolerance(self):
+        # the suite passes at 1e-8; its loops from the default basepoint
+        # are integral to within a few units of rounding
+        report = verify.run_suite("monodromy", verify.RunConfig())
+        assert report.tolerance == 1e-8
+        assert [c.inputs["around"] for c in report.cases] == [0.0, 1.0]
+        assert all(c.residual < 1e-13 for c in report.cases)
+
     def test_impossible_tolerance_exit_1(self, capsys, tmp_path):
         out = tmp_path / "r.json"
         rc = main(
@@ -233,18 +241,18 @@ class TestVerify:
     # SHA-256 of the `verify all` JSON, as the CLI and the benchmark write it,
     # taken with numpy 2.4.6; seed 31 redraws a tau in the modular suite
     ALL_REPORT_SHA256 = {
-        0: "d01a030494fedc9c583fe4e990c5d43c7c107bb2fb21c8168a029a87c4a29c2f",
-        1: "18ff75aa5f7bd54126087f2c9c84a75ceefb0389995a3a21beb30bd7f3db95fa",
-        2: "fece003ae254785513d098e8dcd1e207155d071fb3ff3121ff8275eee99d2ceb",
-        3: "1a6e2145b297d8d1e491b3faa8e9990cf3f9b5a1673b3fc1300480a105aaa347",
-        4: "7fdad1558aca0ee6e6f2a4684ed9bb82c85ff923d927507f7e388883042d51f2",
-        5: "035041a888cc4297e6c4331981be9640e9cf60ecb54f915f0c7585b72ec98539",
-        6: "d78ea40643e7957c33c84822f35a87e591f4a9ea802b68b2e83791c533278e3f",
-        7: "5223c049878db6727fffe97818251bcb5d35377271145d084a1430f6b5a7d546",
-        8: "f7127076d4fed06f265f8ed0739f8971f1423a19a0cc6ccc04db5d2236ba3c3f",
-        9: "d21f24c2a5623aeb762890ad956b6890580dd80e3c1d3f76ef4974cdd34d7edb",
-        10: "1fbe6d823ae27935ae3a9eda7280639e409bd3365814094e3cf1b1bd2fc8473f",
-        31: "1e55b8063c3860c80422df729cf9febdf001965ff19b99f68f97b2bf656309f6",
+        0: "8abc3220e91e758ca026714c684aaa4e653ddae91f5b07e3715a13ba8a891951",
+        1: "ecd317a2f498e528ee18b645586f9de9e4cc58dfdf70d32944d284ed5cffe0e5",
+        2: "2f97abfc179f6914665051ec5dd5752631add46bbad8d905512d458e5cec3e75",
+        3: "ee6d7dbaa1553248476f61a0901a15c92e7a7cc7215bd525cc1ad4615a1a622b",
+        4: "8338bfddec6a57483cf252300f44eb36e6db711a33a1d88aea1b4a7be16911d6",
+        5: "c844e330d266fd8cb4b878c615b78ae52589294c053995b5d6385234112da9f4",
+        6: "603aa0266c4736eed5781cc58939b42960035950d728940fd04e65f4e7fd058a",
+        7: "86a5f970f11ec54bed46a56ba51daa3994b0c8df82b373a11c7b397a04f35650",
+        8: "dfeb3774d4d3399637881083012d93766cec9c7bca9656ca5583dfc6c817e583",
+        9: "340495137a8353521c0e5f6ca7eddb01becf1016ba8db1e44a3dfb9ca4b6ae22",
+        10: "99076385685da204b9029e503735a554bea1ba1471c5f9af3302fe8c5ea07c23",
+        31: "f3e472536d1715a91b53e2d4f260a684e36e7baa81f6c3ba9c27def12fedba6b",
     }
 
     @pytest.mark.parametrize("seed", sorted(ALL_REPORT_SHA256))
@@ -252,6 +260,129 @@ class TestVerify:
         _, combined = verify.run_all(verify.RunConfig(rng_seed=seed))
         text = json.dumps(combined, indent=2, sort_keys=True) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == self.ALL_REPORT_SHA256[seed]
+
+    # SHA-256 of each part of that report, json.dumps(part, indent=2,
+    # sort_keys=True): per seed, the summary (the report without "suites")
+    # and each suite that draws its inputs from the seed.  The monodromy
+    # suite draws nothing, so its report without the seed in its config is
+    # one and the same at every seed.  A change to one suite's arithmetic
+    # moves that suite's digests and the summary's, and no other.
+    REPORT_PART_SHA256 = {
+        0: {
+            "summary": "3db151924ce38886d28d363e547342ed6d66b8a9cb973c0da24fbbf0a91e2e4b",
+            "factorization": "8bbf5de860f192db086d754a7a23449070d802662c2d14bd884676e25faf3d41",
+            "bilinear": "1e2c56cb30ffd1486bf6221622a7cff09b84dec0b2781b0621ef7e6633a10ef2",
+            "mirror": "78729acfc1b92189c2bc9cf8887ec046b92be2a24e0d397e705cced1afac2d23",
+            "modular": "f26e9c53b1ccade2f3013dd6185dc395f7543ac68e0a2f4e56d946dc8c202768",
+            "flatness": "9ffb71bcfd85d08da4cde2e9b48d7e3c1a390cd8153dd84ea72a1eadd48000da",
+        },
+        1: {
+            "summary": "e539c9ae9daebe318ec15c7396d27fed5bcf720210887c6333ee053b68927b13",
+            "factorization": "d9ca9c9e88a207e4277a7bf072465cd188ca53080a0694e16144ebdb3dda656a",
+            "bilinear": "8293983cfb6f7381fbfc6dfd5738696949eadaf4346f2d30000a877280dfdce2",
+            "mirror": "8817e4976141887b0935515e58d64424906e95d610d337a0fbffda8d47f143c4",
+            "modular": "1b5ff3e23e3a1eef698476f3e4817f236e704f545073de202aa3696d2f35288b",
+            "flatness": "2accd47c880943da4a2a6687ab8ccd70d5aa89cc1c32ce9b3c9cbc860bd7968d",
+        },
+        2: {
+            "summary": "0afa27bc5953247804b788a2e1b29465a560a982ee0a38d82bbd44e584065fe2",
+            "factorization": "462b3b2fa4724993fcd9b633b7d956581bc0b58a5252a3fe77639a32ec995c37",
+            "bilinear": "e344d79334d6ec88b4e68d12a7429eec0bbe384e41cdf76d6b2b7da4179ea234",
+            "mirror": "fc4123613ae7e6f994139d35ca8e8dbfcd30f1749f7a55a54f27134377d59e05",
+            "modular": "a78fb7f749a5f613c5785087a733efd49c04954f0ec454e440e674c70b80a972",
+            "flatness": "e45f9cd0abf3a4575da29791111cf3ecfacc106165355c5c8c741804e8536117",
+        },
+        3: {
+            "summary": "c78604fa24eca923a2f77418f750d05c167e6a03d0f6fd7153aad3032daaaa32",
+            "factorization": "9a709596ff33680b0471bb052184d806471be805b95f29c24b944da395962d20",
+            "bilinear": "981d1979ed9d7842eab82f212211692313ad4be4a8b138abbf4bd772beb041a0",
+            "mirror": "95ab9c33ad09c07111c7b3ddc194c96237b9bc22e6512d85d06901cee3314762",
+            "modular": "30b71aaf892d318d6815b87ad56aaca0e2abd304cbcfc74e38e1fa52a6755183",
+            "flatness": "91b7e75778933dfd908829257bad150c511664848d91aa8fa9b81d4d101b8909",
+        },
+        4: {
+            "summary": "e5a67923df6cf970d916667aa7427b837d25ae5b82f07649ee38f78625782ef2",
+            "factorization": "49510f4bd846ababa857c23fa242de00e5b097022b9b2dfb0f2be796f6befb64",
+            "bilinear": "a9a0c0453c1028fcfb545a97110e940ff98e51d7c04e7434eac57ea0f7cefbb3",
+            "mirror": "a035abb4118cd29821c3234d7edcff5879f5659f08be662ae2bed5209cc66025",
+            "modular": "edccd3e43f8db020e56e3d46a3d61319c952ec8013e46c8bed30fce555891e4f",
+            "flatness": "3a07fd81949d912360daab9543b87580ca741dd8a7d93df52360f5cac74813f1",
+        },
+        5: {
+            "summary": "310f45df86cb68cc596f802c5b6b0a5a36fef745ba33f2e362b65cd9f561bedc",
+            "factorization": "f39a0c86bc0e7c42cc36504507cdf6cf9e7299bed001dc2eec5c0e1fe46d0fb3",
+            "bilinear": "d02723ac069136909f065e478646dd8ab85659bcdcd54432b25399a2b0dc9a5a",
+            "mirror": "6bba30a28110eb655e170b6646c589f65c6ae8f91594046393702908bacb66e3",
+            "modular": "a61cb062bb75c6f9a445e21aa6be48770da92adddddd6bd5d6e3ad14dca1e6c3",
+            "flatness": "c616f4811ead5bc6a887e3d93a380dc7b70f9921b2e385880094f7686a0c462b",
+        },
+        6: {
+            "summary": "1f6749f81414501caf54424fb861b010dad795c7c5743956ee78de4569ac10f8",
+            "factorization": "dd95292446f6cebf64ae450d1794ac7e55c831178accf7e036d11e2f7a8ad9d7",
+            "bilinear": "26299b4b1ad705740103ad1f8683651d1b21b5d8074e331025a3dc8f6e722c4a",
+            "mirror": "bdab85aa9bf850b01658efb491d96404c0668d75226ca5040f0e0a19cad1539b",
+            "modular": "c181d7acdf1e7b56afe8d60d5638a962461b81740092773a8f31faec9e7856dc",
+            "flatness": "0f44c71d5b6bca7e542a43cea855168b6311852d4e827ad105b409cf2d1f6729",
+        },
+        7: {
+            "summary": "6d3ec0a1f9d8b7fd7593354b85f847813d7b4c0e61e10008bb28c2305f4987ed",
+            "factorization": "d06814254892bd77b8e26e7fa77cf3f9ae7a0689391180d5ff7a28978471577e",
+            "bilinear": "ff5de6ea2eac984b2768388ecee98fb8725773bb131182f09e1561239116459a",
+            "mirror": "40beaf59cb8d79115d45c672b8c528b00f0eae39c333946debe9b328bf968d55",
+            "modular": "73501e1288cfb5a09a2056fbca8b402db4fcc590313af27de955f36c2ed0fb40",
+            "flatness": "8431e7f2958ea10561d7ba6f47071d67de949a697387e54511871af506c2eb62",
+        },
+        8: {
+            "summary": "de2501605179bcc6460cd631ebbc09030c0b5f0ef30914ca49f44d029cdb5747",
+            "factorization": "4408abde5e7a190c0fba46057d8b78b0ae88e9e3c571a9c77ae8d29236922a11",
+            "bilinear": "8e2f52ef15d9233092d940a1617abcdb7269ccd0ec66fab5b0fe2cb4de7d8ef3",
+            "mirror": "a1704aeebad6b1d4ec76d7cc63f18234e54fb6aae4016befb8944edbab090869",
+            "modular": "409c694a8a15a0c196985da4c00d582c430cc842459b72dc553b95a4463282a1",
+            "flatness": "32a2054a64bea38ba4ba08ec38d8c48e25c031c2655e9d0b5900d13832f30744",
+        },
+        9: {
+            "summary": "25a6a01cfed8aada2a0fe05438dc91088d7ec5da9820fef12a1b4699e7266d7e",
+            "factorization": "de20d37a13d1396ed02d03c8fc7c731ca864759a5139522127e9104c18fbe03a",
+            "bilinear": "eb411d8aeda2f0b3ff30446d94698df7c683da45e1170cd33e337fa6ddb7a63f",
+            "mirror": "32b98adc514d7de49e850733df4ce1a38067f8232732c5e50907c92f598e782a",
+            "modular": "9140c9ec3676a7bab54ccc343cda65baccaf0703e17691fe754540aa2c24bc65",
+            "flatness": "92035971472051820b81bda52b8734e2a46627484697acb2c864eba26b5f0de0",
+        },
+        10: {
+            "summary": "98f80798cb54c6a7d35c20a5c3310267f33f7c1d97cc00f093451a2f72282672",
+            "factorization": "b967fd66a4dcc980c54e8555e2e847f56a07ffd0bd2c35fc1c92dc42ef795492",
+            "bilinear": "186b15192f468d125caac14047aabd2f89abf27fa6e5a04f12544bad7a34d4b2",
+            "mirror": "ce0be93cab6368e7fafd36f8e1d3a7220fa0be2e3195e4b6b1ccb1218a1dd8ed",
+            "modular": "6c151f99dcc2fa5b5b65d125d118d69cbcff6738c2efe065d6d461598f560917",
+            "flatness": "b6f143ccaa335adbd87210b6f64d6cea906601d2bd9a531b1b1a59416e99f5a0",
+        },
+        31: {
+            "summary": "145ad4b38e19b59615ba59d1e3f05ead04fbfd85ca62b8597572edf972433099",
+            "factorization": "e0d7aedac5ca71694ce76fa2da84c2f6693830480efab50d55a2550ba0c16c6e",
+            "bilinear": "de998da9b10649e3b1b1fa29ed03199ef1f35887ad239959ecc88fb5c37114b3",
+            "mirror": "f13374fb7a8f73495221739dd61e139ba29f21da552e8924d59f5455a90b4740",
+            "modular": "54592245d6ede755b2f6b36d9fd3ef4a079a91f2283169d14747fa6912b89fee",
+            "flatness": "770fae3eb773c7f073b973965e15522f62c2ef6942da89011016a7e41f0f5214",
+        },
+    }
+
+    MONODROMY_REPORT_SHA256 = "6d3003972a71b3dec0704ec46d8780eb7a2d543915e9c74cad9ff59c0683f722"
+
+    @pytest.mark.parametrize("seed", sorted(REPORT_PART_SHA256))
+    def test_report_parts_are_pinned(self, seed):
+        reports, combined = verify.run_all(verify.RunConfig(rng_seed=seed))
+        parts = {r.suite: r.to_dict() for r in reports}
+        monodromy = parts.pop("monodromy")
+        assert monodromy["config"].pop("rng_seed") == seed
+        parts["summary"] = {k: v for k, v in combined.items() if k != "suites"}
+
+        def digest(part):
+            return hashlib.sha256(json.dumps(part, indent=2, sort_keys=True).encode()).hexdigest()
+
+        assert {name: digest(part) for name, part in parts.items()} == (
+            self.REPORT_PART_SHA256[seed]
+        )
+        assert digest(monodromy) == self.MONODROMY_REPORT_SHA256
 
     def test_benchmark_verify_all_item_passes(self):
         # one item of the benchmark's verify_all workload, run through its own

@@ -31,6 +31,7 @@ from traintrack import (
 )
 from traintrack import pfaffian
 from traintrack.appell import f2_derivatives_on_arrays
+from traintrack.factorization import invert_T_arrays, period_derivatives, periods_from_lambdas
 from traintrack.pfaffian import (
     PfaffianSystem2D,
     a_2f1_arrays,
@@ -437,10 +438,13 @@ class TestRestrictToLine:
         np.testing.assert_allclose(line.coefficient(z), want, rtol=1e-14, atol=0)
 
 
-class TestStepCoefficients:
+class TestStepTerms:
     @pytest.mark.parametrize("which", ["legendre", "f2_line", "tensor_line"])
-    def test_series_sums_to_the_connection(self, which):
-        # sum_k (h A_k h^k) u^k = h A(z + h u) on |u| <= 0.5, step by step
+    def test_recurrence_equals_the_convolution(self, which):
+        # the closed form h A_k h^k = -sum_p R_p q_p^(k+1), q_p = h/(p - z),
+        # sums to h A(z + h u) on |u| <= 0.5, step by step; the convolution
+        # (k + 1) Y_{k+1} h^{k+1} = sum_j (h A_j h^j)(Y_{k-j} h^(k-j)) on it
+        # gives the recurrence's terms, term by term
         legendre = system_2f1(LEGENDRE)
         s = {
             "legendre": legendre,
@@ -449,14 +453,29 @@ class TestStepCoefficients:
         }[which]
         path = PathSpec.polyline([0.3 + 0.2j, 0.5 + 0.25j, 0.7 + 0.2j])
         z, h = pfaffian._step_plan(path, s.singular_points)
-        terms = pfaffian._step_coefficients(s, z, h)
+        q = h[:, None] / (s.poles - z[:, None])
+        n = pfaffian._TERMS
+        powers = q[:, None, :] ** np.arange(1, n + 1)[:, None]
+        coeffs = -np.einsum("skp,pij->skij", powers, s.residues)
+
         rng = _rng()
         u = 0.5 * np.sqrt(rng.uniform(0, 1, 20)) * np.exp(2j * np.pi * rng.uniform(0, 1, 20))
         u = np.append(u, 0.5 * np.exp(2j * np.pi * np.arange(8) / 8))
-        series = np.einsum("skij,uk->suij", terms, u[:, None] ** np.arange(terms.shape[1]))
+        series = np.einsum("skij,uk->suij", coeffs, u[:, None] ** np.arange(n))
         direct = h[:, None, None, None] * s.coefficient(z[:, None] + h[:, None] * u)
         scale = np.abs(direct).max(axis=(-2, -1), keepdims=True)
         assert np.all(np.abs(series - direct) <= 1e-14 * scale)
+
+        want = np.zeros_like(coeffs)
+        want[:, 0] = np.eye(s.dimension)
+        for k in range(n - 1):
+            want[:, k + 1] = np.einsum("sjab,sjbc->sac", coeffs[:, k::-1], want[:, : k + 1])
+            want[:, k + 1] /= k + 1
+        terms, form = pfaffian._step_terms(s, z, h)
+        for k in range(n - 1):
+            form(k)
+        scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(terms - want) <= 1e-14 * scale)
 
 
 class TestTransport:
@@ -510,15 +529,24 @@ class TestTransport:
         init = legendre_basis_matrix(0.3)
         np.testing.assert_array_equal(integrate_pfaffian(free, path, init), init)
 
-    def test_single_pole_power(self):
-        # A = r/(z - p) transports 1 to ((z1 - p)/(z0 - p))^r; the path stays
-        # in Re(z - p) > 0, where the principal branch is the continued one
-        r, p = 0.7 - 0.3j, 0.2 + 0.1j
-        s = PfaffianSystem1D(1, [p], [[[r]]])
+    @staticmethod
+    def _pole_powers(poles, residues):
+        # A = sum_p r_p/(z - p) transports 1 to prod_p ((z1 - p)/(z0 - p))^r_p;
+        # the path stays in Re z >= 0.5 > Re p, where each principal branch
+        # is the continued one
+        s = PfaffianSystem1D(1, poles, np.reshape(residues, (-1, 1, 1)))
         z0, z1 = 0.9 + 0.4j, 0.5 - 0.6j
         out = integrate_pfaffian(s, PathSpec.polyline([z0, 0.9 - 0.3j, z1]), np.eye(1))
-        want = ((z1 - p) / (z0 - p)) ** r
+        want = np.prod([((z1 - p) / (z0 - p)) ** r for p, r in zip(poles, residues)])
         assert abs(out[0, 0] - want) <= 1e-14 * abs(want)
+
+    def test_single_pole_power(self):
+        self._pole_powers([0.2 + 0.1j], [0.7 - 0.3j])
+
+    def test_several_pole_powers(self):
+        # each pole keeps its own sums in the recurrence
+        poles = [0.2 + 0.1j, -0.3 - 0.5j, 0.1 + 0.9j]
+        self._pole_powers(poles, [0.7 - 0.3j, -0.4 + 0.25j, 0.3 + 0.6j])
 
     def test_step_that_cannot_converge_raises(self):
         # A = 200/z: from 0.5 a step goes 0.175 and its series,
@@ -676,6 +704,46 @@ class TestTransport:
         assert circle.sample(2)[0] != base
         assert (leg + circle).pieces == leg.pieces + circle.pieces
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # the arc's length would be negative, so its steps would go
+            # backwards and transport would never reach its end
+            lambda: PathSpec.circle(0.5, -0.1),
+            lambda: PathSpec.polyline([0.3 + 0.1j, np.inf]),
+            lambda: PathSpec.polyline([complex(0.3, np.nan), 0.5]),
+            lambda: PathSpec.circle(0.5, 0.1, np.nan),
+            lambda: PathSpec.circle(complex(np.inf, 0.0), 0.1),
+            lambda: PathSpec.circle(0.5, np.inf),
+            lambda: PathSpec.circle(0.5, 0.1, 1.0, -np.inf),
+            lambda: PathSpec(((0.5, -0.1, 0.0, 1.0),)),
+            # finite numbers, but a length that overflows: the first step
+            # would be 0, and the plan would never end
+            lambda: PathSpec.circle(0.5, 1e308),
+            lambda: PathSpec.polyline([-1e308, 1e308]),
+        ],
+        ids=[
+            "negative_radius",
+            "infinite_end",
+            "nan_start",
+            "nan_turns",
+            "infinite_centre",
+            "infinite_radius",
+            "infinite_start_angle",
+            "negative_radius_piece",
+            "arc_of_infinite_length",
+            "segment_of_infinite_length",
+        ],
+    )
+    def test_pieces_transport_cannot_follow_raise(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_circle_of_radius_zero_is_a_point(self):
+        circle = PathSpec.circle(0.5, 0.0)
+        assert circle.segments() == []
+        assert circle.clearance([0.0]) == 0.5
+
     def test_path_without_pieces_raises(self):
         with pytest.raises(ValueError):
             PathSpec.polyline([])
@@ -824,18 +892,51 @@ def test_scipy_is_never_imported():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_benchmark_transport_items_pass():
-    # the benchmark calls restrict_to_line and integrate_pfaffian itself:
-    # one loop and one line item of its transport workload, run through its
-    # own call and check (its source is read, not imported, so nothing is
-    # written next to it)
+def _benchmark_transport():
+    """The benchmark's transport workload; its source is read, not imported,
+    so nothing is written next to it."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     workloads = types.ModuleType("bench_workloads")
     exec(compile(path.read_text(), str(path), "exec"), workloads.__dict__)
-    transport = workloads.Transport()
+    return workloads.Transport()
+
+
+def test_benchmark_transport_items_pass():
+    # the benchmark calls restrict_to_line and integrate_pfaffian itself:
+    # one loop and one line item of its transport workload, run through its
+    # own call and check
+    transport = _benchmark_transport()
     items = transport.items(0)
     for kind in ("loop", "line"):
         item = next(it for it in items if it[0] == kind)
         ref = transport.reference(None, [item])[0]
         check = transport.check(None, ref, transport.call(traintrack, item))
         assert check.failed == 0, item
+
+
+def test_f2_line_transport_equals_the_periods():
+    # The periods solve the F2 system, so transport along a line takes
+    # Phi(p), whose column i is the section (Pi_i, x Pi_i,x, y Pi_i,y,
+    # xy Pi_i,xy), to Phi(q), unless a period jumps on the way.  The line
+    # items of the transport workload at seed 7 go from p to q; one crosses
+    # the cut of K(L2^2), where Pi2 and Pi3 jump, and is left out.
+    def phi(vary, fixed, w):
+        x, y = (w, fixed) if vary == "x" else (fixed, w)
+        d = period_derivatives(x, y)
+        return np.array([d[0, 0], x * d[1, 0], y * d[0, 1], x * y * d[1, 1]])
+
+    lines = [item[1:] for item in _benchmark_transport().items(7) if item[0] == "line"]
+    checked = 0
+    for vary, fixed, pts in lines:
+        path = PathSpec.polyline(pts)
+        w = path.sample(2000)
+        x, y = (w, fixed) if vary == "x" else (fixed, w)
+        periods = np.array(periods_from_lambdas(*invert_T_arrays(x, y)))
+        if np.abs(np.diff(periods)).max() > 1e-2 * np.abs(periods).max():
+            continue
+        line = restrict_to_line(system_f2(CONFORMAL), fixed, vary)
+        out = integrate_pfaffian(line, path, phi(vary, fixed, pts[0]))
+        want = phi(vary, fixed, pts[-1])
+        assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+        checked += 1
+    assert checked >= 0.75 * len(lines)
