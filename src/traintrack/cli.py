@@ -26,7 +26,7 @@ from .factorization import (
     positivity_pairing,
 )
 from .modular import lambda_hauptmodul, mirror_map
-from .verify import DEFAULT_TOLERANCES, SUITES, RunConfig, _monodromy_cases, run_all, run_suite
+from .verify import SUITES, RunConfig, _monodromy_cases, run_all, run_suite
 
 _BOUNDARY_EPS = 1e-9
 
@@ -183,42 +183,30 @@ def _write_report(payload, rows, path, fmt, columns=()) -> int:
 
 
 def cmd_verify(args) -> int:
-    tolerances = {
-        name: getattr(args, f"tol_{name}")
-        for name in SUITES
-        if getattr(args, f"tol_{name}") is not None
-    }
-    cfg = RunConfig(
-        tolerances=tolerances,
-        sample_count=args.samples,
-        rng_seed=args.seed,
-    )
+    tolerances = {name: getattr(args, f"tol_{name}") for name in SUITES}
+    tolerances = {name: tol for name, tol in tolerances.items() if tol is not None}
+    cfg = RunConfig(tolerances, args.samples, args.seed)
     started = time.perf_counter()
     if args.suite == "all":
         reports, report_dict = run_all(cfg)
-        for rep in reports:
-            print(
-                f"suite {rep.suite:>14}: max residual {rep.max_residual:.3e} "
-                f"(tol {rep.tolerance:.1e}) -> {'pass' if rep.passed else 'FAIL'}"
-            )
-        passed = report_dict["passed"]
     else:
-        rep = run_suite(args.suite, cfg)
-        report_dict = rep.to_dict()
+        reports = [run_suite(args.suite, cfg)]
+        report_dict = reports[0].to_dict()
+    width = 14 if args.suite == "all" else 0
+    for rep in reports:
         print(
-            f"suite {rep.suite}: max residual {rep.max_residual:.3e} "
+            f"suite {rep.suite:>{width}}: max residual {rep.max_residual:.3e} "
             f"(tol {rep.tolerance:.1e}) -> {'pass' if rep.passed else 'FAIL'}"
         )
-        failing = [case for case in report_dict["cases"] if not case["passed"]]
-        if failing:
-            print("failing case:", json.dumps(failing[0]))
-        passed = rep.passed
+    failing = [case for case in report_dict["cases"] if not case["passed"]]
+    if failing and args.suite != "all":
+        print("failing case:", json.dumps(failing[0]))
     written = _write_report(report_dict, _report_rows(report_dict), args.output, args.format)
     print(
         f"wall clock: {1000.0 * (time.perf_counter() - started):.0f} ms",
         file=sys.stderr,
     )
-    return written or (0 if passed else 1)
+    return written or (0 if report_dict["passed"] else 1)
 
 
 def cmd_traintrack(args) -> int:
@@ -279,7 +267,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_monodromy(args) -> int:
-    tol = DEFAULT_TOLERANCES["monodromy"]
+    tol = RunConfig().tol("monodromy")
     ok = True
     for case in _monodromy_cases(tol, args.basepoint):
         member = case.outputs["gamma2_member"]

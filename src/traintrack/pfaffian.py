@@ -2,11 +2,11 @@
 
 The 2x2 connection lives in the section basis (f, z df/dz); the 4x4 one in
 (F, x dF/dx, y dF/dy, x y d2F/dxdy).  Both are Fuchsian, held as data: constant
-residues over singular points or lines.  The connection on arrays of points,
-the poles of a restriction to a line and the curvature follow from them in
-closed form, and the Taylor terms of a transport step by a recurrence per
-pole.  The tests check the F2 residues against Cramer's rule on the two PDEs,
-and their integrability exactly in rationals.
+residues over singular points or lines, all finite (else DomainError).  The
+connection on arrays of points, the poles of a restriction to a line and the
+curvature follow from them in closed form, and the Taylor terms of a transport
+step by a recurrence per pole.  The tests check the F2 residues against
+Cramer's rule on the two PDEs, and their integrability exactly in rationals.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ class PfaffianSystem1D:
         d = self.dimension = dimension
         self.poles = np.asarray(poles, dtype=complex).reshape(-1)
         self.residues = np.asarray(residues, dtype=complex).reshape(len(self.poles), d, d)
+        if not (np.isfinite(self.poles).all() and np.isfinite(self.residues).all()):
+            raise DomainError("a system's poles and residues must be finite")
         self.singular_points = tuple(self.poles.tolist())
 
     def coefficient(self, z) -> np.ndarray:
@@ -90,6 +92,8 @@ class PfaffianSystem2D:
         d = self.dimension = dimension
         self.lines = np.asarray(lines, dtype=complex).reshape(-1, 3)
         self.residues = np.asarray(residues, dtype=complex).reshape(len(self.lines), d, d)
+        if not (np.isfinite(self.lines).all() and np.isfinite(self.residues).all()):
+            raise DomainError("a system's lines and residues must be finite")
 
     def _forms(self, x, y) -> np.ndarray:
         """l_j at the points (x, y), which broadcast, on a last axis."""
@@ -286,9 +290,12 @@ def restrict_to_line(
     A line a x + b y = c with a nonzero coefficient a of the varying x gives
     the pole (c - b fixed)/a with its residue (y likewise); the other lines
     drop out.  ``singular_points``, if given, must be these poles as a set, else ValueError.
+    A ``fixed`` that is not finite raises DomainError.
     """
     if vary not in ("x", "y"):
         raise ValueError("vary must be 'x' or 'y'")
+    if not cmath.isfinite(fixed):
+        raise DomainError(f"the fixed variable must be finite, not {fixed}")
     a, b, c = (sys2d.lines if vary == "x" else sys2d.lines[:, [1, 0, 2]]).T
     meets = a != 0
     poles = (c[meets] - b[meets] * fixed) / a[meets]
@@ -416,18 +423,14 @@ def monodromy_2f1(
     basepoint to the circle and back; leg out, circle and leg back are one
     path, transported in one ``integrate_pfaffian`` call.
     """
-    around = complex(around)
+    around, basepoint = complex(around), complex(basepoint)
     others = [p for p in s.singular_points if p != around]
     d = abs(basepoint - around)
     r = min([d] + [0.5 * abs(around - o) for o in others])
     # uncapped, the circle goes through the basepoint itself: no legs
     start = basepoint if r == d else around + r * (basepoint - around) / d
     phi0 = float(np.angle(start - around))
-    loop = (
-        PathSpec.polyline([basepoint, start])
-        + PathSpec.circle(around, r, 1.0, phi0)
-        + PathSpec.polyline([start, basepoint])
-    )
+    loop = PathSpec(((basepoint, start), (around, r, phi0, 2.0 * math.pi), (start, basepoint)))
     phi = legendre_basis_matrix(basepoint)
     return np.linalg.solve(phi, integrate_pfaffian(s, loop, phi))
 

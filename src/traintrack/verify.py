@@ -16,12 +16,18 @@ Each suite computes its cases as columns, one value per case, and one
 builder, ``_cases``, turns them into records; only the modular weight probes
 are built one at a time.  The report layout lives only in ``to_dict``: the
 ``all`` summary is a report too, with one case per suite.
+
+A suite is declared once, by ``@_suite(tolerance=..., samples=...)`` above
+its ``suite_<name>`` function.  SUITES, DEFAULT_TOLERANCES, RunConfig,
+run_suite and run_all, and the CLI's suite choices and ``--tol-<name>``
+flags, all read that declaration.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,25 +62,24 @@ from .special import Hyper2F1Params, ellint_K
 
 SCHEMA_VERSION = 1
 
-SUITES = ("factorization", "bilinear", "mirror", "modular", "monodromy", "flatness")
+# Filled by @_suite in declaration order, the order `all` runs the suites in.
+# bench/tracing.py times a suite by replacing its function in _SUITE_FUNCTIONS.
+_SUITE_FUNCTIONS = {}
+DEFAULT_TOLERANCES = {}
+_DEFAULT_SAMPLES = {}
 
-DEFAULT_TOLERANCES = {
-    "factorization": 1e-9,
-    "bilinear": 1e-12,
-    "mirror": 1e-10,
-    "modular": 1e-10,
-    "monodromy": 1e-8,
-    "flatness": 1e-8,
-}
 
-DEFAULT_SAMPLES = {
-    "factorization": 100,
-    "bilinear": 50,
-    "mirror": 50,
-    "modular": 50,
-    "monodromy": 2,
-    "flatness": 10,
-}
+def _suite(tolerance, samples):
+    """Declare the decorated ``suite_<name>`` as suite <name>, with its default
+    tolerance and sample count; the function is returned unchanged."""
+
+    def declare(fn):
+        name = fn.__name__.removeprefix("suite_")
+        _SUITE_FUNCTIONS[name] = fn
+        DEFAULT_TOLERANCES[name], _DEFAULT_SAMPLES[name] = tolerance, samples
+        return fn
+
+    return declare
 
 
 @dataclass
@@ -84,21 +89,21 @@ class RunConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.sample_count is not None and self.sample_count < 1:
-            raise ValueError("sample_count must be at least 1")
+        # bool subclasses int, but True is no count or tolerance
+        n = self.sample_count
+        if n is not None and (isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1):
+            raise ValueError(f"sample_count must be a positive int, not {n!r}")
         for name, tol in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"tolerance for unknown suite {name!r}; choose from {SUITES}")
-            if not (np.isfinite(tol) and tol > 0):
-                raise ValueError(f"tolerance for {name} must be positive and finite")
+            if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < np.inf:
+                raise ValueError(f"tolerance for {name} must be positive and finite, not {tol!r}")
 
     def tol(self, suite: str) -> float:
         return self.tolerances.get(suite, DEFAULT_TOLERANCES[suite])
 
     def samples(self, suite: str) -> int:
-        if suite == "monodromy":  # it runs its two loops whatever the count
-            return DEFAULT_SAMPLES[suite]
-        return self.sample_count or DEFAULT_SAMPLES[suite]
+        return self.sample_count or _DEFAULT_SAMPLES[suite]
 
 
 @dataclass
@@ -235,6 +240,7 @@ def _finish(suite, cfg, cases):
     return VerificationReport(suite, config, cases, resid, tol, all(c.passed for c in cases))
 
 
+@_suite(tolerance=1e-9, samples=100)
 def suite_factorization(cfg: RunConfig) -> VerificationReport:
     """Central identity: Pi0 equals the conformal F2 row sum under T."""
     samples = sample_theorem_domain(_rng(cfg.rng_seed), cfg.samples("factorization"))
@@ -250,6 +256,7 @@ def suite_factorization(cfg: RunConfig) -> VerificationReport:
     return _finish("factorization", cfg, cases)
 
 
+@_suite(tolerance=1e-12, samples=50)
 def suite_bilinear(cfg: RunConfig) -> VerificationReport:
     """Quadratic relation Pi^T Sigma Pi = 0 and positivity of the pairing."""
     tol = cfg.tol("bilinear")
@@ -266,6 +273,7 @@ def suite_bilinear(cfg: RunConfig) -> VerificationReport:
     return _finish("bilinear", cfg, cases)
 
 
+@_suite(tolerance=1e-10, samples=50)
 def suite_mirror(cfg: RunConfig) -> VerificationReport:
     """Hauptmodul round trips of the canonical coordinates."""
     tol = cfg.tol("mirror")
@@ -333,6 +341,7 @@ def _modular_samples(rng, n):
     return [np.concatenate(c) for c in zip(*columns)]
 
 
+@_suite(tolerance=1e-10, samples=50)
 def suite_modular(cfg: RunConfig) -> VerificationReport:
     """Theta expression of Pi0, the K/theta identity, and the weight probes."""
     tol = cfg.tol("modular")
@@ -384,10 +393,13 @@ def _monodromy_cases(tol, basepoint):
     return _cases({"around": [0.0, 1.0]}, outputs, resids, passed)
 
 
+@_suite(tolerance=1e-8, samples=2)
 def suite_monodromy(cfg: RunConfig) -> VerificationReport:
     """Loops around z = 0 and z = 1 in the Legendre K-basis."""
-    # from the basepoint that monodromy_2f1 and `traintrack monodromy` default to
-    return _finish("monodromy", cfg, _monodromy_cases(cfg.tol("monodromy"), 0.35 + 0.01j))
+    # from the basepoint that monodromy_2f1 and `traintrack monodromy` default to;
+    # it runs its two loops whatever the count, so it reports the default count
+    cases = _monodromy_cases(cfg.tol("monodromy"), 0.35 + 0.01j)
+    return _finish("monodromy", replace(cfg, sample_count=None), cases)
 
 
 def _flatness_points(rng, n):
@@ -406,6 +418,7 @@ def _flatness_points(rng, n):
     return _first_accepted(rng, n, (0.1, 0.08, -1.0), (0.45, 0.35, 1.0), accept)
 
 
+@_suite(tolerance=1e-8, samples=10)
 def suite_flatness(cfg: RunConfig) -> VerificationReport:
     """Curvature of the derived 4x4 connection and section horizontality.
 
@@ -425,19 +438,12 @@ def suite_flatness(cfg: RunConfig) -> VerificationReport:
     return _finish("flatness", cfg, _cases({"x": xs, "y": ys}, outputs, resids, resids < tol))
 
 
-_SUITE_FUNCTIONS = {
-    "factorization": suite_factorization,
-    "bilinear": suite_bilinear,
-    "mirror": suite_mirror,
-    "modular": suite_modular,
-    "monodromy": suite_monodromy,
-    "flatness": suite_flatness,
-}
+SUITES = tuple(_SUITE_FUNCTIONS)
 
 
 def run_suite(name: str, cfg: RunConfig) -> VerificationReport:
     if name not in _SUITE_FUNCTIONS:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITES} or 'all'")
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     return _SUITE_FUNCTIONS[name](cfg)
 
 

@@ -208,6 +208,63 @@ class TestVerify:
         with pytest.raises(ValueError, match="'bilinar'"):
             verify.RunConfig(tolerances={"bilinar": 1e-30})
 
+    @pytest.mark.parametrize(
+        "tolerances, sample_count",
+        [
+            ({"bilinear": True}, None),  # ran, writing "tolerance": true
+            ({"bilinear": "x"}, None),  # a numpy TypeError
+            ({"bilinear": 1e-9j}, None),
+            ({}, 2.5),  # a TypeError from inside the generator
+            ({}, True),
+            ({}, "3"),
+            ({}, 0),
+        ],
+        ids=["bool_tol", "str_tol", "complex_tol", "float_count", "bool_count", "str_count", "zero"],
+    )
+    def test_run_config_rejects_what_is_not_a_number(self, tolerances, sample_count):
+        with pytest.raises(ValueError, match="tolerance|sample_count"):
+            verify.RunConfig(tolerances=tolerances, sample_count=sample_count)
+
+    def test_run_config_takes_numpy_numbers(self):
+        cfg = verify.RunConfig(tolerances={"mirror": np.float64(1e-9)}, sample_count=np.int64(3))
+        assert (cfg.tol("mirror"), cfg.samples("mirror")) == (1e-9, 3)
+
+    @pytest.mark.parametrize("name", ["all", "bilinar"])
+    def test_run_suite_names_the_suites_it_runs(self, name):
+        with pytest.raises(ValueError) as exc:
+            verify.run_suite(name, verify.RunConfig())
+        assert str(exc.value) == f"unknown suite {name!r}; choose from {verify.SUITES}"
+
+    def test_suite_table_is_the_declared_one(self):
+        names = ("factorization", "bilinear", "mirror", "modular", "monodromy", "flatness")
+        assert verify.SUITES == names
+        assert verify.DEFAULT_TOLERANCES == {
+            "factorization": 1e-9,
+            "bilinear": 1e-12,
+            "mirror": 1e-10,
+            "modular": 1e-10,
+            "monodromy": 1e-8,
+            "flatness": 1e-8,
+        }
+        cfg = verify.RunConfig()
+        assert [cfg.samples(name) for name in verify.SUITES] == [100, 50, 50, 50, 2, 10]
+
+    def test_benchmark_tracer_times_every_suite_once(self):
+        # bench/tracing.py times a suite by swapping the function in
+        # verify._SUITE_FUNCTIONS; read, not imported, so nothing is written there
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        tracing = types.ModuleType("bench_tracing")
+        exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+        tracer = tracing.Tracer()
+        patch = tracing.Patch(tracer, traintrack)
+        patch.install()
+        try:
+            verify.run_all(verify.RunConfig(sample_count=1))
+        finally:
+            patch.remove()
+        for name in verify.SUITES:
+            assert tracer.stats[f"verify.suite_{name}"].calls == 1, name
+
     def test_monodromy_reports_the_loops_it_runs(self):
         for cfg in (verify.RunConfig(sample_count=7), verify.RunConfig()):
             report = verify.run_suite("monodromy", cfg).to_dict()

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +439,37 @@ class TestRestrictToLine:
         np.testing.assert_allclose(line.coefficient(z), want, rtol=1e-14, atol=0)
 
 
+class TestNonFiniteSystems:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: restrict_to_line(system_f2(CONFORMAL), np.nan, "x"),
+            lambda: restrict_to_line(system_f2(CONFORMAL), np.inf, "x"),
+            lambda: restrict_to_line(system_f2(CONFORMAL), complex(0.2, -np.inf), "y"),
+            lambda: PfaffianSystem1D(2, (0, np.nan), np.zeros((2, 2, 2))),
+            lambda: PfaffianSystem1D(2, (0, 1), [[[0, 1], [0, np.inf]], np.zeros((2, 2))]),
+            lambda: PfaffianSystem2D(4, [(1, 0, 0), (1, np.nan, 1)], np.zeros((2, 4, 4))),
+            lambda: PfaffianSystem2D(1, [(1, 0, 0)], [[[complex(0, np.nan)]]]),
+        ],
+        ids=[
+            "nan_fixed",
+            "infinite_fixed",
+            "infinite_fixed_y",
+            "nan_pole",
+            "infinite_residue",
+            "nan_line",
+            "nan_residue_2d",
+        ],
+    )
+    def test_raise_at_construction(self, build):
+        # before, such a system built with RuntimeWarnings and its transport
+        # ended in a ConvergenceError about the Taylor tail
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                build()
+
+
 class TestStepTerms:
     @pytest.mark.parametrize("which", ["legendre", "f2_line", "tensor_line"])
     def test_recurrence_equals_the_convolution(self, which):
@@ -829,6 +861,28 @@ class TestMonodromy:
             pfaffian._step_plan(circle, legendre.singular_points),
         ):
             np.testing.assert_array_equal(got, want)
+
+
+    @pytest.mark.parametrize(
+        "around, base",
+        [(0.0, 0.8), (1.0, 0.35 + 0.01j), (0.0, 0.35 + 0.01j), (1.0, 0.9 + 0.02j)],
+    )
+    def test_loop_is_leg_circle_leg(self, monkeypatch, around, base):
+        # the first two are capped at radius 0.5; uncapped, the circle runs
+        # through the basepoint and both legs have length 0
+        transports = self._transported(monkeypatch)
+        monodromy_2f1(system_2f1(LEGENDRE), around, basepoint=base)
+        around, base = complex(around), complex(base)
+        d = abs(base - around)
+        start = base if d <= 0.5 else around + 0.5 * (base - around) / d
+        chain = (
+            PathSpec.polyline([base, start])
+            + PathSpec.circle(around, min(d, 0.5), 1.0, float(np.angle(start - around)))
+            + PathSpec.polyline([start, base])
+        )
+        assert transports[0].pieces == chain.pieces
+        legs = transports[0].pieces[0], transports[0].pieces[2]
+        assert (legs == ((base, base),) * 2) == (d <= 0.5)
 
 
 class TestLegendreBasis:
