@@ -7,6 +7,13 @@ double-exponential evaluation of the Euler integral.  A third check is the
 residual of the defining second-order system, ``f2_pde_residual``, on a
 table of exact partial derivatives.
 
+The row sum and its seeds form their terms in blocks, 32 at a time over an
+array of points; a call at one point sizes its first block from the point's
+own ratio, so that one block of each usually holds every term it needs.  The
+Euler kernel (1 - x t2 - y t1)^-a at a complex point is formed from real
+square roots where a is a positive multiple of 1/2, as the conformal a = 1/2
+is, and from a logarithm and an exponential elsewhere.
+
 The partial derivatives of F2 are F2 values at shifted parameters, so the row
 sum also gives them exactly: ``f2_derivatives_on_arrays`` sums every
 (point, shift) pair of a derivative table in one call, its five parameters
@@ -39,6 +46,7 @@ from .special import (
     _blocks,
     _converged,
     _factors,
+    _first_block,
     _first_stop,
     _gauss_seeds,
     _is_nonpositive_integer,
@@ -151,11 +159,14 @@ def _f2_row_sum(p, x, y):
     Where a + m = 0 the rows after m vanish: a point is done at that row,
     with tail 0, and the rows it no longer needs are kept finite.
 
-    The rows are summed a block of _BLOCK at a time, and rounded as one row
-    at a time would round them.  Whole-block operations, which act on each
-    element alone, form the coefficients (``_row_coefficients``) and the
-    terms coef V_m; the ladder steps and the Kahan steps stay one row after
-    another (``_ladder``, ``_compensated``).  The stop test runs on all the
+    The rows are summed a block at a time, and rounded as one row at a time
+    would round them.  A call at one point sizes its first block from the
+    point's ratio rho = |x| / min(1, |1 - y|) (``special._first_block``), so
+    that it usually holds every row the point needs; an array call, and any
+    block after the first, takes _BLOCK rows.  Whole-block operations, which
+    act on each element alone, form the coefficients (``_row_coefficients``)
+    and the terms coef V_m; the ladder steps and the Kahan steps stay one
+    row after another (``_ladder``, ``_compensated``).  The stop test runs on all the
     checks of a block at once, and points that stop leave the working arrays.
     Where all five parameters are shared, the coefficients come from a
     memoized table of them (``special._factors``): all 2,000 rows, formed
@@ -199,7 +210,13 @@ def _f2_row_sum(p, x, y):
     prev, ok = np.abs(g0), np.zeros(xf.shape, dtype=bool)
     live = np.arange(xf.size)  # positions of the points still summing
     factors = _factors(_row_coefficients, 1, a, b1, b2, g1, g2)
-    for ms in _blocks(1):
+    head = None
+    if xf.size == 1:
+        # a conformal point needed 0.76 to 1.39 n_hat rows, the fewer the more
+        # it needs (400 points of the f2_hard bench), and a row past its need
+        # costs about 1/50 of a block, so the margin is narrow
+        head = _first_block(abs(xf[0]) / min(1.0, abs(1.0 - yf[0])), 0.8, 4)
+    for ms in _blocks(1, head):
         n, size = len(ms), live.size
         (coefs, alpha, beta, gamma), coef = factors(ms, coef, a, b1, b2, g1, g2)
         ladder = _ladder(v_prev, v, x2, alpha, beta * x1 + gamma * xy)
@@ -355,11 +372,34 @@ def _distance_from_one(x: complex, y: complex) -> float:
     return dist
 
 
+def _inverse_sqrt(re, im):
+    """w^(-1/2) = conj(sqrt(w)) / |w| for w = re + i im != 0, principal, from real square roots.
+
+    With t = sqrt((|w| + |re|) / 2), sqrt(w) is t + i im / 2t where re >= 0
+    and |im| / 2t + i t sign(im) where re < 0, so that no difference of
+    near-equal numbers is formed in either half-plane; the sign of a zero
+    im picks the side of the cut, as numpy's complex sqrt does.
+    """
+    r = np.sqrt(re * re + im * im)
+    t = np.sqrt(0.5 * (r + np.abs(re)))
+    s = im / (2.0 * t)
+    left = re < 0.0
+    if left.any():
+        t, s = np.where(left, np.abs(s), t), np.where(left, np.copysign(t, im), s)
+    out = np.empty(r.shape, dtype=complex)
+    np.divide(t, r, out=out.real)
+    np.divide(s, -r, out=out.imag)
+    return out
+
+
 def _f2_euler(p: F2Params, pt: ModuliPoint):
     """F2 by the Euler integral, and the error bound of its quadrature.
 
     The endpoint powers t^(b-1) (1-t)^(g-b-1) go into the weights of
-    ``integrate_01_2d``, and the kernel is (1 - x t2 - y t1)^-a.  With d
+    ``integrate_01_2d``, and the kernel is w^-a, w = 1 - x t2 - y t1: where
+    x or y is complex and a = k / 2 for a positive integer k, it is
+    (w^-1/2)^k with w^-1/2 from real square roots (``_inverse_sqrt``), about
+    twice as fast as the logarithm and exponential it takes otherwise.  With d
     the distance from 1 to the values of x t2 + y t1 on the square, its
     modulus is at most max(d^-Re(a), (1 + |x| + |y|)^-Re(a)) e^(pi |Im a|).
     Returns (value, error): the error of ``integrate_01_2d`` times
@@ -378,13 +418,18 @@ def _f2_euler(p: F2Params, pt: ModuliPoint):
         np.pi * abs(a.imag)
     )
     real = x.imag == y.imag == a.imag == 0.0
+    # w^-a = (w^-1/2)^k for the real a = k / 2, k = 1, 2, ...
+    k = int(2.0 * a.real) if a.imag == 0.0 and a.real > 0.0 and (2.0 * a.real).is_integer() else 0
 
     def kernel(t1, t2):
         re = 1.0 - x.real * t2 - y.real * t1
         if real:  # then re >= dist > 0 on the square
             return np.exp(-a.real * np.log(re))
-        # log|z| + i arg z, as numpy's complex log is several times slower
         im = -x.imag * t2 - y.imag * t1
+        if k:
+            w = _inverse_sqrt(re, im)
+            return w if k == 1 else w**k
+        # log|z| + i arg z, as numpy's complex log is several times slower
         return np.exp(-a * (0.5 * np.log(re * re + im * im) + 1j * np.arctan2(im, re)))
 
     b1, b2, g1, g2 = p.beta1, p.beta2, p.gamma1, p.gamma2

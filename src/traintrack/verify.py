@@ -89,10 +89,13 @@ class RunConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        # bool subclasses int, but True is no count or tolerance
+        # bool subclasses int, but True is no count, seed or tolerance
         n = self.sample_count
         if n is not None and (isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1):
             raise ValueError(f"sample_count must be a positive int, not {n!r}")
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative int, not {seed!r}")
         for name, tol in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"tolerance for unknown suite {name!r}; choose from {SUITES}")

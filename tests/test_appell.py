@@ -32,6 +32,9 @@ from traintrack.appell import _f2_euler, _f2_row_sum
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 CONFORMAL = F2Params.conformal_case()
+# one-point series: tiny, a few rows, y near 1 (about 250 seed terms), same
+# sign near the edge, complex
+ONE_POINTS = [(0.01, 0.01), (0.3, -0.2), (0.12, 0.82), (0.5, 0.4), (0.5 + 0.3j, -0.2 + 0.35j)]
 NON_FINITE = [(np.nan, 0.1), (0.1, complex(0.1, np.nan)), (np.inf, 0.1)]
 
 
@@ -310,6 +313,11 @@ class TestBlocks:
         zs = np.concatenate((ys, xs, [0.95, -3.0 + 0.5j, 0.5 - 0.7j]))
         for p in (Hyper2F1Params(0.5, 0.5, 1.0), Hyper2F1Params(-2.0, 0.5 + 0.1j, 1.2)):
             out.append(gauss_2f1(p, zs))
+            # one point: its first block is sized from its own ratio
+            out += [np.array(gauss_2f1(p, z)) for z in (0.82, -3.0 + 0.5j, 0.3 + 0.1j)]
+        for x, y in ONE_POINTS:
+            out += _f2_row_sum(CONFORMAL, x, y)
+        out += _f2_row_sum(F2Params(-13.0, 0.5, 0.7, 1.0, 1.3), 0.3, -0.2)
         return out
 
     @pytest.mark.parametrize("rel_tol", [special._REL_TOL, 1e-6])
@@ -318,11 +326,67 @@ class TestBlocks:
         # at the loose tolerance a stop one check early or late shows in the values
         monkeypatch.setattr(special, "_REL_TOL", rel_tol)
         want = self._values()
+        # every block _BLOCK long, the first of a one-point series too
         monkeypatch.setattr(special, "_BLOCK", block)
+        for module in (special, appell):
+            monkeypatch.setattr(module, "_first_block", lambda *_: block)
         got = self._values()
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+class TestFirstBlock:
+    """A one-point series forms a first block sized from its point's ratio
+    (``special._first_block``), which holds every term the point needs;
+    an array call forms blocks of special._BLOCK."""
+
+    @staticmethod
+    def _formed(monkeypatch):
+        """The (first index, length) of every block formed from now on."""
+        formed = []
+
+        def recording(first, size=None):
+            for ns in blocks(first, size):
+                formed.append((first, len(ns)))
+                yield ns
+
+        blocks = special._blocks
+        for module in (special, appell):
+            monkeypatch.setattr(module, "_blocks", recording)
+        return formed
+
+    @pytest.mark.parametrize("x, y", ONE_POINTS)
+    def test_one_point_forms_one_seed_block_and_one_row_block(self, x, y, monkeypatch):
+        formed = self._formed(monkeypatch)
+        f2_series(CONFORMAL, ModuliPoint(x, y))
+        assert [first for first, _ in formed] == [0, 1]  # the seeds from 0, the rows from 1
+        assert all(n % special._CHECK_EVERY == 0 for _, n in formed)
+
+    def test_deep_point_needs_more_than_a_fixed_block(self, monkeypatch):
+        # about 250 seed terms and 80 rows at (0.12, 0.82)
+        formed = self._formed(monkeypatch)
+        f2_series(CONFORMAL, ModuliPoint(0.12, 0.82))
+        assert all(n > 2 * special._BLOCK for _, n in formed)
+        formed.clear()
+        gauss_2f1(Hyper2F1Params(0.5, 0.5, 1.0), 0.82)
+        assert len(formed) == 1
+
+    def test_array_call_forms_fixed_blocks(self, monkeypatch):
+        formed = self._formed(monkeypatch)
+        f2_series_on_arrays(CONFORMAL, np.array([0.12, 0.3]), np.array([0.82, -0.2]))
+        seeds = [n for first, n in formed if first == 0]
+        rows = [n for first, n in formed if first == 1]
+        assert len(seeds) > 2 and len(rows) > 2
+        assert set(seeds + rows) == {special._BLOCK}
+
+    @pytest.mark.parametrize(
+        "ratio, size",
+        # 0.8 ln(1e-17) / ln(0.3) + 4 = 30.01
+        [(0.0, 4), (0.3, 32), (1.0 - 1e-9, special._MAX_TERMS), (1.0, 4)],
+    )
+    def test_first_block_is_a_whole_number_of_checks(self, ratio, size):
+        assert special._first_block(ratio, 0.8, 4) == size
 
 
 def _clear_caches():
@@ -643,6 +707,44 @@ class TestEulerIntegral:
         value, err = _f2_euler(p, ModuliPoint(x, y))
         ref = _mp_f2(p, x, y, dps=30)
         assert abs(value - ref) <= min(err, 1e-13 * abs(ref))
+
+    @pytest.mark.parametrize("a", [0.5, 1.5])
+    @pytest.mark.parametrize(
+        "x, y", [(0.6, 0.3), (-0.45, 0.5), (0.5 + 0.3j, 0.2), (0.3 - 0.5j, -0.2 + 0.1j)]
+    )
+    def test_half_integer_alpha_against_mpmath(self, a, x, y):
+        p = F2Params(a, 0.5, 0.5, 1.0, 1.0)
+        ref = _mp_f2(p, x, y, dps=30)
+        assert abs(_f2_euler(p, ModuliPoint(x, y))[0] - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("a", [0.5, 1.5])
+    @pytest.mark.parametrize("x, y", [(0.5 + 0.3j, 0.2), (1.5 + 1j, 0.1), (1.5 - 1j, 0.1)])
+    def test_half_integer_alpha_against_the_log_form(self, a, x, y, monkeypatch):
+        # Re(1 - x t2 - y t1) < 0 on part of the square at x = 1.5 +- i,
+        # outside the ball where the series and mpmath converge
+        p, pt = F2Params(a, 0.5, 0.5, 1.0, 1.0), ModuliPoint(x, y)
+        calls = []
+
+        def log_form(re, im):
+            calls.append(np.count_nonzero(re < 0))
+            return np.exp(-0.5 * np.log(re + 1j * im))
+
+        got = _f2_euler(p, pt)[0]
+        monkeypatch.setattr(appell, "_inverse_sqrt", log_form)
+        want = _f2_euler(p, pt)[0]
+        assert calls and (sum(calls) > 0) == (complex(x).real > 1)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_inverse_sqrt_is_the_principal_power(self, sign):
+        # both half-planes, both sides of the cut (the sign of a zero im), and
+        # re near -|w|, where t + i im / 2t would cancel
+        re = np.array([[3.0, -3.0, 1e-300, -1e-8, -2.0, 0.0, 5.0, -7.5]])
+        im = sign * np.array([[4.0, 4.0, 1.0, 1e-12, 0.0, 2.0, 0.0, 1e-9]])
+        w = np.empty(re.shape, dtype=complex)
+        w.real, w.imag = re, im
+        want = 1.0 / np.sqrt(w)
+        assert np.all(np.abs(appell._inverse_sqrt(re, im) - want) <= 4e-16 * np.abs(want))
 
     @pytest.mark.parametrize(
         "a, x, y",

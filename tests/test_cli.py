@@ -225,9 +225,22 @@ class TestVerify:
         with pytest.raises(ValueError, match="tolerance|sample_count"):
             verify.RunConfig(tolerances=tolerances, sample_count=sample_count)
 
+    @pytest.mark.parametrize(
+        "seed",
+        [True, None, 1.5, "3", -1],
+        ids=["bool", "none", "float", "str", "negative"],
+    )
+    def test_run_config_rejects_a_seed_not_a_non_negative_int(self, seed):
+        # True ran as seed 1 and None on fresh entropy, each writing its repr
+        # into the report; 1.5 and "3" ended in a numpy TypeError
+        with pytest.raises(ValueError, match="rng_seed"):
+            verify.RunConfig(rng_seed=seed)
+
     def test_run_config_takes_numpy_numbers(self):
-        cfg = verify.RunConfig(tolerances={"mirror": np.float64(1e-9)}, sample_count=np.int64(3))
-        assert (cfg.tol("mirror"), cfg.samples("mirror")) == (1e-9, 3)
+        cfg = verify.RunConfig(
+            tolerances={"mirror": np.float64(1e-9)}, sample_count=np.int64(3), rng_seed=np.int64(4)
+        )
+        assert (cfg.tol("mirror"), cfg.samples("mirror"), cfg.rng_seed) == (1e-9, 3, 4)
 
     @pytest.mark.parametrize("name", ["all", "bilinar"])
     def test_run_suite_names_the_suites_it_runs(self, name):
