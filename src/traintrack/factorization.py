@@ -15,7 +15,7 @@ import numpy as np
 
 from .appell import ModuliPoint
 from .errors import BranchTrackingError, DomainError, SingularityError
-from .special import _ellint_K_dK, ellint_K
+from .special import _complex_pair, _ellint_K_dK, ellint_K
 
 __all__ = [
     "LambdaPair",
@@ -47,6 +47,9 @@ class LambdaPair:
     @property
     def in_theorem_domain(self) -> bool:
         return bool(_in_theorem_domain(self.lambda1, self.lambda2))
+
+
+_OUTSIDE_DOMAIN = "lambda pair outside the domain |L1^2| < 1, |1 - L2^2| < 1"
 
 
 def _in_theorem_domain(l1, l2):
@@ -101,12 +104,10 @@ def invert_T_arrays(x, y):
     Scalars are computed as arrays of one element, so a point's preimage
     does not depend on the other points passed with it.
     """
-    x, y = np.broadcast_arrays(
-        np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
-    )
+    x, y = _complex_pair(x, y)
     shape = x.shape
     x, y = x.ravel(), y.ravel()
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    if np.count_nonzero(np.isfinite(x) & np.isfinite(y)) < x.size:
         raise DomainError("x and y must be finite")
     # numpy orders complex numbers by real part first: subtracting the larger
     # one from 1 first is exact (Sterbenz) when its real part lies in
@@ -114,15 +115,15 @@ def invert_T_arrays(x, y):
     radicands = np.concatenate(
         (1.0 - y, 1.0 - x, (1.0 - np.maximum(x, y)) - np.minimum(x, y))
     )
-    if ((radicands.imag == 0) & (radicands.real <= 0)).any():
+    if np.count_nonzero((radicands.imag == 0) & (radicands.real <= 0)):
         raise BranchTrackingError(
             "x, y or x + y is real and >= 1: the segment from the base point "
             "meets a branch cut of T^-1"
         )
     u, r, v = np.sqrt(radicands).reshape(3, x.size)
-    s = 2.0 / (u + v)
-    l1 = s * x / (2.0 * (1.0 + r))
-    l2 = s * (1.0 + r) / 2.0
+    s, r1 = 2.0 / (u + v), 1.0 + r
+    l1 = s * x / (2.0 * r1)
+    l2 = s * r1 / 2.0
     xr, yr = _map_T_arrays(l1, l2)
     err = (np.abs(xr - x) + np.abs(yr - y)).max()
     if not err <= 1e-10 * max(1.0, float((np.abs(x) + np.abs(y)).max())):
@@ -162,9 +163,7 @@ def periods_from_lambdas(l1, l2):
     Each K is principal, so in the theorem domain only Pi0 is continuous: Pi1 jumps across
     the cut of K(1 - L1^2) at L1^2 <= 0, Pi2 and Pi3 across that of K(L2^2) at L2^2 >= 1.
     """
-    l1, l2 = np.broadcast_arrays(
-        np.asarray(l1, dtype=complex), np.asarray(l2, dtype=complex)
-    )
+    l1, l2 = _complex_pair(l1, l2)
     shape = l1.shape
     l1, l2 = l1.ravel(), l2.ravel()
     sq1, sq2 = l1 * l1, l2 * l2
@@ -183,9 +182,7 @@ def periods_from_lambdas(l1, l2):
 def period_basis(lp: LambdaPair) -> PeriodVector:
     """Periods Pi0..Pi3, elliptic-integral products, on the tracked domain; only Pi0 has no cut."""
     if not lp.in_theorem_domain:
-        raise DomainError(
-            "lambda pair outside the domain |L1^2| < 1, |1 - L2^2| < 1"
-        )
+        raise DomainError(_OUTSIDE_DOMAIN)
     p0, p1, p2, p3 = periods_from_lambdas(lp.lambda1, lp.lambda2)
     return PeriodVector(complex(p0), complex(p1), complex(p2), complex(p3))
 
@@ -245,7 +242,7 @@ def period_derivatives(x, y):
     depend on the other points.
     """
     invert_T_arrays(x, y)
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+    x, y = _complex_pair(x, y)
     shape, x, y = x.shape, x.ravel(), y.ravel()
     if np.count_nonzero((x == 0) | (y == 0)):
         raise SingularityError("periods singular on x = 0 and y = 0")
@@ -298,7 +295,14 @@ def traintrack_value(z1: complex, z2: complex) -> float:
     """Pairing value of the conformal traintrack integral at kinematics (z1, z2).
 
     Uses the correspondence (x, y) = (z1, 1 - z2); the overall constant
-    normalization against the defining integral is not fixed.
+    normalization against the defining integral is not fixed.  The value,
+    bit for bit, and the errors are those of
+    ``positivity_pairing(period_basis(invert_T(ModuliPoint(x, y))))``, taken
+    on the array cores without the LambdaPair and PeriodVector between them:
+    DomainError for a non-finite point or a preimage outside the theorem
+    domain, BranchTrackingError where T^-1 is not tracked.
     """
-    pt = ModuliPoint(complex(z1), 1.0 - complex(z2))
-    return positivity_pairing(period_basis(invert_T(pt)))
+    l1, l2 = invert_T_arrays(complex(z1), 1.0 - complex(z2))
+    if not _in_theorem_domain(l1, l2):
+        raise DomainError(_OUTSIDE_DOMAIN)
+    return float(_pairing_arrays(np.array(periods_from_lambdas(l1, l2)))[1].real)

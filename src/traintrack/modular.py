@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, NonConstantRatioError
 from .factorization import LambdaPair, _in_theorem_domain
-from .special import _like_input, ellint_K
+from .special import _complex_pair, _like_input, ellint_K
 
 __all__ = [
     "TauPair",
@@ -118,18 +118,16 @@ def mirror_map_arrays(l1, l2):
     other pairs passed with it.  DomainError if any pair lies outside
     |L1^2| < 1, |1 - L2^2| < 1 or any coordinate leaves the upper half-plane.
     """
-    l1, l2 = np.broadcast_arrays(
-        np.asarray(l1, dtype=complex), np.asarray(l2, dtype=complex)
-    )
+    l1, l2 = _complex_pair(l1, l2)
     shape = l1.shape
     l1, l2 = l1.ravel(), l2.ravel()
-    if not _in_theorem_domain(l1, l2).all():
+    if np.count_nonzero(_in_theorem_domain(l1, l2)) < l1.size:
         raise DomainError("lambda pair outside the tracked domain")
     sq1, sq2 = l1 * l1, l2 * l2
     k1c, k1, k2, k2c = ellint_K(np.array((1.0 - sq1, sq1, sq2, 1.0 - sq2)))
     t1 = 1j * k1c / k1
     t2 = 1j * k2 / k2c
-    if (t1.imag <= 0).any() or (t2.imag <= 0).any():
+    if np.count_nonzero((t1.imag <= 0) | (t2.imag <= 0)):
         raise DomainError("mirror map left the upper half-plane")
     return t1.reshape(shape), t2.reshape(shape)
 

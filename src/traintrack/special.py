@@ -6,7 +6,10 @@ array is computed as in its own one-element call.  ``gamma_fn`` is scalar.
 
 Branch conventions: all square roots and powers are principal (cut on the
 negative real axis); K(m) uses the squared-modulus convention with its cut
-placed on m in [1, oo).
+placed on m in [1, oo).  K and E run the AGM on numpy's principal roots with
+no tie rule: at real m > 1 they take the value from below the cut, as
+mpmath's ellipk and ellipe do, and off the real axis the value on the side
+of Im m, however small it is (``_agm_sequence``).
 """
 
 from __future__ import annotations
@@ -96,54 +99,76 @@ def gamma_fn(z: complex) -> complex:
     return value
 
 
-def _right_sqrt(w):
-    """Square root with non-negative real part, ties broken upward."""
-    s = np.sqrt(np.asarray(w, dtype=complex))
-    # the principal root has Re >= 0 already; a tie (Re = 0) needs w on the
-    # non-positive real axis, where -0.0j gives the downward root -i sqrt|w|
-    tie = s.real == 0
-    if np.count_nonzero(tie):
-        s = np.where(tie & (s.imag < 0), -s, s)
-    return s
-
-
 _AGM_MAX_ITER = 64
 
 
 def _agm_sequence(m, want_sum=False):
-    """AGM(1, sqrt(1-m)) over a 1-d array; optionally sum(2^(n-1) c_n^2) for E.
+    """AGM(1, sqrt(1-m)) over a 1-d array, and sum(2^(n-1) c_n^2) for E or None.
 
-    Each element stops on its own test |a - b| <= 4e-16 |a|: converged
-    elements leave the working arrays, so an element's result does not
-    depend on the other elements of the array.
+    The sum is formed only if ``want_sum``.  Each element stops on its own
+    test |a - b| <= 4e-16 |a|: converged elements leave the working arrays,
+    so an element's result does not depend on the other elements of the
+    array.
+
+    Every b is numpy's principal square root, which has Re >= 0; no tie
+    rule picks between the two roots of real part 0 (DLMF §19.8(i)).  None
+    is needed:
+
+    * b_0 = sqrt(1 - m).  Its real part is 0 where 1 - m lies on the
+      negative real axis, m real and > 1, and there numpy's ``1.0 - m``
+      has imaginary part +0.0 whatever the sign of zero in Im m, so the
+      root is the upward one, +i sqrt(m - 1): K and E take the value from
+      below the cut [1, oo), as mpmath's ellipk and ellipe do at real m.
+      Where Im m is nonzero but so small that the root's real part
+      underflows, as at m = 2 + 5e-324i, the sign of Im (1 - m) still
+      puts the root on the side of the cut that m lies on; an upward tie
+      rule would move it to the other side.
+    * For n >= 1, b_n = sqrt(a_{n-1} b_{n-1}), where a_0 = 1, Re b_0 >= 0,
+      b_0 != 0 (m = 1 is rejected), and every later a and b has Re > 0, as
+      a mean of such numbers or the principal root of a number off the
+      negative real axis.  So the product has argument in (-pi, pi) and
+      positive real part wherever its imaginary part is 0, and its root is
+      never a tie.
     """
     a = np.ones_like(m)
-    b = _right_sqrt(1.0 - m)
-    total = m / 2.0 if want_sum else np.zeros_like(m)
-    agm, sums = np.empty_like(m), np.empty_like(m)
+    b = np.sqrt(1.0 - m)
+    total, sums = (m / 2.0, np.empty_like(m)) if want_sum else (None, None)
+    agm = np.empty_like(m)
     live = np.arange(m.size)  # positions of the elements still iterating
     pow2 = 0.5
     for _ in range(_AGM_MAX_ITER):
         done = np.abs(a - b) <= 4e-16 * np.abs(a)
         stopped = np.count_nonzero(done)
         if stopped == live.size:
-            agm[live], sums[live] = a, total
+            agm[live] = a
+            if want_sum:
+                sums[live] = total
             return agm, sums
         if stopped:
-            agm[live[done]], sums[live[done]] = a[done], total[done]
-            keep = ~done
-            live, a, b, total = live[keep], a[keep], b[keep], total[keep]
+            out, keep = live[done], ~done
+            agm[out] = a[done]
+            if want_sum:
+                sums[out], total = total[done], total[keep]
+            live, a, b = live[keep], a[keep], b[keep]
         if want_sum:
             c = (a - b) / 2.0
             pow2 *= 2.0
             total = total + pow2 * c * c
-        a, b = (a + b) / 2.0, _right_sqrt(a * b)
+        a, b = (a + b) / 2.0, np.sqrt(a * b)
     raise ConvergenceError("AGM iteration stalled (branch-straddling input?)")
 
 
 def _like_input(out, arr):
     """A flat result back in the shape of the input; a complex for a scalar."""
     return complex(out[0]) if np.ndim(arr) == 0 else out.reshape(np.shape(arr))
+
+
+def _complex_pair(x, y):
+    """x and y as complex arrays of one shape, broadcast only where their shapes differ."""
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
+    return x, y
 
 
 def ellint_K(m) -> complex:

@@ -1,5 +1,8 @@
 """Change of variables T, the period basis, and the bilinear pairing."""
 
+import importlib.util
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -30,8 +33,19 @@ from traintrack.factorization import (
 from traintrack.verify import sample_theorem_domain
 
 
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
 def _rng():
     return np.random.Generator(np.random.Philox(77))
+
+
+def _kinematics_points(seed):
+    """The (z1, z2) points of the benchmark's kinematics workload at one seed."""
+    spec = importlib.util.spec_from_file_location("workloads", _BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [(z1, z2) for _, _, z1, z2 in workloads.WORKLOADS["kinematics"].items(seed)]
 
 
 def _rng_seeded(seed):
@@ -382,9 +396,33 @@ class TestBilinear:
 
 class TestTraintrackValue:
     def test_matches_composition(self):
-        want = positivity_pairing(period_basis(LambdaPair(0.1, 0.9)))
-        got = traintrack_value(0.36, 1.1881)
-        assert got == pytest.approx(want, rel=1e-12)
+        # the array-core path gives the composition of the public calls to the bit
+        points = [(0.36, 1.1881)] + _kinematics_points(3)
+        assert len(points) == 61
+        for z1, z2 in points:
+            pt = ModuliPoint(complex(z1), 1.0 - complex(z2))
+            assert traintrack_value(z1, z2) == positivity_pairing(period_basis(invert_T(pt)))
+        assert traintrack_value(0.36, 1.1881) == pytest.approx(
+            positivity_pairing(period_basis(LambdaPair(0.1, 0.9))), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("z1, z2", [(np.nan, 1.0), (0.3, complex(0.5, np.inf)), (np.inf, 0.5)])
+    def test_non_finite_point_is_a_domain_error(self, z1, z2):
+        with pytest.raises(DomainError):
+            traintrack_value(z1, z2)
+
+    @pytest.mark.parametrize("z1, z2", [(1.5, 1.0), (2.0, 0.5)])
+    def test_point_on_a_cut_of_T_raises(self, z1, z2):
+        # x = 1.5, y = 0 and x = 2, y = 0.5: x is real and >= 1
+        with pytest.raises(BranchTrackingError):
+            traintrack_value(z1, z2)
+
+    def test_preimage_outside_the_theorem_domain_raises(self):
+        # (x, y) = (-1, 1 + i) inverts to L2 = 0.945 + 0.608i, |1 - L2^2| = 1.245
+        l1, l2 = invert_T_arrays(-1.0, 1.0 + 1.0j)
+        assert abs(complex(l1) ** 2) < 1.0 <= abs(1.0 - complex(l2) ** 2)
+        with pytest.raises(DomainError):
+            traintrack_value(-1.0, -1.0j)
 
     def test_swap_branch_invariance(self):
         # the pairing does not depend on which sheet labels lambda1 vs lambda2

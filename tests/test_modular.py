@@ -23,6 +23,7 @@ from traintrack import (
     theta3,
     theta4,
 )
+from traintrack import modular
 from traintrack.factorization import period_basis
 from traintrack.modular import mirror_map_arrays
 
@@ -181,6 +182,19 @@ class TestMirrorMap:
     def test_array_core_domain_guard(self):
         with pytest.raises(DomainError):
             mirror_map_arrays([0.1, 1.2], [0.9, 0.9])
+
+    @pytest.mark.parametrize("row", [1, 3], ids=["tau1", "tau2"])
+    def test_array_core_half_plane_guard(self, monkeypatch, row):
+        # K's cut keeps both coordinates in the upper half-plane; with K forced
+        # negative in one slot at one pair of two, that coordinate is -i there
+        def k(m):
+            out = np.ones_like(m)
+            out[row, 1] = -1.0
+            return out
+
+        monkeypatch.setattr(modular, "ellint_K", k)
+        with pytest.raises(DomainError, match="upper half-plane"):
+            mirror_map_arrays([0.1, 0.2], [0.9, 0.8])
 
 
 class TestInverseMirror:

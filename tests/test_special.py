@@ -16,7 +16,7 @@ from traintrack import (
     gamma_fn,
     gauss_2f1,
 )
-from traintrack.special import _ellint_KE
+from traintrack.special import _agm_sequence, _ellint_KE
 
 
 def _rng():
@@ -206,6 +206,89 @@ class TestBatchIndependence:
         assert np.array_equal(self._bits(e), self._bits(ellint_E(m)))
         with pytest.raises(SingularityError):
             _ellint_KE(np.array([0.5, 1.0 + 0j]))
+
+
+def _tied_sqrt(w):
+    """The principal root, with a root of real part 0 and negative imaginary part negated."""
+    s = np.sqrt(w)
+    return np.where((s.real == 0) & (s.imag < 0), -s, s)
+
+
+def _agm_with_tie_rule(m):
+    """AGM(1, sqrt(1 - m)) and the E sum, with an upward tie rule at every root.
+
+    A reference for ``_agm_sequence``: the same per-element stop on
+    |a - b| <= 4e-16 |a| and the same E sum, with every root tied upward.
+    """
+    a, b, total = np.ones_like(m), _tied_sqrt(1.0 - m), m / 2.0
+    agm, sums = np.empty_like(m), np.empty_like(m)
+    live, pow2 = np.arange(m.size), 0.5
+    for _ in range(64):
+        done = np.abs(a - b) <= 4e-16 * np.abs(a)
+        agm[live[done]], sums[live[done]] = a[done], total[done]
+        live, a, b, total = live[~done], a[~done], b[~done], total[~done]
+        if not live.size:
+            return agm, sums
+        c = (a - b) / 2.0
+        pow2 *= 2.0
+        total = total + pow2 * c * c
+        a, b = (a + b) / 2.0, _tied_sqrt(a * b)
+    raise AssertionError("reference AGM did not converge")
+
+
+class TestNoTieRule:
+    """The AGM takes numpy's principal roots: a tie rule would change no bit but on the cut."""
+
+    _bits = staticmethod(TestBatchIndependence._bits)
+
+    def _extremes(self):
+        # real m in (1, 1e12], |m| up to 1e300 in every direction, 1 +- 1e-300i
+        rng = _rng()
+        return np.concatenate(
+            [
+                1.0 + 10.0 ** rng.uniform(-12.0, 12.0, 300),
+                [2.0, 5.0, 1e6, 1e12, complex(2.0, -0.0), complex(1e12, -0.0)],
+                10.0 ** rng.uniform(0.0, 300.0, 300) * np.exp(2j * np.pi * rng.uniform(size=300)),
+                [1e300, -1e300, 1e300j, -1e300j, 1e300 + 1e300j, -1e300 - 1e300j],
+                [1.0 + 1e-300j, 1.0 - 1e-300j],
+            ]
+        ).astype(complex)
+
+    @pytest.mark.parametrize("which", ["batch", "extremes"])
+    def test_agm_and_e_sum_keep_their_bits(self, which):
+        m = TestBatchIndependence()._moduli() if which == "batch" else self._extremes()
+        agm_ref, sums_ref = _agm_with_tie_rule(m)
+        agm, sums = _agm_sequence(m, want_sum=True)
+        assert np.array_equal(self._bits(agm), self._bits(agm_ref))
+        assert np.array_equal(self._bits(sums), self._bits(sums_ref))
+        assert np.array_equal(self._bits(_agm_sequence(m)[0]), self._bits(agm_ref))
+
+    @staticmethod
+    def _mp(fn, m):
+        with mpmath.workdps(30):
+            return complex(fn(mpmath.mpc(m.real, m.imag)))
+
+    @pytest.mark.parametrize("c, delta", [(2.0, 5e-324), (5.0, 5e-324), (1e6, 5e-324), (1e40, 1e-305)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["above", "below"])
+    def test_tiny_imaginary_part_keeps_its_side_of_the_cut(self, c, delta, sign):
+        # the root of 1 - m = -(c - 1) - delta sign i has its real part,
+        # delta / (2 sqrt(c - 1)), underflow to 0; an upward tie rule took K
+        # and E above the cut to the values from below
+        m = complex(c, sign * delta)
+        for fn, ref in ((ellint_K, mpmath.ellipk), (ellint_E, mpmath.ellipe)):
+            want = self._mp(ref, m)
+            assert abs(fn(m) - want) <= 1e-14 * abs(want)
+            assert abs(fn(m) - want.conjugate()) > 0.5 * abs(want)  # the other side
+
+    @pytest.mark.parametrize("c", [2.0, 5.0, 1e6])
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
+    def test_real_m_above_one_takes_the_value_from_below(self, c, zero):
+        m = complex(c, zero)
+        for fn, ref in ((ellint_K, mpmath.ellipk), (ellint_E, mpmath.ellipe)):
+            with mpmath.workdps(30):
+                want = complex(ref(c))
+            assert abs(fn(m) - want) <= 1e-14 * abs(want)
+            assert fn(m) == pytest.approx(self._mp(ref, complex(c, -1e-300)), rel=1e-14)
 
 
 def _mp_2f1(a, b, c, z):
