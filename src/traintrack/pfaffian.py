@@ -4,9 +4,11 @@ The 2x2 connection lives in the section basis (f, z df/dz); the 4x4 one in
 (F, x dF/dx, y dF/dy, x y d2F/dxdy).  Both are Fuchsian, held as data: constant
 residues over singular points or lines, all finite (else DomainError).  The
 connection on arrays of points, the poles of a restriction to a line and the
-curvature follow from them in closed form, and the Taylor terms of a transport
-step by a recurrence per pole.  The tests check the F2 residues against
-Cramer's rule on the two PDEs, and their integrability exactly in rationals.
+curvature follow from them in closed form.  Transport takes Taylor steps,
+each expanded about its midpoint and summed to both of its ends; the terms
+of all steps come from a recurrence per pole, one matrix product a term.
+The tests check the F2 residues against Cramer's rule on the two PDEs, and
+their integrability exactly in rationals.
 """
 
 from __future__ import annotations
@@ -147,6 +149,13 @@ def _piece_ends(piece):
     return (*ends, abs(c) + r * (1.0 + abs(phi0) + abs(dphi)))
 
 
+def _check_join(before, after) -> None:
+    """ValueError unless the piece ``after`` starts where ``before`` ends."""
+    (_, end, size), (start, _, other) = _piece_ends(before), _piece_ends(after)
+    if abs(end - start) > _JOIN_TOL * max(size, other):
+        raise ValueError(f"pieces do not join: one ends at {end}, the next at {start}")
+
+
 @dataclass(frozen=True)
 class PathSpec:
     """A path as a chain of pieces, each starting where the one before ends.
@@ -170,9 +179,7 @@ class PathSpec:
             if not all(map(cmath.isfinite, numbers)) or (len(piece) == 4 and piece[1] < 0):
                 raise ValueError(f"not a finite segment or an arc of radius >= 0: {piece}")
         for before, after in zip(self.pieces, self.pieces[1:]):
-            (_, end, size), (start, _, other) = _piece_ends(before), _piece_ends(after)
-            if abs(end - start) > _JOIN_TOL * max(size, other):
-                raise ValueError(f"pieces do not join: one ends at {end}, the next at {start}")
+            _check_join(before, after)
 
     @classmethod
     def polyline(cls, points: Sequence[complex]) -> "PathSpec":
@@ -187,7 +194,11 @@ class PathSpec:
         return cls(((complex(center), float(radius), float(start_angle), sweep),))
 
     def __add__(self, other: "PathSpec") -> "PathSpec":
-        return PathSpec(self.pieces + other.pieces)
+        """The chain of both; each was checked when it was built, so only the join is."""
+        _check_join(self.pieces[-1], other.pieces[0])
+        chain = object.__new__(PathSpec)
+        object.__setattr__(chain, "pieces", self.pieces + other.pieces)
+        return chain
 
     def segments(self):
         """(z(t) on t in [0, 1], length) for each piece of nonzero length."""
@@ -305,7 +316,7 @@ def restrict_to_line(
 
 
 def _step_plan(path: PathSpec, sing: Sequence[complex]):
-    """Centres z and steps h of the Taylor steps along the path; see integrate_pfaffian."""
+    """Starts z and steps h of the Taylor steps along the path; see integrate_pfaffian."""
     plan = []
     for pos, length in path.segments():
         t, z = 0.0, complex(pos(0.0))
@@ -320,21 +331,25 @@ def _step_plan(path: PathSpec, sing: Sequence[complex]):
 
 
 def _step_terms(s: PfaffianSystem1D, z, h):
-    """Terms Y_k h^k (S, 48, d, d) of the steps h from the centres z, term 0 the identity,
-    and form(k), which forms term k + 1 if called for k = 0, 1, ... in turn."""
+    """Terms Y_k h^k of the steps h from the centres z, laid out (48, d, S, d) with
+    term 0 the identity, and form(k), which forms term k + 1 if called for k = 0, 1, ...
+
+    The per-pole sums W_p lie (P, d, S, d), so that a term is one 2-D product:
+    -[R_1 ... R_P]/(k + 1), (d, P d), times the sums stacked, (P d, S d).
+    """
     d = s.dimension
-    q = (h[:, None] / (s.poles - z[:, None]))[:, :, None, None]
-    # -[R_1 ... R_P]/(k + 1) side by side: one matmul with the W_p stacked
+    q = (h / (s.poles[:, None] - z))[:, None, :, None]
     blocks = -s.residues.transpose(1, 0, 2).reshape(d, -1) / np.arange(1.0, _TERMS)[:, None, None]
-    sums = np.zeros(q.shape[:2] + (d, d), dtype=complex)
-    stacked = sums.reshape(len(z), -1, d)
-    terms = np.empty((len(z), _TERMS, d, d), dtype=complex)
-    terms[:, 0] = np.eye(d)
+    sums = np.zeros((len(s.poles), d, len(z), d), dtype=complex)
+    stacked = sums.reshape(-1, len(z) * d)
+    terms = np.empty((_TERMS, d, len(z), d), dtype=complex)
+    terms[0] = np.eye(d)[:, None]
+    rows = terms.reshape(_TERMS, d, -1)
 
     def form(k):
-        np.add(sums, terms[:, k, None], out=sums)
+        np.add(sums, terms[k], out=sums)
         np.multiply(sums, q, out=sums)
-        np.matmul(blocks[k], stacked, out=terms[:, k + 1])
+        np.matmul(blocks[k], stacked, out=rows[k + 1])
 
     return terms, form
 
@@ -346,23 +361,27 @@ def integrate_pfaffian(s: PfaffianSystem1D, path: PathSpec, initial: np.ndarray)
     step from a point z of a piece (see ``PathSpec``) with clearance R from
     the poles (the piece's length if there are none) goes h, at most 0.35 R,
     along the piece; a piece of length 0 has none.  The steps depend on the
-    path alone.  The ratios q_p = h/(p - z), one per step and pole p: in
-    u = (w - z)/h, h A(z + h u) = -sum_p R_p q_p / (1 - q_p u).  The
-    propagators: each step is P = sum_k Y_k h^k, the solution from the
-    identity, and its recurrence (k + 1) Y_{k+1} = sum_{j<=k} A_j Y_{k-j}, a
-    sum of geometric series, runs per pole as W_p = q_p (Y_k h^k + W_p),
-    (k + 1) Y_{k+1} h^{k+1} = -sum_p R_p W_p, for all steps at once
+    path alone.  Each step's series is taken about its midpoint c = z + h/2,
+    in the half-step u = h/2, at least 0.825 R from every pole: the ratios
+    q_p = u/(p - c), one per step and pole p, are at most 0.175/0.825 = 0.212
+    in modulus, and in v = (w - c)/u, u A(c + u v) = -sum_p R_p q_p / (1 - q_p v).
+    The terms: Y(v) = sum_k Y_k u^k v^k, the solution that is the identity at
+    c, and its recurrence (k + 1) Y_{k+1} = sum_{j<=k} A_j Y_{k-j}, a sum of
+    geometric series, runs per pole as W_p = q_p (Y_k u^k + W_p),
+    (k + 1) Y_{k+1} u^{k+1} = -sum_p R_p W_p, for all steps at once
     (``_step_terms``).  A term is small when its Frobenius norm is at most
     1e-14; a step is done after two small terms in a row, and the batch
     stops at the first term after which every step is done (steps done
     earlier keep adding terms, which only adds accuracy).  The norms are
     taken once per block of 8 terms, the rule running along the block and
     carrying into the next; terms past the stop are formed but not summed,
-    so the sum is that of a test after every term.  The endpoint: each P
-    summed from its last term to the identity, P_S ... P_1 initial.
+    so the sums are those of a test after every term.  The propagators: the
+    even and the odd terms, each summed from the last to the identity, give
+    P+ = Y(1) and P- = Y(-1), and the step is P+ P-^-1, one batched solve.
+    The endpoint: P_S ... P_1 initial.
 
-    A step not done after 48 terms raises ConvergenceError; a path closer
-    than 1e-3 to a pole raises DomainError.
+    A step not done after 48 terms raises ConvergenceError that names its
+    start z; a path closer than 1e-3 to a pole raises DomainError.
     """
     state = np.array(initial, dtype=complex)
     clearance = path.clearance(s.singular_points)
@@ -372,16 +391,16 @@ def integrate_pfaffian(s: PfaffianSystem1D, path: PathSpec, initial: np.ndarray)
     if not len(z):
         return state
 
-    terms, form = _step_terms(s, z, h)
-    # each term's real and imaginary parts as one vector, for its norm
-    flat = terms.view(float).reshape(len(z), _TERMS, -1)
+    terms, form = _step_terms(s, z + 0.5 * h, 0.5 * h)
+    # real and imaginary parts side by side, for the norms
+    parts = terms.view(float)
     small = done = np.zeros(len(z), dtype=bool)
     for k0 in range(0, _TERMS - 1, _TAIL_BLOCK):
         ks = range(k0, min(k0 + _TAIL_BLOCK, _TERMS - 1))
         for k in ks:
             form(k)
-        parts = flat[:, k0 + 1 : ks[-1] + 2]
-        now = np.einsum("sbi,sbi->sb", parts, parts) <= _TAIL**2
+        block = parts[k0 + 1 : ks[-1] + 2]
+        now = np.einsum("bisj,bisj->sb", block, block) <= _TAIL**2
         pair = now & np.concatenate((small[:, None], now[:, :-1]), axis=1)
         done_at = np.logical_or.accumulate(pair, axis=1) | done[:, None]
         every = done_at.all(axis=0)
@@ -394,7 +413,9 @@ def integrate_pfaffian(s: PfaffianSystem1D, path: PathSpec, initial: np.ndarray)
             f"Taylor step at z = {z[np.argmin(done)]:.6g} did not reach its "
             f"tail target {_TAIL:.0e} in {_TERMS} terms"
         )
-    for p in terms[:, k + 1 :: -1].sum(axis=1):
+    # the sums transposed, steps first: P+ P-^-1 is solve(P-^T, P+^T) transposed
+    even, odd = (terms[i : k + 2 : 2][::-1].sum(axis=0).transpose(1, 2, 0) for i in (0, 1))
+    for p in np.linalg.solve(even - odd, even + odd).transpose(0, 2, 1):
         state = p @ state
     return state
 

@@ -311,18 +311,18 @@ class TestVerify:
     # SHA-256 of the `verify all` JSON, as the CLI and the benchmark write it,
     # taken with numpy 2.4.6; seed 31 redraws a tau in the modular suite
     ALL_REPORT_SHA256 = {
-        0: "8abc3220e91e758ca026714c684aaa4e653ddae91f5b07e3715a13ba8a891951",
-        1: "ecd317a2f498e528ee18b645586f9de9e4cc58dfdf70d32944d284ed5cffe0e5",
-        2: "2f97abfc179f6914665051ec5dd5752631add46bbad8d905512d458e5cec3e75",
-        3: "ee6d7dbaa1553248476f61a0901a15c92e7a7cc7215bd525cc1ad4615a1a622b",
-        4: "8338bfddec6a57483cf252300f44eb36e6db711a33a1d88aea1b4a7be16911d6",
-        5: "c844e330d266fd8cb4b878c615b78ae52589294c053995b5d6385234112da9f4",
-        6: "603aa0266c4736eed5781cc58939b42960035950d728940fd04e65f4e7fd058a",
-        7: "86a5f970f11ec54bed46a56ba51daa3994b0c8df82b373a11c7b397a04f35650",
-        8: "dfeb3774d4d3399637881083012d93766cec9c7bca9656ca5583dfc6c817e583",
-        9: "340495137a8353521c0e5f6ca7eddb01becf1016ba8db1e44a3dfb9ca4b6ae22",
-        10: "99076385685da204b9029e503735a554bea1ba1471c5f9af3302fe8c5ea07c23",
-        31: "f3e472536d1715a91b53e2d4f260a684e36e7baa81f6c3ba9c27def12fedba6b",
+        0: "a64d036b236882c984f4d74416904623f40c6239121ed1f78c7c7a13557382db",
+        1: "c0ced9c0dd6c38893a991f65efbe540480af6f65a82de93d6ae6ea35a0958b33",
+        2: "2581f63a35f81716db861fe1308dce4c65c00c947d7806bdf397125221202d4e",
+        3: "ed569cff43d8f76802ed89994331aa99bb094c42a5e8d1bc0c3f085ac92da50a",
+        4: "bd86062535af9ed752ee674d5dae38674a14a8987d3cacaf113e6066413b02c6",
+        5: "c4b8c58788c94f70509581358c8ddf67b8a65376d6feeec6367850f6c15fa273",
+        6: "7b9c5224fd66c8d180b66e481c9a9c4ea221d5d41460ea9c3ec88a82fc756765",
+        7: "240462495aaf4191a5f0e964e735368edcd49ef8fff05d84a48ff0a98f6c9fc4",
+        8: "9420202a9933af396b1812039e477ef5f15b6a155dd3ce9cdcb48c2887f75cb1",
+        9: "1868d854448b03926ba97190963a04756966b0b870cf7cc4cb37300eb890215d",
+        10: "b375e80297bc30402d1a5949ada772b1e16c855587023eb75fe531dbb9c4b1ba",
+        31: "d4c78de2a8897dd84c4bf7051627998e24bc17f532995bc7eaff87531fb7bb31",
     }
 
     @pytest.mark.parametrize("seed", sorted(ALL_REPORT_SHA256))
@@ -339,7 +339,7 @@ class TestVerify:
     # moves that suite's digests and the summary's, and no other.
     REPORT_PART_SHA256 = {
         0: {
-            "summary": "3db151924ce38886d28d363e547342ed6d66b8a9cb973c0da24fbbf0a91e2e4b",
+            "summary": "ac09c70414fd82e44fab72496d88b07f4312d6522456c557713266a81116cf0a",
             "factorization": "8bbf5de860f192db086d754a7a23449070d802662c2d14bd884676e25faf3d41",
             "bilinear": "1e2c56cb30ffd1486bf6221622a7cff09b84dec0b2781b0621ef7e6633a10ef2",
             "mirror": "78729acfc1b92189c2bc9cf8887ec046b92be2a24e0d397e705cced1afac2d23",
@@ -347,7 +347,7 @@ class TestVerify:
             "flatness": "9ffb71bcfd85d08da4cde2e9b48d7e3c1a390cd8153dd84ea72a1eadd48000da",
         },
         1: {
-            "summary": "e539c9ae9daebe318ec15c7396d27fed5bcf720210887c6333ee053b68927b13",
+            "summary": "eaff157ec6912209906952d3e80c47c8aca3126d6f439f74fc197dd2dd397631",
             "factorization": "d9ca9c9e88a207e4277a7bf072465cd188ca53080a0694e16144ebdb3dda656a",
             "bilinear": "8293983cfb6f7381fbfc6dfd5738696949eadaf4346f2d30000a877280dfdce2",
             "mirror": "8817e4976141887b0935515e58d64424906e95d610d337a0fbffda8d47f143c4",
@@ -355,7 +355,7 @@ class TestVerify:
             "flatness": "2accd47c880943da4a2a6687ab8ccd70d5aa89cc1c32ce9b3c9cbc860bd7968d",
         },
         2: {
-            "summary": "0afa27bc5953247804b788a2e1b29465a560a982ee0a38d82bbd44e584065fe2",
+            "summary": "60cd6a0ae9569bdccd340437f940cbcce8691fc3dc14436c9b348600d1455274",
             "factorization": "462b3b2fa4724993fcd9b633b7d956581bc0b58a5252a3fe77639a32ec995c37",
             "bilinear": "e344d79334d6ec88b4e68d12a7429eec0bbe384e41cdf76d6b2b7da4179ea234",
             "mirror": "fc4123613ae7e6f994139d35ca8e8dbfcd30f1749f7a55a54f27134377d59e05",
@@ -363,7 +363,7 @@ class TestVerify:
             "flatness": "e45f9cd0abf3a4575da29791111cf3ecfacc106165355c5c8c741804e8536117",
         },
         3: {
-            "summary": "c78604fa24eca923a2f77418f750d05c167e6a03d0f6fd7153aad3032daaaa32",
+            "summary": "504e80f5a566d2bcbca6bef130f171b9f9eda3d99e6975fd5af3da038c7e4212",
             "factorization": "9a709596ff33680b0471bb052184d806471be805b95f29c24b944da395962d20",
             "bilinear": "981d1979ed9d7842eab82f212211692313ad4be4a8b138abbf4bd772beb041a0",
             "mirror": "95ab9c33ad09c07111c7b3ddc194c96237b9bc22e6512d85d06901cee3314762",
@@ -371,7 +371,7 @@ class TestVerify:
             "flatness": "91b7e75778933dfd908829257bad150c511664848d91aa8fa9b81d4d101b8909",
         },
         4: {
-            "summary": "e5a67923df6cf970d916667aa7427b837d25ae5b82f07649ee38f78625782ef2",
+            "summary": "fb00203ddb36a3ae185aed8e4be36e642d22678e6a096ef108c0d6f484377492",
             "factorization": "49510f4bd846ababa857c23fa242de00e5b097022b9b2dfb0f2be796f6befb64",
             "bilinear": "a9a0c0453c1028fcfb545a97110e940ff98e51d7c04e7434eac57ea0f7cefbb3",
             "mirror": "a035abb4118cd29821c3234d7edcff5879f5659f08be662ae2bed5209cc66025",
@@ -379,7 +379,7 @@ class TestVerify:
             "flatness": "3a07fd81949d912360daab9543b87580ca741dd8a7d93df52360f5cac74813f1",
         },
         5: {
-            "summary": "310f45df86cb68cc596f802c5b6b0a5a36fef745ba33f2e362b65cd9f561bedc",
+            "summary": "897eb8b5432ba8b599da9284526c542a3c06156527acf9865a57f7aeb1fef555",
             "factorization": "f39a0c86bc0e7c42cc36504507cdf6cf9e7299bed001dc2eec5c0e1fe46d0fb3",
             "bilinear": "d02723ac069136909f065e478646dd8ab85659bcdcd54432b25399a2b0dc9a5a",
             "mirror": "6bba30a28110eb655e170b6646c589f65c6ae8f91594046393702908bacb66e3",
@@ -387,7 +387,7 @@ class TestVerify:
             "flatness": "c616f4811ead5bc6a887e3d93a380dc7b70f9921b2e385880094f7686a0c462b",
         },
         6: {
-            "summary": "1f6749f81414501caf54424fb861b010dad795c7c5743956ee78de4569ac10f8",
+            "summary": "e9cc0506d8bf978767579810d95add07b2334d5e1f94609f9fa4c9ba74c71ab3",
             "factorization": "dd95292446f6cebf64ae450d1794ac7e55c831178accf7e036d11e2f7a8ad9d7",
             "bilinear": "26299b4b1ad705740103ad1f8683651d1b21b5d8074e331025a3dc8f6e722c4a",
             "mirror": "bdab85aa9bf850b01658efb491d96404c0668d75226ca5040f0e0a19cad1539b",
@@ -395,7 +395,7 @@ class TestVerify:
             "flatness": "0f44c71d5b6bca7e542a43cea855168b6311852d4e827ad105b409cf2d1f6729",
         },
         7: {
-            "summary": "6d3ec0a1f9d8b7fd7593354b85f847813d7b4c0e61e10008bb28c2305f4987ed",
+            "summary": "f56c4ca777ba96ea82878425ab6bf3341e19e821be1421a15e6b0870a9435e3d",
             "factorization": "d06814254892bd77b8e26e7fa77cf3f9ae7a0689391180d5ff7a28978471577e",
             "bilinear": "ff5de6ea2eac984b2768388ecee98fb8725773bb131182f09e1561239116459a",
             "mirror": "40beaf59cb8d79115d45c672b8c528b00f0eae39c333946debe9b328bf968d55",
@@ -403,7 +403,7 @@ class TestVerify:
             "flatness": "8431e7f2958ea10561d7ba6f47071d67de949a697387e54511871af506c2eb62",
         },
         8: {
-            "summary": "de2501605179bcc6460cd631ebbc09030c0b5f0ef30914ca49f44d029cdb5747",
+            "summary": "edaba177a8f7663886f3bb73858e96d4c56f3e33f585e2c865e87ade731183fc",
             "factorization": "4408abde5e7a190c0fba46057d8b78b0ae88e9e3c571a9c77ae8d29236922a11",
             "bilinear": "8e2f52ef15d9233092d940a1617abcdb7269ccd0ec66fab5b0fe2cb4de7d8ef3",
             "mirror": "a1704aeebad6b1d4ec76d7cc63f18234e54fb6aae4016befb8944edbab090869",
@@ -411,7 +411,7 @@ class TestVerify:
             "flatness": "32a2054a64bea38ba4ba08ec38d8c48e25c031c2655e9d0b5900d13832f30744",
         },
         9: {
-            "summary": "25a6a01cfed8aada2a0fe05438dc91088d7ec5da9820fef12a1b4699e7266d7e",
+            "summary": "d590afd0f95b994d8eba2fa84165ebb2e6f03c1d59bc74593df9db21d6dabc25",
             "factorization": "de20d37a13d1396ed02d03c8fc7c731ca864759a5139522127e9104c18fbe03a",
             "bilinear": "eb411d8aeda2f0b3ff30446d94698df7c683da45e1170cd33e337fa6ddb7a63f",
             "mirror": "32b98adc514d7de49e850733df4ce1a38067f8232732c5e50907c92f598e782a",
@@ -419,7 +419,7 @@ class TestVerify:
             "flatness": "92035971472051820b81bda52b8734e2a46627484697acb2c864eba26b5f0de0",
         },
         10: {
-            "summary": "98f80798cb54c6a7d35c20a5c3310267f33f7c1d97cc00f093451a2f72282672",
+            "summary": "42b242700ff8fcf8fe05b0b07dc3fd4e5fabefd5c24171ebd866367f56172fc7",
             "factorization": "b967fd66a4dcc980c54e8555e2e847f56a07ffd0bd2c35fc1c92dc42ef795492",
             "bilinear": "186b15192f468d125caac14047aabd2f89abf27fa6e5a04f12544bad7a34d4b2",
             "mirror": "ce0be93cab6368e7fafd36f8e1d3a7220fa0be2e3195e4b6b1ccb1218a1dd8ed",
@@ -427,7 +427,7 @@ class TestVerify:
             "flatness": "b6f143ccaa335adbd87210b6f64d6cea906601d2bd9a531b1b1a59416e99f5a0",
         },
         31: {
-            "summary": "145ad4b38e19b59615ba59d1e3f05ead04fbfd85ca62b8597572edf972433099",
+            "summary": "5928ee3bbcac783a6819a1b2fd71cab1c1815a628d05a3b48cd8ddece39ba33d",
             "factorization": "e0d7aedac5ca71694ce76fa2da84c2f6693830480efab50d55a2550ba0c16c6e",
             "bilinear": "de998da9b10649e3b1b1fa29ed03199ef1f35887ad239959ecc88fb5c37114b3",
             "mirror": "f13374fb7a8f73495221739dd61e139ba29f21da552e8924d59f5455a90b4740",
@@ -436,7 +436,7 @@ class TestVerify:
         },
     }
 
-    MONODROMY_REPORT_SHA256 = "6d3003972a71b3dec0704ec46d8780eb7a2d543915e9c74cad9ff59c0683f722"
+    MONODROMY_REPORT_SHA256 = "d3a398f9b8ba64b32f9591b76643a0aac45724957404717a782aeb5457dc3bd1"
 
     @pytest.mark.parametrize("seed", sorted(REPORT_PART_SHA256))
     def test_report_parts_are_pinned(self, seed):

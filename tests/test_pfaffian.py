@@ -507,7 +507,8 @@ class TestStepTerms:
         for k in range(n - 1):
             form(k)
         scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
-        assert np.all(np.abs(terms - want) <= 1e-14 * scale)
+        # terms are laid out (k, row, step, column)
+        assert np.all(np.abs(terms.transpose(2, 0, 1, 3) - want) <= 1e-14 * scale)
 
 
 class TestTransport:
@@ -629,6 +630,24 @@ class TestTransport:
         for case, w in zip(cases, want):
             np.testing.assert_array_equal(integrate_pfaffian(*case), w)
 
+    def test_midpoint_series_converge_in_24_terms(self, monkeypatch):
+        # about its midpoint a step's terms fall like |h/2| over the distance
+        # to the nearest pole, at most 0.175/0.825 = 0.212, and these paths
+        # are done within 24 terms, with the bits of the 48-term cap; about
+        # its start, at 0.35, they would need about 34
+        legendre = system_2f1(LEGENDRE)
+        line = restrict_to_line(system_f2(CONFORMAL), 0.2 + 0.01j, "x", (0.0, 1.0, 0.8 - 0.01j))
+        path = PathSpec.polyline([0.3 + 0.2j, 0.5 + 0.25j, 0.7 + 0.2j])
+
+        def transports():
+            loops = [monodromy_2f1(legendre, around) for around in (0.0, 1.0)]
+            return loops + [integrate_pfaffian(line, path, np.eye(4))]
+
+        want = transports()
+        monkeypatch.setattr(pfaffian, "_TERMS", 24)
+        for got, w in zip(transports(), want):
+            np.testing.assert_array_equal(got, w)
+
     def test_step_plan_equals_the_loop(self):
         # the plan's centres and steps, against the loop over the path's
         # pieces and the singular points that transport has always used
@@ -735,6 +754,27 @@ class TestTransport:
         circle = PathSpec.circle(1.0, abs(base - 1.0), 1.0, float(np.angle(base - 1.0)))
         assert circle.sample(2)[0] != base
         assert (leg + circle).pieces == leg.pieces + circle.pieces
+
+    def test_chain_built_by_plus_checks_each_join_once(self, monkeypatch):
+        # a + b checks only the join of a and b, both checked when built: a
+        # chain of 50 pieces built by 49 additions checks 49 joins, as the
+        # chain built in one go does, and a bad join still raises
+        points = 0.5 + 0.4 * np.exp(0.1j * np.arange(51))
+        pieces = [PathSpec.polyline(points[i : i + 2]) for i in range(50)]
+        calls = []
+        ends = pfaffian._piece_ends
+        monkeypatch.setattr(pfaffian, "_piece_ends", lambda piece: calls.append(piece) or ends(piece))
+        chain = pieces[0]
+        for piece in pieces[1:]:
+            chain = chain + piece
+        assert len(calls) == 2 * 49
+        one_shot = PathSpec.polyline(points)
+        assert len(calls) == 4 * 49
+        assert chain == one_shot and chain.pieces == one_shot.pieces
+        with pytest.raises(ValueError, match="do not join"):
+            chain + PathSpec.polyline([points[-1] + 1e-6, 0.1])
+        with pytest.raises(ValueError, match="do not join"):
+            pieces[0] + pieces[2]
 
     @pytest.mark.parametrize(
         "build",
