@@ -107,12 +107,15 @@ class ModuliPoint:
 def _parameters(p, shape):
     """The five F2 parameters over the flattened points, each a flat array.
 
-    A parameter with the same value at every point is one element, so that
-    its coefficients are formed once per row and broadcast with the points;
-    any other is one element per point of the broadcast shape.
+    A parameter of one element, or with the same value at every point, is
+    one element, so that its coefficients are formed once per row and
+    broadcast with the points; any other is one element per point of the
+    broadcast shape.
     """
     return [
-        v.ravel()[:1] if v.size and (v == v.flat[0]).all() else np.broadcast_to(v, shape).ravel()
+        v.reshape(1) if v.size == 1
+        else v.ravel()[:1] if v.size and (v == v.flat[0]).all()
+        else np.broadcast_to(v, shape).ravel()
         for v in p
     ]
 
@@ -189,9 +192,8 @@ def _f2_row_sum(p, x, y):
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     p = [np.asarray(v, dtype=complex) for v in p]
-    shape = np.broadcast_shapes(x.shape, y.shape, *(v.shape for v in p))
-    xf = np.broadcast_to(x, shape).ravel()
-    yf = np.broadcast_to(y, shape).ravel()
+    shape = np.broadcast(x, y, *p).shape
+    xf, yf = (v.ravel() if v.shape == shape else np.broadcast_to(v, shape).ravel() for v in (x, y))
     rho = float(np.max(np.abs(xf) + np.abs(yf))) if xf.size else 0.0
     if not rho < 1.0:  # NaN, where x or y is not finite, fails it too
         raise DomainError(f"F2 series needs finite x, y with max(|x|+|y|) < 1, not {rho:.4f}")

@@ -8,13 +8,14 @@ weights, formed in logs from log(1 + e^-s) and log(1 + e^s), so neither t
 nor 1 - t is formed by subtraction, they cost O(n), not O(n^2), and they
 cannot overflow.  Truncation: a node is kept while its log-density is
 within log(1e-20) of the peak, a test on t alone.  Nesting: each level
-halves the mesh, keeps the kernel values of the last level's nodes and
-evaluates the kernel on the new rows and columns only.  Error: the change
-between the last two levels, plus the rounding of the last one, plus a
-bound on the dropped nodes.
+halves the mesh, keeps the kernel values of the last level's nodes, every
+other one of a run of kept nodes, and evaluates the kernel on the new rows
+and columns only, all by strided slices.  Error: the change between the
+last two levels, plus the rounding of the last one, plus a bound on the
+dropped nodes.
 
-Memoized: each axis of each level, with the index work of its nesting and
-its error sums, depends only on its exponents, its level and its floor, and
+Memoized: each axis of each level, with the offset of its nesting and its
+error sums, depends only on its exponents, its level and its floor, and
 is kept in a least-recently-used cache of _AXES = 32 entries, keyed by the
 type and bits of the exponents, its arrays read-only.  A call with the
 exponents of an earlier one pays only for its kernel and its sums.
@@ -42,10 +43,11 @@ _LOG_KEEP = np.log(1e-20)
 _TOL_2D = 1e-11
 _LEVEL_MIN_2D = 3
 LEVEL_MAX_2D = 8
-# Memoized axes (``_axis``): one axis holds 15 kB at levels 3 to 5, where
-# the rule usually stops, and 68 to 85 kB at level 8, so the cache holds
-# at most about 2.7 MB.
+# Memoized axes (``_axis``): one axis holds at most 7 kB at levels 3 to 5,
+# where the rule usually stops, and 50 to 56 kB at level 8, so the cache
+# holds at most about 1.8 MB.
 _AXES = 32
+_EPS = np.finfo(float).eps
 
 
 class _Axis(NamedTuple):
@@ -53,8 +55,7 @@ class _Axis(NamedTuple):
 
     x: np.ndarray  # the kept nodes
     w: np.ndarray  # their weights, the endpoint powers included
-    new: np.ndarray  # positions of the kept nodes the level below does not have
-    old: np.ndarray  # positions of the others, in the order of the level below
+    offset: int  # x[offset::2] are the level below's nodes, x[1 - offset::2] the new ones
     dropped: float  # bound on sum |w| over the nodes left out
     floor: float  # the log-density below which a node is dropped
     wc: np.ndarray  # |w| (1 + |s|), the rounding weight of each node
@@ -72,12 +73,12 @@ def _axis(p, q, level: int, floor=None) -> _Axis:
 
     The kept nodes x carry the weights w = h pi cosh(t) x^(p+1) (1-x)^(q+1),
     the endpoint powers included, formed in logs so that they cannot
-    overflow; wc = |w| (1 + |s|).  ``new`` indexes the kept nodes at odd
-    multiples of h, which the level below does not have, and ``old`` the
-    rest, and ``dropped`` bounds sum |w| over the nodes left out: those of
-    the grid below ``floor``, the log-density at which a node is dropped,
-    and a geometric tail for those past |t| = 6.  Without a floor it is set
-    from this level's peak.
+    overflow; wc = |w| (1 + |s|).  The kept k are one run (else
+    ConvergenceError), so the even k, which the level below has, are
+    x[offset::2], offset the parity of the first.  ``dropped`` bounds sum
+    |w| over the nodes left out: those of the grid below ``floor``, the
+    log-density at which a node is dropped, and a geometric tail for those
+    past |t| = 6.  Without a floor it is set from this level's peak.
 
     Memoized: the axis depends only on (p, q, level, floor), with p and q
     keyed by their type and bits, in a least-recently-used cache of _AXES
@@ -103,15 +104,16 @@ def _axis_of(p, q, level, floor) -> _Axis:
     if floor is None:
         floor = dens.max() + _LOG_KEEP
     keep = dens >= floor
+    run = np.flatnonzero(keep)
+    if not run.size or run[-1] - run[0] + 1 != run.size:
+        raise ConvergenceError("tanh-sinh nodes above the floor are not one run")
     tail = np.exp(dens[[0, -1]]) * ratio / (1.0 - ratio)
     dropped = h * (np.exp(dens[~keep]).sum() + tail.sum())
     w = h * np.exp(base[keep] - (p + 1.0) * mlog_x[keep] - (q + 1.0) * mlog_omx[keep])
     x = 1.0 / (1.0 + np.exp(-s[keep]))
-    odd = k[keep] % 2 == 1
     wc = np.abs(w) * (1.0 + np.abs(s[keep]))
-    new, old = np.flatnonzero(odd), np.flatnonzero(~odd)
-    axis = _Axis(x, w, new, old, dropped, floor, wc, np.abs(w).sum())
-    for a in (x, w, new, old, wc):
+    axis = _Axis(x, w, int(k[run[0]] % 2), dropped, floor, wc, np.abs(w).sum())
+    for a in (x, w, wc):
         a.flags.writeable = False
     return axis
 
@@ -144,11 +146,12 @@ def integrate_01_2d(kernel, exponents, bound: float):
     Truncation: a node is kept while its log-density is within log(1e-20)
     of the peak on the first level's grid.  The test depends on t alone, so
     each level's kept nodes contain the last level's.  Nesting: h halves
-    from level to level, so a level's nodes at even multiples of h are the
-    last level's to the bit; their kernel values are copied, and the kernel
-    is evaluated only on the rows and columns of the new nodes.  The axes
-    are memoized (``_axis``).  A complex kernel between real weights is
-    summed as real products (``_bilinear``).
+    from level to level, so a level's nodes at even multiples of h, every
+    other node of its run from the axis's offset, are the last level's to
+    the bit; their kernel values are copied, and the kernel is evaluated
+    only on the rows and columns of the new nodes, all by strided slices.
+    The axes are memoized (``_axis``), keyed once per call.  A complex
+    kernel between real weights is summed as real products (``_bilinear``).
 
     Returns (value, error).  The error is the change between the last two
     levels, plus a first-order estimate of the rounding of the last one,
@@ -160,24 +163,25 @@ def integrate_01_2d(kernel, exponents, bound: float):
     the node and its weight.
     """
     (p1, q1), (p2, q2) = exponents
+    key1, key2 = (_exact(p1), _exact(q1)), (_exact(p2), _exact(q2))
     floor1 = floor2 = prev = vals = None
     for level in range(_LEVEL_MIN_2D, LEVEL_MAX_2D + 1):
-        a1, a2 = _axis(p1, q1, level, floor1), _axis(p2, q2, level, floor2)
+        a1, a2 = _axis_of(*key1, level, floor1), _axis_of(*key2, level, floor2)
         floor1, floor2 = a1.floor, a2.floor
         if vals is None:
             vals = kernel(a1.x[:, None], a2.x[None, :])
         else:
-            old1 = a1.old[:, None]
+            o1, o2 = a1.offset, a2.offset
             grid = np.empty((a1.x.size, a2.x.size), dtype=vals.dtype)
-            grid[old1, a2.old] = vals
-            grid[a1.new] = kernel(a1.x[a1.new, None], a2.x[None, :])
-            grid[old1, a2.new] = kernel(a1.x[old1], a2.x[None, a2.new])
+            grid[o1::2, o2::2] = vals
+            grid[1 - o1 :: 2] = kernel(a1.x[1 - o1 :: 2, None], a2.x[None, :])
+            grid[o1::2, 1 - o2 :: 2] = kernel(a1.x[o1::2, None], a2.x[None, 1 - o2 :: 2])
             vals = grid
         val = _bilinear(a1.w, vals, a2.w)
         if prev is not None:
             delta = abs(val - prev)
             if delta <= _TOL_2D * max(1.0, abs(val)):
-                rounding = np.finfo(float).eps * (a1.wc @ np.abs(vals) @ a2.wc)
+                rounding = _EPS * (a1.wc @ np.abs(vals) @ a2.wc)
                 d1, d2 = a1.dropped, a2.dropped
                 dropped = bound * (d1 * (a2.abs_sum + d2) + a1.abs_sum * d2)
                 return val, delta + rounding + dropped

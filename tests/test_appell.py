@@ -288,6 +288,87 @@ def _mp_f2_partials(p, x, y, order, dps=30):
         return np.array([[complex(v) for v in r] for r in d])
 
 
+def _tested_parameters(p, shape):
+    """The flat parameters, each tested for one shared value whatever its size."""
+    return [
+        v.ravel()[:1] if v.size and (v == v.flat[0]).all() else np.broadcast_to(v, shape).ravel()
+        for v in p
+    ]
+
+
+def _broadcast_prologue(p, x, y):
+    """The shape, flat points and flat parameters of the row sum, formed by
+    np.broadcast_shapes and np.broadcast_to."""
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    p = [np.asarray(v, dtype=complex) for v in p]
+    shape = np.broadcast_shapes(x.shape, y.shape, *(v.shape for v in p))
+    flat = [np.broadcast_to(v, shape).ravel() for v in (x, y)]
+    return shape, flat, _tested_parameters(p, shape)
+
+
+def _derivative_parameters(p, x, order=2):
+    """The per-point parameters ``f2_derivatives_on_arrays`` passes for points x."""
+    a, b1, b2, g1, g2 = (complex(v) for v in p)
+    pad = (1,) * np.ndim(x)
+    m = np.arange(order + 1).reshape((-1, 1) + pad)
+    n = np.arange(order + 1).reshape((1, -1) + pad)
+    return (a + m + n, b1 + m, b2 + n, g1 + m, g2 + n)
+
+
+class TestPrologue:
+    """The row sum's shape comes from np.broadcast, x and y of that shape are
+    raveled as they are, and a one-element parameter is shared untested; the
+    values and tails are those of the broadcast_shapes/broadcast_to form."""
+
+    GENERIC = F2Params(0.6, 0.35, 0.55, 1.3, 0.9)
+    X, Y = 0.3 + 0.1j, -0.45 + 0.2j
+
+    def cases(self):
+        ys = np.linspace(-0.4, 0.5, 5) + 0.05j
+        xs = np.array([[0.1], [-0.3 + 0.2j], [0.45]])
+        col = np.array([0.2, -0.25 + 0.1j, 0.4])
+        out = []
+        for p in (CONFORMAL, self.GENERIC):
+            one = [np.array([v], dtype=complex) for v in p]
+            out += [
+                (p, np.array(self.X), np.array(self.Y)),  # 0-d
+                (p, self.X, self.Y),
+                (one, np.array([self.X]), np.array([self.Y])),  # one-element arrays
+                (p, np.array([self.X]), np.array([self.Y])),
+                (p, self.X, ys),  # a scalar x with a (5,) y
+                (p, xs, ys[:4]),  # a (3, 1) x with a (4,) y
+                (_derivative_parameters(p, col), col, col[::-1]),
+                (_derivative_parameters(p, self.X), np.array(self.X), np.array(self.Y)),
+            ]
+        return out
+
+    def test_values_and_tails_have_the_old_bits(self, monkeypatch):
+        cases = self.cases()
+        got = [_f2_row_sum(*case) for case in cases]
+        # given the old prologue's flat arrays, and testing every parameter,
+        # the row sum runs the old prologue's arithmetic
+        monkeypatch.setattr(appell, "_parameters", _tested_parameters)
+        for case, values in zip(cases, got):
+            shape, (xf, yf), params = _broadcast_prologue(*case)
+            want = [r.reshape(shape) for r in _f2_row_sum(params, xf, yf)]
+            for g, w in zip(values, want):
+                assert g.shape == shape and g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
+
+    def test_inputs_are_not_written(self):
+        for p, x, y in self.cases():
+            x, y = np.array(x, dtype=complex), np.array(y, dtype=complex)
+            before = x.copy(), y.copy()
+            _f2_row_sum(p, x, y)
+            assert x.tobytes() == before[0].tobytes() and y.tobytes() == before[1].tobytes()
+
+    def test_shapes_that_do_not_broadcast_raise(self):
+        with pytest.raises(ValueError):
+            _f2_row_sum(CONFORMAL, np.zeros(3), np.zeros(4))
+        with pytest.raises(ValueError):
+            _f2_row_sum([np.zeros(2)] * 5, 0.1, np.zeros(3))
+
+
 class TestBlocks:
     """The series are summed a block of special._BLOCK terms at a time; the
     block size must not change a bit of any value or tail estimate."""
@@ -455,7 +536,7 @@ class TestMemo:
         sliced, _ = factors(range(1, 5), None, *params)
         axis = quadrature._axis(-0.5, -0.5, 3)
         assert quadrature._axis_of.cache_info().hits >= 1
-        for a in [*rows, *seeds, *sliced, *axis[:4], axis.wc]:
+        for a in [*rows, *seeds, *sliced, axis.x, axis.w, axis.wc]:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0

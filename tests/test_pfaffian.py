@@ -630,6 +630,54 @@ class TestTransport:
         for case, w in zip(cases, want):
             np.testing.assert_array_equal(integrate_pfaffian(*case), w)
 
+    @pytest.mark.parametrize("first", [1, 5, 47])
+    def test_first_block_size_does_not_change_the_bits(self, monkeypatch, first):
+        # the first block is sized from the largest ratio; any size sums the
+        # same terms
+        legendre = system_2f1(LEGENDRE)
+        line = restrict_to_line(system_f2(CONFORMAL), 0.2 + 0.01j, "x", (0.0, 1.0, 0.8 - 0.01j))
+        cases = [(legendre, path, legendre_basis_matrix(path.sample(2)[0]))
+                 for path in _paths_off_the_cuts()[::3] + [self._clipped_segment()]]
+        cases.append((line, PathSpec.polyline([0.3 + 0.2j, 0.5 + 0.25j, 0.7 + 0.2j]), np.eye(4)))
+        want = [integrate_pfaffian(*case) for case in cases]
+        monkeypatch.setattr(pfaffian, "_first_tail_block", lambda *_: first)
+        for case, w in zip(cases, want):
+            np.testing.assert_array_equal(integrate_pfaffian(*case), w)
+
+    def test_first_block_holds_the_stop(self, monkeypatch):
+        # the terms fall like q^k, q the largest ratio, so on these paths the
+        # first block holds the stop: every transport forms its terms and
+        # tests their tail once
+        formed, firsts = [], []
+        step_terms, first_block = pfaffian._step_terms, pfaffian._first_tail_block
+
+        def counted(*args):
+            terms, form = step_terms(*args)
+            formed.append(0)
+
+            def counted_form(k):
+                formed[-1] += 1
+                form(k)
+
+            return terms, counted_form
+
+        def first(*args):
+            firsts.append(first_block(*args))
+            return firsts[-1]
+
+        monkeypatch.setattr(pfaffian, "_step_terms", counted)
+        monkeypatch.setattr(pfaffian, "_first_tail_block", first)
+        legendre = system_2f1(LEGENDRE)
+        line = restrict_to_line(system_f2(CONFORMAL), 0.2 + 0.01j, "x", (0.0, 1.0, 0.8 - 0.01j))
+        for around in (0.0, 1.0):
+            monodromy_2f1(legendre, around)
+        path = PathSpec.polyline([0.3 + 0.2j, 0.5 + 0.25j, 0.7 + 0.2j])
+        integrate_pfaffian(line, path, np.eye(4))
+        for path in _paths_off_the_cuts():
+            integrate_pfaffian(legendre, path, np.eye(2))
+        assert len(firsts) > 3 and formed == firsts
+        assert all(2 < n < 32 for n in firsts)
+
     def test_midpoint_series_converge_in_24_terms(self, monkeypatch):
         # about its midpoint a step's terms fall like |h/2| over the distance
         # to the nearest pole, at most 0.175/0.825 = 0.212, and these paths

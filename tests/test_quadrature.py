@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from traintrack import ConvergenceError, quadrature
+from traintrack import ConvergenceError, F2Params, quadrature
 from traintrack.quadrature import _axis, integrate_01_2d
 
 
@@ -115,16 +115,42 @@ def test_complex_grid_is_contracted_as_real_products(x, y, a):
     assert quadrature._bilinear(wc, vals, a2.w) == wc @ vals @ a2.w
 
 
-@pytest.mark.parametrize("p, q", [(-0.5, -0.5), (-0.9, 1.5), (0.4 + 0.3j, -0.6)])
+def _grid(level):
+    """Every node of the level's grid on |t| <= 6, and its multiple k of h."""
+    h = 2.0**-level
+    k = np.arange(-int(6.0 / h), int(6.0 / h) + 1)
+    return k, 1.0 / (1.0 + np.exp(-(np.pi * np.sinh(h * k))))
+
+
+def _euler_exponents(p):
+    """The exponents each axis of ``appell._f2_euler`` takes for F2Params p."""
+    b1, b2, g1, g2 = p.beta1, p.beta2, p.gamma1, p.gamma2
+    return [(b2 - 1.0, g2 - b2 - 1.0), (b1 - 1.0, g1 - b1 - 1.0)]
+
+
+# those of test_constant_kernel_gives_beta_product, complex ones and those
+# of the Euler integral at generic parameters
+_NESTED = [(-0.5, -0.5), (-0.9, 1.5), (0.4 + 0.3j, -0.6), (0.0, 0.0), (0.0, -0.9),
+           (1.5, -0.9), (1.5, 0.0), (-0.9, -0.9), (1.5, 1.5), (0.3 + 0.4j, -0.2 - 1j),
+           (-0.5, 0.0), (-0.2 - 1j, 0.3 + 0.4j), (0.5j, -0.5j),
+           *_euler_exponents(F2Params(0.6, 0.35, 0.55, 1.3, 0.9))]
+
+
+@pytest.mark.parametrize("p, q", _NESTED)
 def test_kept_nodes_nest(p, q):
+    # each level keeps one run of its grid's nodes, bit for bit, and the
+    # level below's are every other one of them, from the axis's offset
     floor = _axis(p, q, 3).floor
-    below = _axis(p, q, 3, floor)
-    for level in (4, 5, 6):
+    below = None
+    for level in range(3, 9):
         here = _axis(p, q, level, floor)
-        assert np.array_equal(here.x[here.old], below.x)  # bit for bit, in order
-        assert here.new.size > 0
-        positions = np.sort(np.concatenate((here.old, here.new)))
-        assert np.array_equal(positions, np.arange(here.x.size))
+        k, x = _grid(level)
+        n = here.x.size
+        starts = [i for i in range(k.size - n + 1) if np.array_equal(x[i : i + n], here.x)]
+        assert len(starts) == 1 and n >= 3
+        assert k[starts[0] + here.offset] % 2 == 0
+        if below is not None:
+            assert np.array_equal(here.x[here.offset :: 2], below.x)
         below = here
 
 
