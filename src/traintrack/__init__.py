@@ -52,8 +52,6 @@ from .pfaffian import (
     PathSpec,
     PfaffianSystem1D,
     PfaffianSystem2D,
-    a_2f1,
-    a_f2,
     gamma2_membership,
     integrate_pfaffian,
     monodromy_2f1,

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .appell import F2Params, ModuliPoint
+from .appell import F2Params
 from .errors import ConvergenceError, DomainError, SingularityError
 from .special import Hyper2F1Params, _ellint_K_dK
 
@@ -28,11 +28,7 @@ __all__ = [
     "PfaffianSystem1D",
     "PfaffianSystem2D",
     "PathSpec",
-    "a_2f1",
-    "a_2f1_arrays",
     "system_2f1",
-    "a_f2",
-    "a_f2_arrays",
     "system_f2",
     "tensor_system",
     "restrict_to_line",
@@ -229,16 +225,6 @@ def system_2f1(p: Hyper2F1Params) -> PfaffianSystem1D:
     return PfaffianSystem1D(2, (0, 1), ([[0, 1], [0, 1 - g]], [[0, 0], [-a * b, g - a - b - 1]]))
 
 
-def a_2f1_arrays(p: Hyper2F1Params, z) -> np.ndarray:
-    """Connection of ``system_2f1`` at z, an array; shape z.shape + (2, 2), z = 0 or 1 raises."""
-    return system_2f1(p).coefficient(z)
-
-
-def a_2f1(p: Hyper2F1Params, z: complex) -> np.ndarray:
-    """Connection matrix of the 2F1 equation in the basis (f, z f')."""
-    return a_2f1_arrays(p, [complex(z)])[0]
-
-
 def _f2_residues(p: F2Params):
     """F2 residues on x = 0, x = 1, y = 0, y = 1, x + y = 1, as 4x4 lists, exact if p is."""
     a, b1, b2, g1, g2 = p
@@ -257,28 +243,6 @@ def system_f2(p: F2Params) -> PfaffianSystem2D:
     """The F2 system in the section basis, its lines in the order of ``_f2_residues``."""
     lines = ((1, 0, 0), (1, 0, 1), (0, 1, 0), (0, 1, 1), (1, 1, 1))
     return PfaffianSystem2D(4, lines, _f2_residues(p))
-
-
-def a_f2_arrays(p: F2Params, x, y):
-    """Pair (A_x, A_y) of stacks of 4x4 connection matrices for the F2 system.
-
-    In the section basis (F, xF_x, yF_y, xyF_xy) the connection is a sum of
-    constant residues (``_f2_residues``) over its lines through the point:
-    A_x = R_{x=0}/x + R_{x=1}/(x-1) + R_{x+y=1}/(x+y-1), and A_y likewise.
-    These are the coefficients of ``system_f2``, of shape broadcast(x, y).shape + (4, 4).
-    A point on a line raises SingularityError, as does one within 1e-14 of x + y = 1.
-    """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
-    if np.any(np.abs(1.0 - x - y) < 1e-14):
-        raise SingularityError("point on the singular locus of the F2 system")
-    s = system_f2(p)
-    return s.coefficient_x(x, y), s.coefficient_y(x, y)
-
-
-def a_f2(p: F2Params, pt: ModuliPoint):
-    """Pair (A_x, A_y) of 4x4 connection matrices for the F2 system; see a_f2_arrays."""
-    ax, ay = a_f2_arrays(p, [complex(pt.x)], [complex(pt.y)])
-    return ax[0], ay[0]
 
 
 def tensor_system(s1: PfaffianSystem1D, s2: PfaffianSystem1D) -> PfaffianSystem2D:
@@ -330,19 +294,20 @@ def _step_plan(path: PathSpec, sing: Sequence[complex]):
     return np.array(plan, dtype=complex).reshape(-1, 2).T
 
 
-def _step_terms(s: PfaffianSystem1D, z, h):
+def _step_terms(s: PfaffianSystem1D, q):
     """Terms Y_k h^k of the steps h from the centres z, laid out (48, d, S, d) with
     term 0 the identity, and form(k), which forms term k + 1 if called for k = 0, 1, ...
+    The steps enter by their ratios q = h/(p - z) to the poles p, (P, S).
 
     The per-pole sums W_p lie (P, d, S, d), so that a term is one 2-D product:
     -[R_1 ... R_P]/(k + 1), (d, P d), times the sums stacked, (P d, S d).
     """
-    d = s.dimension
-    q = (h / (s.poles[:, None] - z))[:, None, :, None]
+    d, steps = s.dimension, q.shape[1]
+    q = q[:, None, :, None]
     blocks = -s.residues.transpose(1, 0, 2).reshape(d, -1) / np.arange(1.0, _TERMS)[:, None, None]
-    sums = np.zeros((len(s.poles), d, len(z), d), dtype=complex)
-    stacked = sums.reshape(-1, len(z) * d)
-    terms = np.empty((_TERMS, d, len(z), d), dtype=complex)
+    sums = np.zeros((len(s.poles), d, steps, d), dtype=complex)
+    stacked = sums.reshape(-1, steps * d)
+    terms = np.empty((_TERMS, d, steps, d), dtype=complex)
     terms[0] = np.eye(d)[:, None]
     rows = terms.reshape(_TERMS, d, -1)
 
@@ -354,13 +319,13 @@ def _step_terms(s: PfaffianSystem1D, z, h):
     return terms, form
 
 
-def _first_tail_block(poles, c, u) -> int:
-    """The first block of the tail test, 1.15 n + 2 terms with q^n = 1e-14, q = max |u / (p - c)|.
+def _first_tail_block(q) -> int:
+    """The first block of the tail test, 1.15 n + 2 terms with q^n = 1e-14, q the largest |q_p|.
 
     The terms fall like q^k; on the transport bench (seeds 0 to 4) the last
     summed was 0.97 n to 1.16 n.  Without poles the block is 2 zero terms.
     """
-    q = float(np.abs(u / (poles[:, None] - c)).max()) if len(poles) else 0.0
+    q = float(np.abs(q).max()) if q.size else 0.0
     n = 1.15 * math.log(_TAIL) / math.log(q) if q > 0.0 else 0.0
     return min(math.ceil(n) + 2, _TERMS - 1)
 
@@ -405,11 +370,12 @@ def integrate_pfaffian(s: PfaffianSystem1D, path: PathSpec, initial: np.ndarray)
         return state
 
     c, u = z + 0.5 * h, 0.5 * h
-    terms, form = _step_terms(s, c, u)
+    q = u / (s.poles[:, None] - c)
+    terms, form = _step_terms(s, q)
     # real and imaginary parts side by side, for the norms
     parts = terms.view(float)
     small = done = np.zeros(len(z), dtype=bool)
-    starts = [0, *range(_first_tail_block(s.poles, c, u), _TERMS - 1, _TAIL_BLOCK)]
+    starts = [0, *range(_first_tail_block(q), _TERMS - 1, _TAIL_BLOCK)]
     for k0, k1 in zip(starts, starts[1:] + [_TERMS - 1]):
         ks = range(k0, k1)
         for k in ks:
@@ -480,7 +446,7 @@ def gamma2_membership(m: np.ndarray, int_tol: float = 1e-8) -> bool:
     r = r.astype(np.int64)
     if round(float(np.linalg.det(r))) != 1:
         return False
-    return bool(np.all((r - np.eye(2, dtype=np.int64)) % 2 == 0))
+    return bool(np.all((r - np.eye(len(r), dtype=np.int64)) % 2 == 0))
 
 
 def flatness_residual(sys2d: PfaffianSystem2D, x0, y0):
@@ -509,9 +475,12 @@ def horizontality_residual_from_derivatives(p: F2Params, d, x, y) -> np.ndarray:
     (F, x F_x, y F_y, x y F_xy) and its two derivatives are formed from d and
     compared with A_x and A_y times the section.  Returns, per point, the
     largest residual entry over the largest entry of the section and its
-    derivatives.
+    derivatives.  A_x and A_y are the coefficients of ``system_f2(p)``; a point on
+    one of its lines raises SingularityError, as does one within 1e-14 of x + y = 1.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+    if np.any(np.abs(1.0 - x - y) < 1e-14):
+        raise SingularityError("point on the singular locus of the F2 system")
     d = np.asarray(d)
     vec = np.stack([d[0, 0], x * d[1, 0], y * d[0, 1], x * y * d[1, 1]], axis=-1)
     dvec_dx = np.stack(
@@ -522,7 +491,8 @@ def horizontality_residual_from_derivatives(p: F2Params, d, x, y) -> np.ndarray:
         [d[0, 1], x * d[1, 1], d[0, 1] + y * d[0, 2], x * d[1, 1] + x * y * d[1, 2]],
         axis=-1,
     )
-    ax, ay = a_f2_arrays(p, x, y)
+    s = system_f2(p)
+    ax, ay = s.coefficient_x(x, y), s.coefficient_y(x, y)
     resid = np.maximum(
         np.abs(dvec_dx - (ax @ vec[..., None])[..., 0]).max(axis=-1),
         np.abs(dvec_dy - (ay @ vec[..., None])[..., 0]).max(axis=-1),

@@ -17,12 +17,9 @@ from traintrack import (
     DomainError,
     F2Params,
     Hyper2F1Params,
-    ModuliPoint,
     PathSpec,
     PfaffianSystem1D,
     SingularityError,
-    a_2f1,
-    a_f2,
     gamma2_membership,
     integrate_pfaffian,
     monodromy_2f1,
@@ -35,8 +32,6 @@ from traintrack.appell import f2_derivatives_on_arrays
 from traintrack.factorization import invert_T_arrays, period_derivatives, periods_from_lambdas
 from traintrack.pfaffian import (
     PfaffianSystem2D,
-    a_2f1_arrays,
-    a_f2_arrays,
     flatness_residual,
     horizontality_residual_from_derivatives,
     legendre_basis_matrix,
@@ -104,19 +99,20 @@ def _split_paths():
 class TestA2F1:
     def test_first_row_is_section_definition(self):
         z = 0.37 + 0.11j
-        a = a_2f1(LEGENDRE, z)
+        a = system_2f1(LEGENDRE).coefficient(z)
         assert a[0, 0] == 0.0
         assert a[0, 1] == pytest.approx(1.0 / z)
 
     def test_singular_point_raises(self):
         with pytest.raises(DomainError):
-            a_2f1(LEGENDRE, 0.0)
+            system_2f1(LEGENDRE).coefficient(0.0)
 
 
 class TestAF2:
     def test_first_rows_are_section_definition(self):
         x, y = 0.21, -0.13
-        ax, ay = a_f2(CONFORMAL, ModuliPoint(x, y))
+        s = system_f2(CONFORMAL)
+        ax, ay = s.coefficient_x(x, y), s.coefficient_y(x, y)
         np.testing.assert_allclose(ax[0], [0.0, 1.0 / x, 0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(ay[0], [0.0, 0.0, 1.0 / y, 0.0], atol=1e-15)
 
@@ -150,6 +146,19 @@ class TestAF2:
         d = f2_derivatives_on_arrays(generic, x, y, 2)
         assert np.max(horizontality_residual_from_derivatives(generic, d, x, y)) < 1e-14
         assert np.min(horizontality_residual_from_derivatives(CONFORMAL, d, x, y)) > 1e-3
+
+    def test_table_residual_near_x_plus_y_1_raises(self):
+        # 1e-15 off x + y = 1 the coefficients are finite, but the residual
+        # raises, alone and in a batch of good points
+        s = system_f2(CONFORMAL)
+        x, y = 0.4, 0.6 - 1e-15
+        assert 0.0 < abs(1.0 - x - y) < 1e-14
+        for coefficient in (s.coefficient_x, s.coefficient_y):
+            assert np.isfinite(coefficient(x, y)).all()
+        for xs, ys in ((x, y), ([0.2, x, -0.3], [0.1, y, 0.25])):
+            d = np.ones((3, 3) + np.shape(xs))
+            with pytest.raises(SingularityError):
+                horizontality_residual_from_derivatives(CONFORMAL, d, xs, ys)
 
     @pytest.mark.parametrize("which", ["f2", "tensor"])
     def test_flatness_on_arrays_equals_per_point_calls(self, which):
@@ -186,7 +195,7 @@ class TestAF2:
 
     def test_singular_locus_raises(self):
         with pytest.raises(DomainError):
-            a_f2(CONFORMAL, ModuliPoint(0.0, 0.2))
+            system_f2(CONFORMAL).coefficient_x(0.0, 0.2)
 
     @pytest.mark.parametrize(
         "x, y, on_x, on_y",
@@ -266,7 +275,9 @@ class TestResidueForm:
             p = F2Params(*params)
             x = rng.uniform(-1.5, 1.5, 50) + 1j * rng.uniform(-1.0, 1.0, 50)
             y = rng.uniform(-1.5, 1.5, 50) + 1j * rng.uniform(-1.0, 1.0, 50)
-            for got, want in zip(a_f2_arrays(p, x, y), _cramer_f2(p, x, y)):
+            s = system_f2(p)
+            got_pair = s.coefficient_x(x, y), s.coefficient_y(x, y)
+            for got, want in zip(got_pair, _cramer_f2(p, x, y)):
                 scale = np.abs(want).max(axis=(-2, -1))
                 assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= 1e-14 * scale)
 
@@ -315,10 +326,7 @@ class TestArrayCores:
         ts = tensor_system(legendre, system_2f1(Hyper2F1Params(0.3, 0.7, 1.2)))
         line_x = restrict_to_line(f2, 0.2 + 0.01j, "x")
         line_y = restrict_to_line(ts, 0.3, "y")
-        pair = lambda ax_ay: np.stack(ax_ay, axis=-3)
         return {
-            "a_2f1": lambda u, v: a_2f1_arrays(LEGENDRE, u),
-            "a_f2": lambda u, v: pair(a_f2_arrays(self.GENERIC, u, v)),
             "system_2f1": lambda u, v: legendre.coefficient(u),
             "system_f2_x": f2.coefficient_x,
             "system_f2_y": f2.coefficient_y,
@@ -328,13 +336,6 @@ class TestArrayCores:
             "line_y": lambda u, v: line_y.coefficient(v),
         }
 
-    def _per_point(self, name, u, v):
-        if name == "a_2f1":
-            return a_2f1(LEGENDRE, u)
-        if name == "a_f2":
-            return np.stack(a_f2(self.GENERIC, ModuliPoint(u, v)))
-        return self._cases()[name](u, v)
-
     @pytest.mark.parametrize("shape", [(30,), (5, 6)])
     def test_array_call_equals_per_point_calls(self, shape):
         u, v = self._points(shape)
@@ -343,23 +344,18 @@ class TestArrayCores:
             d = stack.shape[-1]
             assert stack.shape[: len(shape)] == shape, name
             for i, (ui, vi) in enumerate(zip(u.flat, v.flat)):
-                one = self._per_point(name, complex(ui), complex(vi))
+                one = fn(complex(ui), complex(vi))
                 got = stack.reshape(-1, *stack.shape[len(shape) :])[i]
                 assert got.shape == one.shape and one.shape[-1] == d, name
                 np.testing.assert_array_equal(got, one, err_msg=name)
 
-    def test_system_coefficients_are_the_pair(self):
-        u, v = self._points((30,))
-        ax, ay = a_f2_arrays(self.GENERIC, u, v)
-        f2 = system_f2(self.GENERIC)
-        np.testing.assert_array_equal(f2.coefficient_x(u, v), ax)
-        np.testing.assert_array_equal(f2.coefficient_y(u, v), ay)
-
     def test_singular_point_in_a_batch_raises(self):
         with pytest.raises(DomainError):
-            a_2f1_arrays(LEGENDRE, [0.3, 1.0])
-        with pytest.raises(DomainError):
-            a_f2_arrays(CONFORMAL, [0.2, 0.4], [0.1, 0.6])
+            system_2f1(LEGENDRE).coefficient([0.3, 1.0])
+        f2 = system_f2(CONFORMAL)
+        for coefficient in (f2.coefficient_x, f2.coefficient_y):
+            with pytest.raises(DomainError):
+                coefficient([0.2, 0.4], [0.1, 0.6])
 
 
 class TestTensorSystem:
@@ -369,7 +365,7 @@ class TestTensorSystem:
         ts = tensor_system(s1, zero)
         u, v = 0.3, 0.4
         np.testing.assert_allclose(
-            ts.coefficient_x(u, v), np.kron(a_2f1(LEGENDRE, u), np.eye(2))
+            ts.coefficient_x(u, v), np.kron(s1.coefficient(u), np.eye(2))
         )
         np.testing.assert_allclose(ts.coefficient_y(u, v), np.zeros((4, 4)))
 
@@ -503,7 +499,7 @@ class TestStepTerms:
         for k in range(n - 1):
             want[:, k + 1] = np.einsum("sjab,sjbc->sac", coeffs[:, k::-1], want[:, : k + 1])
             want[:, k + 1] /= k + 1
-        terms, form = pfaffian._step_terms(s, z, h)
+        terms, form = pfaffian._step_terms(s, h / (s.poles[:, None] - z))
         for k in range(n - 1):
             form(k)
         scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
@@ -1007,6 +1003,13 @@ class TestGamma2Membership:
 
     def test_odd_translation_rejected(self):
         assert not gamma2_membership(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_four_by_four(self):
+        # congruence to the identity of the matrix's own size
+        assert gamma2_membership(np.kron([[1.0, 2.0], [0.0, 1.0]], np.eye(2)))
+        odd = np.eye(4)
+        odd[1, 2] = 1.0
+        assert not gamma2_membership(odd)
 
     def test_non_integral_raises(self):
         with pytest.raises(ValueError):
