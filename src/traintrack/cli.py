@@ -18,14 +18,9 @@ import numpy as np
 from .appell import F2Params, ModuliPoint, _f2_euler, _f2_row_sum
 from .errors import ConvergenceError, DomainError
 from .factorization import (
-    LambdaPair,
-    _pairing_arrays,
-    invert_T,
-    map_T,
-    period_basis,
-    positivity_pairing,
+    _map_T_arrays, _pairing_arrays, invert_T, period_basis, periods_from_lambdas
 )
-from .modular import lambda_hauptmodul, mirror_map
+from .modular import lambda_hauptmodul, mirror_map, mirror_map_arrays
 from .verify import SUITES, RunConfig, _monodromy_cases, run_all, run_suite
 
 _BOUNDARY_EPS = 1e-9
@@ -210,8 +205,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_traintrack(args) -> int:
-    pt = ModuliPoint(args.z1, 1.0 - args.z2)
-    lp = invert_T(pt)
+    lp = invert_T(ModuliPoint(args.z1, 1.0 - args.z2))
     l1, l2 = complex(lp.lambda1), complex(lp.lambda2)
     if (
         abs(l1) < _BOUNDARY_EPS
@@ -237,32 +231,43 @@ def cmd_traintrack(args) -> int:
     return 0
 
 
+def _scan_rows(rows, quantity):
+    """Fill in x, y, tau1, tau2, the quantity and "ok" on rows, one call per array core.
+
+    A batch that raises DomainError is split in halves, each evaluated the
+    same way, down to the single row that raises, which takes its message
+    as its status: so a row's status is what a call on that row alone
+    raises.  x and y are formed row by row in Python complex arithmetic, as
+    map_T forms them; numpy's complex division rounds some differently.
+    """
+    l1, l2 = (np.array([row[key] for row in rows]) for key in ("lambda1", "lambda2"))
+    try:
+        t1, t2 = mirror_map_arrays(l1, l2)
+        if quantity == "lambda_map":
+            value = lambda_hauptmodul(t1)
+        else:
+            periods = np.stack(periods_from_lambdas(l1, l2), 1)
+            value = periods[:, 0] if quantity == "pi0" else _pairing_arrays(periods)[1].real
+    except DomainError as exc:
+        if len(rows) == 1:
+            rows[0]["status"] = f"domain_error: {exc}"
+        else:
+            _scan_rows(rows[: len(rows) // 2], quantity)
+            _scan_rows(rows[len(rows) // 2 :], quantity)
+        return
+    for row, tau1, tau2, val in zip(rows, t1.tolist(), t2.tolist(), value.tolist()):
+        x, y = _map_T_arrays(row["lambda1"], row["lambda2"])
+        row.update({"x": x, "y": y, "tau1": tau1, "tau2": tau2, quantity: val, "status": "ok"})
+
+
 def cmd_scan(args) -> int:
     l1_vals = np.linspace(args.lambda1_min, args.lambda1_max, args.n1).tolist()
     l2_vals = np.linspace(args.lambda2_min, args.lambda2_max, args.n2).tolist()
-    rows = []
-    for l1 in l1_vals:
-        for l2 in l2_vals:
-            row = {"lambda1": complex(l1), "lambda2": complex(l2)}
-            rows.append(row)
-            if abs(l1 + l2) < 1e-12:
-                row["status"] = "degenerate"
-                continue
-            try:
-                lp = LambdaPair(complex(l1), complex(l2))
-                pt = map_T(lp)
-                tp = mirror_map(lp)
-                row.update({"x": pt.x, "y": pt.y, "tau1": tp.tau1, "tau2": tp.tau2})
-                if args.quantity == "pi0":
-                    row["pi0"] = period_basis(lp).pi0
-                elif args.quantity == "pairing":
-                    row["pairing"] = positivity_pairing(period_basis(lp))
-                else:
-                    row["lambda_map"] = lambda_hauptmodul(tp.tau1)
-                row["status"] = "ok"
-            except DomainError as exc:
-                row["status"] = f"domain_error: {exc}"
-    rows = [_flat_row(row) for row in rows]
+    rows = [{"lambda1": complex(l1), "lambda2": complex(l2)} for l1 in l1_vals for l2 in l2_vals]
+    live = [row for row in rows if abs(row["lambda1"] + row["lambda2"]) >= 1e-12]
+    if live:
+        _scan_rows(live, args.quantity)  # gives each of them its status
+    rows = [_flat_row({"status": "degenerate"} | row) for row in rows]
     return _write_report(rows, rows, args.output, args.format, columns=("status",))
 
 

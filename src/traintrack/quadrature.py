@@ -43,7 +43,7 @@ _LOG_KEEP = np.log(1e-20)
 _TOL_2D = 1e-11
 _LEVEL_MIN_2D = 3
 LEVEL_MAX_2D = 8
-# Memoized axes (``_axis``): one axis holds at most 7 kB at levels 3 to 5,
+# Memoized axes (``_axis_of``): one axis holds at most 7 kB at levels 3 to 5,
 # where the rule usually stops, and 50 to 56 kB at level 8, so the cache
 # holds at most about 1.8 MB.
 _AXES = 32
@@ -51,7 +51,7 @@ _EPS = np.finfo(float).eps
 
 
 class _Axis(NamedTuple):
-    """One axis of the 2-D rule at one level; see ``_axis``."""
+    """One axis of the 2-D rule at one level; see ``_axis_of``."""
 
     x: np.ndarray  # the kept nodes
     w: np.ndarray  # their weights, the endpoint powers included
@@ -68,7 +68,8 @@ def _exact(v):
     return v.dtype.str, v.tobytes()
 
 
-def _axis(p, q, level: int, floor=None) -> _Axis:
+@lru_cache(maxsize=_AXES)
+def _axis_of(p, q, level, floor) -> _Axis:
     """One axis of the 2-D rule at mesh h = 2**-level, truncated.
 
     The kept nodes x carry the weights w = h pi cosh(t) x^(p+1) (1-x)^(q+1),
@@ -78,17 +79,11 @@ def _axis(p, q, level: int, floor=None) -> _Axis:
     x[offset::2], offset the parity of the first.  ``dropped`` bounds sum
     |w| over the nodes left out: those of the grid below ``floor``, the
     log-density at which a node is dropped, and a geometric tail for those
-    past |t| = 6.  Without a floor it is set from this level's peak.
+    past |t| = 6.  A floor of None is set from this level's peak.
 
-    Memoized: the axis depends only on (p, q, level, floor), with p and q
-    keyed by their type and bits, in a least-recently-used cache of _AXES
-    entries whose arrays are read-only.
+    Memoized: p and q come keyed by their type and bits (``_exact``), in a
+    least-recently-used cache of _AXES entries whose arrays are read-only.
     """
-    return _axis_of(_exact(p), _exact(q), level, floor)
-
-
-@lru_cache(maxsize=_AXES)
-def _axis_of(p, q, level, floor) -> _Axis:
     (p,), (q,) = (np.frombuffer(bits, dtype) for dtype, bits in (p, q))
     h = 2.0**-level
     kmax = int(_T_2D / h)
@@ -141,7 +136,7 @@ def integrate_01_2d(kernel, exponents, bound: float):
     rule runs from level 3 up to LEVEL_MAX_2D = 8 and stops once two levels
     agree to 1e-11.
 
-    Weights: each axis has the weights w_i t_i^p (1-t_i)^q of ``_axis``, so
+    Weights: each axis has the weights w_i t_i^p (1-t_i)^q of ``_axis_of``, so
     the endpoint powers cost O(n) instead of O(n^2) and cannot overflow.
     Truncation: a node is kept while its log-density is within log(1e-20)
     of the peak on the first level's grid.  The test depends on t alone, so
@@ -150,7 +145,7 @@ def integrate_01_2d(kernel, exponents, bound: float):
     other node of its run from the axis's offset, are the last level's to
     the bit; their kernel values are copied, and the kernel is evaluated
     only on the rows and columns of the new nodes, all by strided slices.
-    The axes are memoized (``_axis``), keyed once per call.  A complex
+    The axes are memoized (``_axis_of``), keyed once per call.  A complex
     kernel between real weights is summed as real products (``_bilinear``).
 
     Returns (value, error).  The error is the change between the last two

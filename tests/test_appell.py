@@ -479,10 +479,15 @@ def _key(*params):
     return np.array(params, dtype=complex).tobytes()
 
 
+def _axis(p, q, level, floor=None):
+    """One axis of the 2-D rule, keyed as ``integrate_01_2d`` keys it."""
+    return quadrature._axis_of(quadrature._exact(p), quadrature._exact(q), level, floor)
+
+
 class TestMemo:
     """Work that depends only on the parameters or the rule is memoized:
     the series factors (``special._factors``) and the quadrature axes
-    (``quadrature._axis``).  A cache must change no bit of any result,
+    (``quadrature._axis_of``).  A cache must change no bit of any result,
     whether it is cold or warm."""
 
     POINTS = [
@@ -534,7 +539,7 @@ class TestMemo:
         params = [np.array([v], dtype=complex) for v in CONFORMAL]
         factors = special._factors(appell._row_coefficients, 1, *params)
         sliced, _ = factors(range(1, 5), None, *params)
-        axis = quadrature._axis(-0.5, -0.5, 3)
+        axis = _axis(-0.5, -0.5, 3)
         assert quadrature._axis_of.cache_info().hits >= 1
         for a in [*rows, *seeds, *sliced, axis.x, axis.w, axis.wc]:
             assert not a.flags.writeable

@@ -4,14 +4,23 @@ import csv
 import hashlib
 import json
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import traintrack
-from traintrack import F2Params, LambdaPair, period_basis, positivity_pairing
-from traintrack import appell, verify
+from traintrack import (
+    DomainError,
+    F2Params,
+    LambdaPair,
+    map_T,
+    mirror_map,
+    period_basis,
+    positivity_pairing,
+)
+from traintrack import appell, cli, verify
 from traintrack.appell import _euler_prefactor, _f2_row_sum
 from traintrack.cli import build_parser, main
 from traintrack.modular import lambda_hauptmodul
@@ -654,6 +663,126 @@ class TestTraintrack:
         out = capsys.readouterr().out
         residue = float(out.splitlines()[1].split("=")[1])
         assert residue < 1e-12
+
+
+def _scan_per_point(args):
+    """The rows of ``scan`` for parsed arguments, formed point by point by the
+    scalar wrappers: the reference the array path must equal byte for byte."""
+    l1_vals = np.linspace(args.lambda1_min, args.lambda1_max, args.n1).tolist()
+    l2_vals = np.linspace(args.lambda2_min, args.lambda2_max, args.n2).tolist()
+    rows = []
+    for l1 in l1_vals:
+        for l2 in l2_vals:
+            row = {"lambda1": complex(l1), "lambda2": complex(l2)}
+            rows.append(row)
+            if abs(l1 + l2) < 1e-12:
+                row["status"] = "degenerate"
+                continue
+            try:
+                lp = LambdaPair(complex(l1), complex(l2))
+                pt = map_T(lp)
+                tp = mirror_map(lp)
+                row.update({"x": pt.x, "y": pt.y, "tau1": tp.tau1, "tau2": tp.tau2})
+                if args.quantity == "pi0":
+                    row["pi0"] = period_basis(lp).pi0
+                elif args.quantity == "pairing":
+                    row["pairing"] = positivity_pairing(period_basis(lp))
+                else:
+                    row["lambda_map"] = lambda_hauptmodul(tp.tau1)
+                row["status"] = "ok"
+            except DomainError as exc:
+                row["status"] = f"domain_error: {exc}"
+    return [cli._flat_row(row) for row in rows]
+
+
+def _scan_argv(l1_lo, l1_hi, l2_lo, l2_hi, n1, n2):
+    return ["scan", f"--lambda1-min={l1_lo}", f"--lambda1-max={l1_hi}",
+            f"--lambda2-min={l2_lo}", f"--lambda2-max={l2_hi}", "--n1", str(n1), "--n2", str(n2)]
+
+
+# grids with every status: a 41 x 41 grid with rows outside the domain, a
+# wide grid with those, rows on K(1) at lambda2 = +-1 and degenerate rows,
+# the grid of test_degenerate_rows_marked, the single points lambda1 = 0 and
+# 1e-9 (where 1 - lambda1^2 rounds to 1), and an empty grid
+SCAN_GRIDS = {
+    "mixed": _scan_argv(-0.5, 1.2, -0.2, 1.5, 41, 41),
+    "wide": _scan_argv(-1, 1, -1.5, 1.5, 60, 61),
+    "degenerate": _scan_argv(-0.5, 0.5, 0.5, 0.5, 3, 1),
+    "lambda1_zero": _scan_argv(0, 0, 0.5, 0.5, 1, 1),
+    "lambda1_tiny": _scan_argv(1e-9, 1e-9, 0.5, 0.5, 1, 1),
+    "empty": _scan_argv(0, 1, 0, 1, 0, 0),
+}
+K1_STATUS = "domain_error: K(m) is singular at m = 1"
+
+
+class TestScanArrayPath:
+    """``scan`` calls each array core once per grid and splits a batch that
+    raises, each row's status being what that row alone raises; its output
+    is that of the per-point loop, byte for byte."""
+
+    @pytest.mark.parametrize("quantity", ["pi0", "pairing", "lambda_map"])
+    @pytest.mark.parametrize("grid", sorted(SCAN_GRIDS))
+    def test_equals_the_per_point_loop(self, tmp_path, grid, quantity):
+        argv = SCAN_GRIDS[grid] + ["--quantity", quantity]
+        rows = _scan_per_point(build_parser().parse_args(argv))
+        for fmt in ("csv", "json"):
+            got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
+            assert main(argv + ["--format", fmt, "--output", str(got)]) == 0
+            assert cli._write_report(rows, rows, str(want), fmt, columns=("status",)) == 0
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_grids_reach_every_status(self):
+        def statuses(grid):
+            rows = _scan_per_point(build_parser().parse_args(SCAN_GRIDS[grid]))
+            return Counter(row["status"] for row in rows)
+
+        outside = "domain_error: lambda pair outside the tracked domain"
+        assert statuses("wide") == {
+            "ok": 3660 - 410 - 116 - 2, outside: 410, K1_STATUS: 116, "degenerate": 2
+        }
+        assert statuses("mixed") == {"ok": 1368, outside: 313}
+        assert statuses("lambda1_zero") == statuses("lambda1_tiny") == {K1_STATUS: 1}
+        assert statuses("degenerate") == {"degenerate": 1, K1_STATUS: 1, "ok": 1}
+        assert statuses("empty") == {}
+
+    CORES = ["mirror_map_arrays", "periods_from_lambdas", "_pairing_arrays",
+             "lambda_hauptmodul", "_map_T_arrays"]
+
+    def _counted(self, monkeypatch, capsys, argv):
+        """The statuses of a scan, and the calls it made of each core cli imports."""
+        calls = Counter()
+
+        def counter(name, core):
+            def counted(*args):
+                calls[name] += 1
+                return core(*args)
+
+            return counted
+
+        for name in self.CORES:
+            monkeypatch.setattr(cli, name, counter(name, getattr(cli, name)))
+        assert main(argv) == 0
+        rows = csv.DictReader(capsys.readouterr().out.splitlines())
+        return [row["status"] for row in rows], calls
+
+    @pytest.mark.parametrize("quantity", ["pi0", "pairing", "lambda_map"])
+    def test_one_call_per_core_for_a_good_grid(self, monkeypatch, capsys, quantity):
+        argv = _scan_argv(0.05, 0.6, 0.4, 0.95, 10, 10) + ["--quantity", quantity]
+        statuses, calls = self._counted(monkeypatch, capsys, argv)
+        assert statuses == ["ok"] * 100
+        cores = {"pi0": ["periods_from_lambdas"], "lambda_map": ["lambda_hauptmodul"],
+                 "pairing": ["periods_from_lambdas", "_pairing_arrays"]}[quantity]
+        # x and y are formed row by row, as map_T forms them
+        assert calls == Counter({"mirror_map_arrays": 1, "_map_T_arrays": 100}
+                                | {name: 1 for name in cores})
+
+    @pytest.mark.parametrize("quantity", ["pi0", "pairing", "lambda_map"])
+    def test_a_bad_row_takes_its_own_status(self, monkeypatch, capsys, quantity):
+        # lambda1 = 0 exactly in the middle of nine rows: K(1 - 0) is singular there
+        argv = _scan_argv(-0.4, 0.4, 0.5, 0.5, 9, 1) + ["--quantity", quantity]
+        statuses, calls = self._counted(monkeypatch, capsys, argv)
+        assert statuses == ["ok"] * 4 + [K1_STATUS] + ["ok"] * 4
+        assert calls["_map_T_arrays"] == 8
 
 
 class TestScan:

@@ -1,11 +1,12 @@
 """Every exported name resolves, so a deletion leaves no stale export behind;
 the package imports numpy and nothing else outside the standard library;
-every cache is bounded."""
+every cache is bounded; the README's Python example runs."""
 
 import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -63,3 +64,12 @@ def test_every_cache_is_bounded():
                 caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
     assert caches  # the scan finds the caches there are
     assert all(size is not None for size in caches.values()), caches
+
+
+def test_readme_example_runs():
+    # the README's one Python block runs as written, its assertion included,
+    # so the example cannot go stale unnoticed
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert len(blocks) == 1 and "assert " in blocks[0]
+    exec(blocks[0], {})

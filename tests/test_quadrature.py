@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from traintrack import ConvergenceError, F2Params, quadrature
-from traintrack.quadrature import _axis, integrate_01_2d
+from traintrack.quadrature import _axis_of, _exact, integrate_01_2d
+
+
+def _axis(p, q, level, floor=None):
+    """One axis of the 2-D rule, keyed as ``integrate_01_2d`` keys it."""
+    return _axis_of(_exact(p), _exact(q), level, floor)
 
 
 def _one(t1, t2):
