@@ -20,7 +20,7 @@ from .errors import ConvergenceError, DomainError
 from .factorization import (
     _map_T_arrays, _pairing_arrays, invert_T, period_basis, periods_from_lambdas
 )
-from .modular import lambda_hauptmodul, mirror_map, mirror_map_arrays
+from .modular import _MIRROR_ERRORS, _mirror_map_rows, lambda_hauptmodul, mirror_map
 from .verify import SUITES, RunConfig, _monodromy_cases, run_all, run_suite
 
 _BOUNDARY_EPS = 1e-9
@@ -234,27 +234,24 @@ def cmd_traintrack(args) -> int:
 def _scan_rows(rows, quantity):
     """Fill in x, y, tau1, tau2, the quantity and "ok" on rows, one call per array core.
 
-    A batch that raises DomainError is split in halves, each evaluated the
-    same way, down to the single row that raises, which takes its message
-    as its status: so a row's status is what a call on that row alone
-    raises.  x and y are formed row by row in Python complex arithmetic, as
-    map_T forms them; numpy's complex division rounds some differently.
+    A row that fails a check of the mirror map takes as its status the
+    error a call on that row alone raises, and goes no further.  x and y are
+    formed row by row in Python complex arithmetic, as map_T forms them;
+    numpy's complex division rounds some differently.
     """
     l1, l2 = (np.array([row[key] for row in rows]) for key in ("lambda1", "lambda2"))
-    try:
-        t1, t2 = mirror_map_arrays(l1, l2)
-        if quantity == "lambda_map":
-            value = lambda_hauptmodul(t1)
-        else:
-            periods = np.stack(periods_from_lambdas(l1, l2), 1)
-            value = periods[:, 0] if quantity == "pi0" else _pairing_arrays(periods)[1].real
-    except DomainError as exc:
-        if len(rows) == 1:
-            rows[0]["status"] = f"domain_error: {exc}"
-        else:
-            _scan_rows(rows[: len(rows) // 2], quantity)
-            _scan_rows(rows[len(rows) // 2 :], quantity)
-        return
+    t1, t2, code = _mirror_map_rows(l1, l2)
+    for row, c in zip(rows, code.tolist()):
+        if c:
+            row["status"] = f"domain_error: {_MIRROR_ERRORS[c - 1][1]}"
+    good = code == 0
+    l1, l2, t1, t2 = l1[good], l2[good], t1[good], t2[good]
+    if quantity == "lambda_map":
+        value = lambda_hauptmodul(t1)
+    else:
+        periods = np.stack(periods_from_lambdas(l1, l2), 1)
+        value = periods[:, 0] if quantity == "pi0" else _pairing_arrays(periods)[1].real
+    rows = [row for row in rows if "status" not in row]
     for row, tau1, tau2, val in zip(rows, t1.tolist(), t2.tolist(), value.tolist()):
         x, y = _map_T_arrays(row["lambda1"], row["lambda2"])
         row.update({"x": x, "y": y, "tau1": tau1, "tau2": tau2, quantity: val, "status": "ok"})

@@ -55,7 +55,8 @@ _OUTSIDE_DOMAIN = "lambda pair outside the domain |L1^2| < 1, |1 - L2^2| < 1"
 def _in_theorem_domain(l1, l2):
     """Elementwise |L1^2| < 1 and |1 - L2^2| < 1, where the periods are tracked."""
     l1, l2 = np.asarray(l1, dtype=complex), np.asarray(l2, dtype=complex)
-    return (np.abs(l1 * l1) < 1.0) & (np.abs(1.0 - l2 * l2) < 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is outside
+        return (np.abs(l1 * l1) < 1.0) & (np.abs(1.0 - l2 * l2) < 1.0)
 
 
 @dataclass(frozen=True)

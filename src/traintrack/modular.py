@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NonConstantRatioError
-from .factorization import LambdaPair, _in_theorem_domain
+from .errors import ConvergenceError, DomainError, NonConstantRatioError, SingularityError
+from .factorization import _OUTSIDE_DOMAIN, LambdaPair, _in_theorem_domain
 from .special import _complex_pair, _like_input, ellint_K
 
 __all__ = [
@@ -110,26 +110,43 @@ def lambda_hauptmodul(tau):
     return _like_input(th2**4 / th3**4, tau)
 
 
+_MIRROR_ERRORS = (
+    (DomainError, _OUTSIDE_DOMAIN),
+    (SingularityError, "K(m) is singular at m = 1"),
+    (DomainError, "mirror map left the upper half-plane"),
+)
+
+
+def _mirror_map_rows(l1, l2):
+    """tau1, tau2 and a code for each pair of flat complex arrays: 0 if good, else 1
+    plus the index of the first check it fails in ``_MIRROR_ERRORS``, the errors a
+    one-pair call raises in check order.  A bad pair's moduli are all 0 to the AGM."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq1, sq2 = l1 * l1, l2 * l2
+        moduli = np.array((1.0 - sq1, sq1, sq2, 1.0 - sq2))
+    outside = ~_in_theorem_domain(l1, l2)
+    singular = (moduli == 1).any(0)
+    k1c, k1, k2, k2c = ellint_K(np.where(outside | singular, 0.0, moduli))
+    t1 = 1j * k1c / k1
+    t2 = 1j * k2 / k2c
+    left = (t1.imag <= 0) | (t2.imag <= 0)
+    return t1, t2, np.where(outside, 1, np.where(singular, 2, np.where(left, 3, 0)))
+
+
 def mirror_map_arrays(l1, l2):
     """tau1 = i K(1-L1^2)/K(L1^2), tau2 = i K(L2^2)/K(1-L2^2) over broadcastable arrays.
 
     The four moduli of every pair go to K in one call; scalars are computed
     as arrays of one element, so a pair's coordinates do not depend on the
-    other pairs passed with it.  DomainError if any pair lies outside
-    |L1^2| < 1, |1 - L2^2| < 1 or any coordinate leaves the upper half-plane.
+    other pairs passed with it.  If a pair fails a check, raises the error of
+    the first check in ``_MIRROR_ERRORS`` that any pair fails.
     """
     l1, l2 = _complex_pair(l1, l2)
-    shape = l1.shape
-    l1, l2 = l1.ravel(), l2.ravel()
-    if np.count_nonzero(_in_theorem_domain(l1, l2)) < l1.size:
-        raise DomainError("lambda pair outside the tracked domain")
-    sq1, sq2 = l1 * l1, l2 * l2
-    k1c, k1, k2, k2c = ellint_K(np.array((1.0 - sq1, sq1, sq2, 1.0 - sq2)))
-    t1 = 1j * k1c / k1
-    t2 = 1j * k2 / k2c
-    if np.count_nonzero((t1.imag <= 0) | (t2.imag <= 0)):
-        raise DomainError("mirror map left the upper half-plane")
-    return t1.reshape(shape), t2.reshape(shape)
+    t1, t2, code = _mirror_map_rows(l1.ravel(), l2.ravel())
+    if np.count_nonzero(code):
+        error, message = _MIRROR_ERRORS[code[code > 0].min() - 1]
+        raise error(message)
+    return t1.reshape(l1.shape), t2.reshape(l1.shape)
 
 
 def mirror_map(lp: LambdaPair) -> TauPair:

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import shlex
 import types
 from collections import Counter
 from pathlib import Path
@@ -716,9 +717,9 @@ K1_STATUS = "domain_error: K(m) is singular at m = 1"
 
 
 class TestScanArrayPath:
-    """``scan`` calls each array core once per grid and splits a batch that
-    raises, each row's status being what that row alone raises; its output
-    is that of the per-point loop, byte for byte."""
+    """``scan`` calls each array core once per grid, and a row's status is
+    what a call on that row alone raises; its output is that of the
+    per-point loop, byte for byte."""
 
     @pytest.mark.parametrize("quantity", ["pi0", "pairing", "lambda_map"])
     @pytest.mark.parametrize("grid", sorted(SCAN_GRIDS))
@@ -736,7 +737,7 @@ class TestScanArrayPath:
             rows = _scan_per_point(build_parser().parse_args(SCAN_GRIDS[grid]))
             return Counter(row["status"] for row in rows)
 
-        outside = "domain_error: lambda pair outside the tracked domain"
+        outside = "domain_error: lambda pair outside the domain |L1^2| < 1, |1 - L2^2| < 1"
         assert statuses("wide") == {
             "ok": 3660 - 410 - 116 - 2, outside: 410, K1_STATUS: 116, "degenerate": 2
         }
@@ -745,7 +746,7 @@ class TestScanArrayPath:
         assert statuses("degenerate") == {"degenerate": 1, K1_STATUS: 1, "ok": 1}
         assert statuses("empty") == {}
 
-    CORES = ["mirror_map_arrays", "periods_from_lambdas", "_pairing_arrays",
+    CORES = ["_mirror_map_rows", "periods_from_lambdas", "_pairing_arrays",
              "lambda_hauptmodul", "_map_T_arrays"]
 
     def _counted(self, monkeypatch, capsys, argv):
@@ -773,7 +774,7 @@ class TestScanArrayPath:
         cores = {"pi0": ["periods_from_lambdas"], "lambda_map": ["lambda_hauptmodul"],
                  "pairing": ["periods_from_lambdas", "_pairing_arrays"]}[quantity]
         # x and y are formed row by row, as map_T forms them
-        assert calls == Counter({"mirror_map_arrays": 1, "_map_T_arrays": 100}
+        assert calls == Counter({"_mirror_map_rows": 1, "_map_T_arrays": 100}
                                 | {name: 1 for name in cores})
 
     @pytest.mark.parametrize("quantity", ["pi0", "pairing", "lambda_map"])
@@ -783,6 +784,23 @@ class TestScanArrayPath:
         statuses, calls = self._counted(monkeypatch, capsys, argv)
         assert statuses == ["ok"] * 4 + [K1_STATUS] + ["ok"] * 4
         assert calls["_map_T_arrays"] == 8
+
+    @pytest.mark.parametrize("grid", ["mixed", "wide"])
+    def test_one_call_per_core_for_a_grid_with_bad_rows(self, monkeypatch, capsys, grid):
+        # one coded mirror map call gives every bad row its status, and the
+        # periods are formed once, for the good rows only
+        statuses, calls = self._counted(monkeypatch, capsys, SCAN_GRIDS[grid])
+        assert calls == Counter({"_mirror_map_rows": 1, "periods_from_lambdas": 1,
+                                 "_map_T_arrays": statuses.count("ok")})
+        assert any(status.startswith("domain_error") for status in statuses)
+
+    def test_overflowing_square_is_outside(self, capsys):
+        # lambda1^2 overflows; the row is outside, and no RuntimeWarning is raised
+        assert main(_scan_argv(2e154, 2e154, 0.5, 0.5, 1, 1)) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [row["status"] for row in rows] == [
+            "domain_error: lambda pair outside the domain |L1^2| < 1, |1 - L2^2| < 1"
+        ]
 
 
 class TestScan:
@@ -902,3 +920,23 @@ class TestMonodromyCommand:
         monkeypatch.setattr(verify, "gamma2_membership", lambda m, int_tol: False)
         assert main(["monodromy"]) == 1
         assert capsys.readouterr().out.count("gamma(2) member = False") == 2
+
+
+def _readme_commands():
+    """The arguments of each ``traintrack`` line of README's command-line
+    block, a line ending in a backslash joined to the next."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("traintrack ")]
+
+
+class TestReadme:
+    def test_shell_commands_run(self, tmp_path, monkeypatch, capsys):
+        # every command exits 0 but `verify all`, whose modular probe fails by design
+        monkeypatch.chdir(tmp_path)
+        commands = _readme_commands()
+        assert len(commands) == 8
+        for argv in commands:
+            assert main(argv) == (1 if argv[:2] == ["verify", "all"] else 0), argv
+        assert (tmp_path / "report.json").exists()

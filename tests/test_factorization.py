@@ -222,6 +222,11 @@ class TestPeriodBasis:
     def test_domain_violation(self):
         with pytest.raises(DomainError):
             period_basis(LambdaPair(1.5, 0.9))
+        # squares that overflow, to inf and to NaN, are outside, with no RuntimeWarning
+        huge = LambdaPair(2e154 + 2e154j, 0.5)
+        assert huge.in_theorem_domain is False
+        with pytest.raises(DomainError):
+            period_basis(huge)
 
     def test_boundary_pair_keeps_finite_pi0(self):
         # at (0, 1) two moduli are 1, where K is infinite: only Pi0 is finite

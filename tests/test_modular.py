@@ -10,6 +10,7 @@ from traintrack import (
     LambdaPair,
     ModularGroupElement,
     NonConstantRatioError,
+    SingularityError,
     TauPair,
     ellint_K,
     inverse_mirror,
@@ -182,6 +183,32 @@ class TestMirrorMap:
     def test_array_core_domain_guard(self):
         with pytest.raises(DomainError):
             mirror_map_arrays([0.1, 1.2], [0.9, 0.9])
+        # a batch raises the error of the first check, not of the first row:
+        # lambda1 = 0 puts K at m = 1, but the pair after it is outside; and
+        # a square that overflows is outside, with no RuntimeWarning
+        for l1, l2 in [([0.0, 1.2], [0.5, 0.9]), ([0.3, 2e154], [0.8, 0.5])]:
+            with pytest.raises(DomainError, match="outside the domain") as info:
+                mirror_map_arrays(l1, l2)
+            assert info.type is DomainError
+
+    def test_codes_are_what_one_pair_raises(self):
+        # every pair of a 60 x 61 grid with all three outcomes: its code names
+        # the error a call on it alone raises, and a good pair keeps its tau
+        l1, l2 = np.meshgrid(np.linspace(-1, 1, 60), np.linspace(-1.5, 1.5, 61))
+        l1, l2 = l1.ravel() + 0j, l2.ravel() + 0j
+        t1, t2, code = modular._mirror_map_rows(l1, l2)
+        assert set(code.tolist()) == {0, 1, 2}
+        with pytest.raises(SingularityError) as k1:
+            ellint_K(1.0)
+        assert modular._MIRROR_ERRORS[1] == (SingularityError, str(k1.value))
+        for a, b, tau1, tau2, c in zip(l1, l2, t1, t2, code.tolist()):
+            if c == 0:
+                got1, got2 = mirror_map_arrays([a], [b])
+                assert (got1[0], got2[0]) == (tau1, tau2)
+                continue
+            with pytest.raises(DomainError) as info:
+                mirror_map_arrays([a], [b])
+            assert (info.type, str(info.value)) == modular._MIRROR_ERRORS[c - 1]
 
     @pytest.mark.parametrize("row", [1, 3], ids=["tau1", "tau2"])
     def test_array_core_half_plane_guard(self, monkeypatch, row):
