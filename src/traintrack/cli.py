@@ -235,9 +235,9 @@ def _scan_rows(rows, quantity):
     """Fill in x, y, tau1, tau2, the quantity and "ok" on rows, one call per array core.
 
     A row that fails a check of the mirror map takes as its status the
-    error a call on that row alone raises, and goes no further.  x and y are
-    formed row by row in Python complex arithmetic, as map_T forms them;
-    numpy's complex division rounds some differently.
+    error a call on that row alone raises, and goes no further.  Every
+    value, x and y included, is its row's element of the batched call, so
+    it equals a call of the scalar wrapper on that row alone.
     """
     l1, l2 = (np.array([row[key] for row in rows]) for key in ("lambda1", "lambda2"))
     t1, t2, code = _mirror_map_rows(l1, l2)
@@ -251,10 +251,10 @@ def _scan_rows(rows, quantity):
     else:
         periods = np.stack(periods_from_lambdas(l1, l2), 1)
         value = periods[:, 0] if quantity == "pi0" else _pairing_arrays(periods)[1].real
+    columns = (*_map_T_arrays(l1, l2), t1, t2, value)
     rows = [row for row in rows if "status" not in row]
-    for row, tau1, tau2, val in zip(rows, t1.tolist(), t2.tolist(), value.tolist()):
-        x, y = _map_T_arrays(row["lambda1"], row["lambda2"])
-        row.update({"x": x, "y": y, "tau1": tau1, "tau2": tau2, quantity: val, "status": "ok"})
+    for row, *values in zip(rows, *(c.tolist() for c in columns)):
+        row.update(zip(("x", "y", "tau1", "tau2", quantity), values), status="ok")
 
 
 def cmd_scan(args) -> int:

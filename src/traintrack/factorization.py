@@ -56,7 +56,12 @@ def _in_theorem_domain(l1, l2):
     """Elementwise |L1^2| < 1 and |1 - L2^2| < 1, where the periods are tracked."""
     l1, l2 = np.asarray(l1, dtype=complex), np.asarray(l2, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is outside
-        return (np.abs(l1 * l1) < 1.0) & (np.abs(1.0 - l2 * l2) < 1.0)
+        return _squares_in_domain(l1 * l1, l2 * l2)
+
+
+def _squares_in_domain(sq1, sq2):
+    """The same on the squares L1^2 and L2^2, under the errstate that formed them."""
+    return (np.abs(sq1) < 1.0) & (np.abs(1.0 - sq2) < 1.0)
 
 
 @dataclass(frozen=True)
@@ -76,8 +81,13 @@ def _map_T_arrays(l1, l2):
 
 
 def map_T(lp: LambdaPair) -> ModuliPoint:
-    """x = 4 L1 L2 / (L1+L2)^2,  y = -(1-L1^2)(1-L2^2) / (L1+L2)^2."""
-    return ModuliPoint(*_map_T_arrays(complex(lp.lambda1), complex(lp.lambda2)))
+    """x = 4 L1 L2 / (L1+L2)^2,  y = -(1-L1^2)(1-L2^2) / (L1+L2)^2, as the element of a
+    one-element ``_map_T_arrays`` call; DomainError where x or y is not finite."""
+    with np.errstate(all="ignore"):
+        x, y = _map_T_arrays(*np.array([[lp.lambda1], [lp.lambda2]], dtype=complex))
+    if not np.isfinite([x, y]).all():
+        raise DomainError("T(L1, L2) is not finite")
+    return ModuliPoint(complex(x[0]), complex(y[0]))
 
 
 def invert_T_arrays(x, y):

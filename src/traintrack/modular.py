@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NonConstantRatioError, SingularityError
-from .factorization import _OUTSIDE_DOMAIN, LambdaPair, _in_theorem_domain
+from .factorization import _OUTSIDE_DOMAIN, LambdaPair, _squares_in_domain
 from .special import _complex_pair, _like_input, ellint_K
 
 __all__ = [
@@ -124,7 +124,7 @@ def _mirror_map_rows(l1, l2):
     with np.errstate(over="ignore", invalid="ignore"):
         sq1, sq2 = l1 * l1, l2 * l2
         moduli = np.array((1.0 - sq1, sq1, sq2, 1.0 - sq2))
-    outside = ~_in_theorem_domain(l1, l2)
+        outside = ~_squares_in_domain(sq1, sq2)
     singular = (moduli == 1).any(0)
     k1c, k1, k2, k2c = ellint_K(np.where(outside | singular, 0.0, moduli))
     t1 = 1j * k1c / k1

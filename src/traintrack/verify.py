@@ -31,13 +31,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .appell import F2Params, ModuliPoint, f2_derivatives_on_arrays, f2_series_on_arrays
+from .appell import F2Params, f2_derivatives_on_arrays, f2_series_on_arrays
 from .errors import NonConstantRatioError
 from .factorization import (
-    LambdaPair,
     _in_theorem_domain,
+    _map_T_arrays,
     _pairing_arrays,
-    map_T,
     periods_from_lambdas,
 )
 from .modular import (
@@ -176,46 +175,39 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _first_accepted(rng, n: int, lows, highs, accept):
-    """The first n candidates that ``accept`` keeps, with the draws made in blocks.
+    """The first n candidate rows that ``accept`` keeps, as an (n, k) array.
 
     A candidate is one rng.uniform(lo, hi) draw per (lo, hi) column, in
     order, so every candidate equals a scalar rejection loop's bit for bit.
-    ``accept`` maps a block of candidate rows to one entry per row, the kept
-    item or None; it may be a generator, which is run only as far as needed.
-    The rest of the last block is drawn but not used: each suite draws from
-    its own generator, and no more once its samples are taken.
+    They are drawn in blocks; ``accept`` maps a block to a boolean mask over
+    its rows.  The rest of the last block is drawn but not used: each suite
+    draws from its own generator, and no more once its samples are taken.
     """
-    out = []
-    while len(out) < n:
-        rows = rng.uniform(lows, highs, (4 * (n - len(out)) + 16, len(lows)))
-        kept = (item for item in accept(rows) if item is not None)
-        out.extend(itertools.islice(kept, n - len(out)))
-    return out
+    kept = np.empty((0, len(lows)))
+    while len(kept) < n:
+        rows = rng.uniform(lows, highs, (4 * (n - len(kept)) + 16, len(lows)))
+        kept = np.concatenate((kept, rows[accept(rows)][: n - len(kept)]))
+    return kept
 
 
 def sample_theorem_domain(rng, n: int):
-    """Random factorized coordinates with the mapped point inside |x|+|y| < 0.95.
+    """Columns (lambda1, lambda2, x, y) of n random factorized coordinates in the
+    theorem domain whose image (x, y) under T has |x| + |y| < 0.95.
 
-    The candidate pairs are drawn in blocks and filtered by the theorem
-    domain as arrays; each pair that passes is mapped by the scalar map_T,
-    whose last bits the array form does not reproduce.
+    Each block of candidates is filtered by the domain and mapped by T as
+    arrays, and the kept pairs are mapped again in one call.
     """
 
-    def accept(rows):
-        l1 = rows[:, 0] + 1j * rows[:, 1]
-        l2 = rows[:, 2] + 1j * rows[:, 3]
-        inside = _in_theorem_domain(l1, l2)
-        for a, b, ok in zip(l1.tolist(), l2.tolist(), inside.tolist()):
-            if not ok:
-                yield None
-                continue
-            lp = LambdaPair(a, b)
-            pt = map_T(lp)
-            yield (lp, pt) if pt.series_norm < 0.95 else None
+    def columns(rows):
+        l1, l2 = rows[:, 0] + 1j * rows[:, 1], rows[:, 2] + 1j * rows[:, 3]
+        return l1, l2, *_map_T_arrays(l1, l2)
 
-    return _first_accepted(
-        rng, n, (0.03, -0.06, 0.62, -0.06), (0.5, 0.06, 0.97, 0.06), accept
-    )
+    def accept(rows):
+        l1, l2, x, y = columns(rows)
+        return _in_theorem_domain(l1, l2) & (np.abs(x) + np.abs(y) < 0.95)
+
+    lows, highs = (0.03, -0.06, 0.62, -0.06), (0.5, 0.06, 0.97, 0.06)
+    return columns(_first_accepted(rng, n, lows, highs, accept))
 
 
 def _cases(inputs, outputs, residuals, passed):
@@ -246,14 +238,12 @@ def _finish(suite, cfg, cases):
 @_suite(tolerance=1e-9, samples=100)
 def suite_factorization(cfg: RunConfig) -> VerificationReport:
     """Central identity: Pi0 equals the conformal F2 row sum under T."""
-    samples = sample_theorem_domain(_rng(cfg.rng_seed), cfg.samples("factorization"))
-    l1, l2 = [lp.lambda1 for lp, _ in samples], [lp.lambda2 for lp, _ in samples]
-    x, y = [pt.x for _, pt in samples], [pt.y for _, pt in samples]
+    l1, l2, x, y = columns = sample_theorem_domain(_rng(cfg.rng_seed), cfg.samples("factorization"))
     pi0 = periods_from_lambdas(l1, l2)[0].tolist()
     f2 = f2_series_on_arrays(F2Params.conformal_case(), x, y).tolist()
     # Python's abs, not np.abs: the two round some moduli differently
     resids = [abs(p - f) / abs(p) for p, f in zip(pi0, f2)]
-    inputs = {"lambda1": l1, "lambda2": l2, "x": x, "y": y}
+    inputs = dict(zip(("lambda1", "lambda2", "x", "y"), (c.tolist() for c in columns)))
     passed = np.less(resids, cfg.tol("factorization"))
     cases = _cases(inputs, {"pi0": pi0, "f2_series": f2}, resids, passed)
     return _finish("factorization", cfg, cases)
@@ -406,19 +396,19 @@ def suite_monodromy(cfg: RunConfig) -> VerificationReport:
 
 
 def _flatness_points(rng, n):
-    """Real points with margin 0.07 from the singular locus and |x| + |y| < 0.6."""
+    """Columns (x, y), complex, of n real points with margin 0.07 from the
+    singular locus and |x| + |y| < 0.6."""
+
+    def points(rows):
+        return rows[:, 0], rows[:, 1] * np.sign(rows[:, 2])
 
     def accept(rows):
-        x = rows[:, 0]
-        y = rows[:, 1] * np.sign(rows[:, 2])
-        margin = np.minimum.reduce(
-            [np.abs(x), np.abs(1 - x), np.abs(y), np.abs(1 - y), np.abs(1 - x - y)]
-        )
-        ok = (margin > 0.07) & (np.abs(x) + np.abs(y) < 0.6)
-        for xi, yi, k in zip(x.tolist(), y.tolist(), ok.tolist()):
-            yield ModuliPoint(xi + 0j, yi + 0j) if k else None
+        x, y = points(rows)
+        margin = np.abs([x, 1 - x, y, 1 - y, 1 - x - y]).min(0)
+        return (margin > 0.07) & (np.abs(x) + np.abs(y) < 0.6)
 
-    return _first_accepted(rng, n, (0.1, 0.08, -1.0), (0.45, 0.35, 1.0), accept)
+    x, y = points(_first_accepted(rng, n, (0.1, 0.08, -1.0), (0.45, 0.35, 1.0), accept))
+    return x + 0j, y + 0j
 
 
 @_suite(tolerance=1e-8, samples=10)
@@ -430,15 +420,14 @@ def suite_flatness(cfg: RunConfig) -> VerificationReport:
     """
     tol = cfg.tol("flatness")
     conformal = F2Params.conformal_case()
-    pts = _flatness_points(_rng(cfg.rng_seed), cfg.samples("flatness"))
-    xs, ys = [pt.x for pt in pts], [pt.y for pt in pts]
-    x, y = np.array(xs), np.array(ys)
+    x, y = _flatness_points(_rng(cfg.rng_seed), cfg.samples("flatness"))
     flats = flatness_residual(system_f2(conformal), x, y)
     derivs = f2_derivatives_on_arrays(conformal, x, y, 2)
     horizs = horizontality_residual_from_derivatives(conformal, derivs, x, y)
     resids = np.maximum(flats, horizs)
     outputs = {"flatness": flats.tolist(), "horizontality": horizs.tolist()}
-    return _finish("flatness", cfg, _cases({"x": xs, "y": ys}, outputs, resids, resids < tol))
+    inputs = {"x": x.tolist(), "y": y.tolist()}
+    return _finish("flatness", cfg, _cases(inputs, outputs, resids, resids < tol))
 
 
 SUITES = tuple(_SUITE_FUNCTIONS)

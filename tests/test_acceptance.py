@@ -72,9 +72,9 @@ def test_criterion_01_factorization_theorem():
     started = time.perf_counter()
     rng = _rng(1)
     worst = 0.0
-    for lp, pt in sample_theorem_domain(rng, 100):
-        pi0 = period_basis(lp).pi0
-        f2 = f2_series(CONFORMAL, pt)
+    for l1, l2, x, y in zip(*(c.tolist() for c in sample_theorem_domain(rng, 100))):
+        pi0 = period_basis(LambdaPair(l1, l2)).pi0
+        f2 = f2_series(CONFORMAL, ModuliPoint(x, y))
         worst = max(worst, abs(pi0 - f2) / abs(pi0))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-9 and elapsed < 30.0

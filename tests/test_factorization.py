@@ -25,11 +25,14 @@ from traintrack import (
     traintrack_value,
 )
 from traintrack.factorization import (
+    _in_theorem_domain,
+    _map_T_arrays,
     _pairing_arrays,
     invert_T_arrays,
     period_derivatives,
     periods_from_lambdas,
 )
+from traintrack import verify
 from traintrack.verify import sample_theorem_domain
 
 
@@ -88,6 +91,28 @@ class TestMapT:
         b = map_T(LambdaPair(0.7, 0.2 + 0.01j))
         assert abs(a.x - b.x) < 1e-15 and abs(a.y - b.y) < 1e-15
 
+    @pytest.mark.parametrize(
+        "l1", [2e154, -2e154, 2e154 + 2e154j, complex(np.nan, 0.0), complex(0.1, np.nan)]
+    )
+    def test_non_finite_image_is_a_domain_error(self, l1):
+        # (L1 + L2)^2 and L1^2 overflow, or NaN propagates: DomainError, and
+        # no RuntimeWarning, which the test run turns into an error
+        with pytest.raises(DomainError, match="not finite"):
+            map_T(LambdaPair(l1, 0.5))
+
+    def test_equals_its_row_of_a_batched_call(self):
+        # every in-domain row of the scan test's wide grid, bit for bit
+        l1, l2 = (a.ravel() + 0j for a in np.meshgrid(
+            np.linspace(-1, 1, 60), np.linspace(-1.5, 1.5, 61), indexing="ij"))
+        keep = (np.abs(l1 + l2) >= 1e-12) & _in_theorem_domain(l1, l2)
+        l1, l2 = l1[keep], l2[keep]
+        x, y = _map_T_arrays(l1, l2)
+        assert l1.size == 3660 - 410 - 2
+        for i, (a, b) in enumerate(zip(l1.tolist(), l2.tolist())):
+            pt = map_T(LambdaPair(a, b))
+            got = np.array([pt.x, pt.y])
+            assert np.array_equal(got.view(np.uint64), np.array([x[i], y[i]]).view(np.uint64))
+
 
 class TestInvertT:
     def test_base_point(self):
@@ -101,11 +126,10 @@ class TestInvertT:
         assert abs(complex(lp.lambda2) - 0.9) < 1e-12
 
     def test_round_trip_forward(self):
-        rng = _rng()
-        for lp, pt in sample_theorem_domain(rng, 25):
-            back = invert_T(pt)
-            assert abs(complex(back.lambda1) - complex(lp.lambda1)) < 1e-10
-            assert abs(complex(back.lambda2) - complex(lp.lambda2)) < 1e-10
+        for l1, l2, x, y in zip(*(c.tolist() for c in sample_theorem_domain(_rng(), 25))):
+            back = invert_T(ModuliPoint(x, y))
+            assert abs(complex(back.lambda1) - l1) < 1e-10
+            assert abs(complex(back.lambda2) - l2) < 1e-10
 
     @pytest.mark.parametrize("x, y", [(np.nan, 0.1), (0.1, complex(0.1, np.nan)), (np.inf, 0.1)])
     def test_non_finite_point_is_a_domain_error(self, x, y):
@@ -212,9 +236,9 @@ class TestPeriodBasis:
         assert abs(pv.pi0 - f2) < 1e-9 * abs(pv.pi0)
 
     def test_product_identity(self):
-        rng = _rng()
-        for lp, _ in sample_theorem_domain(rng, 20):
-            pv = period_basis(lp)
+        l1, l2, _, _ = sample_theorem_domain(_rng(), 20)
+        for a, b in zip(l1.tolist(), l2.tolist()):
+            pv = period_basis(LambdaPair(a, b))
             lhs = pv.pi0 * pv.pi3 - pv.pi1 * pv.pi2
             scale = abs(pv.pi0 * pv.pi3) + abs(pv.pi1 * pv.pi2)
             assert abs(lhs) < 1e-14 * scale
@@ -240,8 +264,8 @@ class TestPeriodBasis:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_sampler_equals_scalar_loop(self, seed):
-        # block draws, the array domain filter and the scalar map_T give the
-        # candidates and the points of one scalar loop
+        # block draws and the array domain filter and T give the candidates
+        # and the points of one scalar loop, whose map_T is T's array form
         def scalar_loop(rng, n):
             out = []
             while len(out) < n:
@@ -252,23 +276,33 @@ class TestPeriodBasis:
                     continue
                 pt = map_T(lp)
                 if pt.series_norm < 0.95:
-                    out.append((lp, pt))
+                    out.append((l1, l2, pt.x, pt.y))
             return out
 
         for n in (1, 13, 100):
             got = sample_theorem_domain(_rng_seeded(seed), n)
-            want = scalar_loop(_rng_seeded(seed), n)
-            assert len(got) == n
-            for (lp, pt), (ref_lp, ref_pt) in zip(got, want):
-                assert type(lp.lambda1) is complex and type(pt.x) is complex
-                assert (lp, pt) == (ref_lp, ref_pt)
+            assert [c.shape for c in got] == [(n,)] * 4
+            assert all(c.dtype == complex for c in got)
+            want = np.array(list(zip(*scalar_loop(_rng_seeded(seed), n))))
+            assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
+
+    def test_sampler_maps_each_block_in_one_call(self, monkeypatch):
+        # T maps the 416 candidates of the one block, then the 100 kept pairs
+        sizes = []
+
+        def counted(l1, l2):
+            sizes.append(l1.size)
+            return _map_T_arrays(l1, l2)
+
+        monkeypatch.setattr(verify, "_map_T_arrays", counted)
+        sample_theorem_domain(_rng_seeded(0), 100)
+        assert sizes == [416, 100]
 
     def test_batch_equals_per_point_calls(self):
         # one call on all points gives each point its scalar periods, bit for bit
-        pairs = [lp for lp, _ in sample_theorem_domain(_rng(), 200)]
-        l1 = np.array([lp.lambda1 for lp in pairs], dtype=complex)
-        l2 = np.array([lp.lambda2 for lp in pairs], dtype=complex)
+        l1, l2, _, _ = sample_theorem_domain(_rng(), 200)
         batch = np.stack(periods_from_lambdas(l1, l2), axis=-1)
+        pairs = [LambdaPair(a, b) for a, b in zip(l1.tolist(), l2.tolist())]
         single = np.array([period_basis(lp).as_array() for lp in pairs])
         assert np.array_equal(batch.view(np.uint64), single.view(np.uint64))
         grid = periods_from_lambdas(l1.reshape(10, 20), l2.reshape(10, 20))
@@ -292,8 +326,7 @@ class TestPeriodDerivatives:
     def test_partials_against_mpmath(self):
         # all six partials of all four periods against mpmath's numerical
         # differentiation of the closed forms at 30 digits
-        pts = [pt for _, pt in sample_theorem_domain(_rng_seeded(0), 5)]
-        x, y = np.array([pt.x for pt in pts]), np.array([pt.y for pt in pts])
+        _, _, x, y = sample_theorem_domain(_rng_seeded(0), 5)
         d = period_derivatives(x, y)
         worst = 0.0
         with mp.workdps(30):
@@ -306,16 +339,14 @@ class TestPeriodDerivatives:
         assert worst < 1e-12
 
     def test_value_row_is_the_periods(self):
-        pts = [pt for _, pt in sample_theorem_domain(_rng_seeded(1), 2000)]
-        x, y = np.array([pt.x for pt in pts]), np.array([pt.y for pt in pts])
+        _, _, x, y = sample_theorem_domain(_rng_seeded(1), 2000)
         want = np.array(periods_from_lambdas(*invert_T_arrays(x, y)))
         got = period_derivatives(x, y)[0, 0]
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
 
     def test_array_equals_per_point_calls(self):
         # bit for bit, in any shape, with the entries past order 2 NaN
-        pts = [pt for _, pt in sample_theorem_domain(_rng_seeded(2), 24)]
-        x, y = np.array([pt.x for pt in pts]), np.array([pt.y for pt in pts])
+        _, _, x, y = sample_theorem_domain(_rng_seeded(2), 24)
         d = period_derivatives(x, y)
         assert d.shape == (3, 3, 4, 24)
         single = np.stack([period_derivatives(a, b) for a, b in zip(x, y)], axis=-1)
