@@ -99,10 +99,6 @@ class ModuliPoint:
     x: complex
     y: complex
 
-    @property
-    def series_norm(self) -> float:
-        return abs(self.x) + abs(self.y)
-
 
 def _parameters(p, shape):
     """The five F2 parameters over the flattened points, each a flat array.

@@ -196,7 +196,8 @@ def cmd_verify(args) -> int:
     failing = [case for case in report_dict["cases"] if not case["passed"]]
     if failing and args.suite != "all":
         print("failing case:", json.dumps(failing[0]))
-    written = _write_report(report_dict, _report_rows(report_dict), args.output, args.format)
+    rows = _report_rows(report_dict) if args.format == "csv" else None
+    written = _write_report(report_dict, rows, args.output, args.format)
     print(
         f"wall clock: {1000.0 * (time.perf_counter() - started):.0f} ms",
         file=sys.stderr,

@@ -3,11 +3,9 @@
 Sampling uses the counter-based Philox generator so any implementation that
 seeds Philox identically reproduces the draws.  Inputs are drawn as column
 blocks, rng.uniform(lows, highs, (n, k)), equal bit for bit to a loop of
-scalar rng.uniform calls in row order.  suite_modular redraws a tau until it
-passes a test; at the first rejected row of a block it puts the generator
-back to the block's start, moves it past that row, redraws the tau one at a
-time and starts a new block, so its samples and the weight probes drawn
-after them are those of a scalar rejection loop.  Reports are
+scalar rng.uniform calls in row order.  A suite that rejects candidates
+takes its inputs from ``_first_accepted``, equal to a scalar loop that draws
+whole rows until n pass, and draws nothing after them.  Reports are
 serialized with sorted keys; the wall-clock duration is reported on stderr
 only and stored as null, so identical configurations produce byte-identical
 files.
@@ -180,8 +178,8 @@ def _first_accepted(rng, n: int, lows, highs, accept):
     A candidate is one rng.uniform(lo, hi) draw per (lo, hi) column, in
     order, so every candidate equals a scalar rejection loop's bit for bit.
     They are drawn in blocks; ``accept`` maps a block to a boolean mask over
-    its rows.  The rest of the last block is drawn but not used: each suite
-    draws from its own generator, and no more once its samples are taken.
+    its rows.  The rest of the last block is drawn but never read: each suite
+    draws from its own generator, and nothing after its rejection sampler.
     """
     kept = np.empty((0, len(lows)))
     while len(kept) < n:
@@ -301,45 +299,21 @@ def _hauptmodul_off_cut(tau):
     return lam, th3, ~((lam.real > 0.95) & (np.abs(lam.imag) < 0.01))
 
 
-def _modular_samples(rng, n):
-    """Columns lambda1, lambda2, tau, lambda(tau), theta3(tau) of n samples.
-
-    The draws equal a scalar loop that draws each pair and then redraws tau
-    until lambda(tau) is off the cut.  Rows (lambda1, lambda2, Re tau, Im tau)
-    are drawn in blocks.  At the first rejected row k of a block the
-    generator is put back to the block's start and moved past the 4(k + 1)
-    doubles up to row k; that sample's tau is redrawn one at a time, and a
-    new block starts after it.  So the generator ends where the scalar loop
-    ends, and whatever is drawn after the samples is unchanged.
-    """
-    columns, count = [], 0
-    while count < n:
-        state = rng.bit_generator.state
-        rows = rng.uniform((0.05, 0.4, -0.9, 0.5), (0.7, 0.95, 0.9, 2.0), (n - count, 4))
-        tau = rows[:, 2] + 1j * rows[:, 3]
-        lam, th3, ok = _hauptmodul_off_cut(tau)
-        k = len(rows) if ok.all() else int(ok.argmin())
-        columns.append((rows[:k, 0], rows[:k, 1], tau[:k], lam[:k], th3[:k]))
-        count += k
-        if k < len(rows):
-            rng.bit_generator.state = state
-            rng.random(4 * (k + 1))
-            while True:
-                t = rng.uniform(-0.9, 0.9) + 1j * rng.uniform(0.5, 2.0)
-                lam, th3, ok = _hauptmodul_off_cut(t)
-                if ok[0]:
-                    break
-            columns.append((rows[k : k + 1, 0], rows[k : k + 1, 1], [t], lam, th3))
-            count += 1
-    return [np.concatenate(c) for c in zip(*columns)]
-
-
 @_suite(tolerance=1e-10, samples=50)
 def suite_modular(cfg: RunConfig) -> VerificationReport:
     """Theta expression of Pi0, the K/theta identity, and the weight probes."""
     tol = cfg.tol("modular")
     rng = _rng(cfg.rng_seed)
-    l1, l2, taus, lams, th3 = _modular_samples(rng, cfg.samples("modular"))
+    # the probes first, so that nothing is drawn after the rejection sampler
+    probe_samples = _weight_probe_samples(rng)
+
+    def accept(rows):
+        return _hauptmodul_off_cut(rows[:, 2] + 1j * rows[:, 3])[2]
+
+    lows, highs = (0.05, 0.4, -0.9, 0.5), (0.7, 0.95, 0.9, 2.0)
+    l1, l2, re_tau, im_tau = _first_accepted(rng, cfg.samples("modular"), lows, highs, accept).T
+    taus = re_tau + 1j * im_tau
+    lams, th3, _ = _hauptmodul_off_cut(taus)
     l1s, l2s = l1.tolist(), l2.tolist()
     pi0 = periods_from_lambdas(l1s, l2s)[0]
     bridges = np.abs(pi0_modular_arrays(*mirror_map_arrays(l1s, l2s)) - pi0)
@@ -348,7 +322,6 @@ def suite_modular(cfg: RunConfig) -> VerificationReport:
     inputs = {"lambda1": l1s, "lambda2": l2s, "tau": taus.tolist()}
     outputs = {"pi0_bridge": bridges.tolist(), "k_theta_identity": kthetas.tolist()}
     cases = _cases(inputs, outputs, resids, resids < tol)
-    probe_samples = _weight_probe_samples(rng)
     for g, slot in itertools.product(_WEIGHT_GENERATORS, (1, 2)):
         inputs = {"generator": [g.a, g.b, g.c, g.d], "slot": slot}
         try:

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import shlex
 import types
@@ -319,20 +320,20 @@ class TestVerify:
         }
 
     # SHA-256 of the `verify all` JSON, as the CLI and the benchmark write it,
-    # taken with numpy 2.4.6; seed 31 redraws a tau in the modular suite
+    # taken with numpy 2.4.6; seeds 5 and 31 redraw a row in the modular suite
     ALL_REPORT_SHA256 = {
-        0: "541983dde57a480468e92b36038258e61a63249a45330a549dba9a53115282af",
-        1: "74fa6bda5180218ae8d0dc2473a3c258eaab7f26a9bda9ac1cb837cb0f639fbe",
-        2: "ca3bcedfeece41939e7178d4f79a00b8b70518cfea3e8fa75144813b5c64e1cb",
-        3: "cd35ca3ff550ca42e0bd5fbb9815adf60024e1002a7ac6c6a86c2a640228364f",
-        4: "094cf046acc292221516c54df0787a75792ded874a1c47e85b6c6ee6cf5db631",
-        5: "48db34a2ebc1adb2c55159e615f15d29be11612525acefbc47de628cce0c37e1",
-        6: "48b7062ee2447d8d1dd7f2734f5ec2310ad16ae0766cdf3287c9199d6c0085ca",
-        7: "a88b39f7046b0da7e70f4d95a561f076587cc3644fce94334f3acc11ac5ee04a",
-        8: "49ff9d27186cef02a0479177f4518b4ad96020281810dd7cdeb3b39f1ce55611",
-        9: "a1df95706ad7197317814296fd91c04377c64edb4e8159483c2cb143053ff40e",
-        10: "d4edf913178ee786de3b3e3427b984d7109d31cb3ec5cb0278ac44e1f5b1c506",
-        31: "a6d7948e65209804da0eeb0509fa41572eb65b14e5a451a05bb5d9c0f3aab88f",
+        0: "442e881aec7b7b372e350d3854eea2b05ba9ec950cc6583cac41cd768e5f0dc0",
+        1: "1f7140743e293bd93d429935fb45149273c8dac55190c1daa865c1ab94797b87",
+        2: "12b941230732dac7ad447134e1b19fbfd564951b467637e5e8ffde003368ed16",
+        3: "2a09f06289390724bd18a8576b90dbc7a9e048d2009b8a43a8f4159c6d1ec70b",
+        4: "c0f99a5e2666ab0af0a0ee5b9e81198e79b4aa3857de87531ea943c3ab3f90a7",
+        5: "b18c0caebdd6d8f4766b9cc9cf4adefda23b7eca524dd1a8dc1460855fedee81",
+        6: "8578b0b8db9001ddd9eb4841d69be53380da9def90beada544fcbba2ab7f74d1",
+        7: "17f763ecc1bbe80ed5d08a5397e0b11612a8ada8fdc2dc12c4612e519ddf8b5c",
+        8: "632c6cc52fcf95cd0b8b1d9553b15c1b70e42d6e5f0bc8f85f0ef50ef5385382",
+        9: "c2ce585c6fb5c014915bc9b34ec0a2d40a2b33b395d5264c171563018d15000c",
+        10: "01d4ef8aedf95231148ffd51c2bf724c685ad00e0be469fe76bde2e3e995d9d1",
+        31: "5ef2c2b7bcb72b42788ab4703a10d8a6f841247df487640ba4f50d67098ee964",
     }
 
     @pytest.mark.parametrize("seed", sorted(ALL_REPORT_SHA256))
@@ -349,99 +350,99 @@ class TestVerify:
     # moves that suite's digests and the summary's, and no other.
     REPORT_PART_SHA256 = {
         0: {
-            "summary": "4d4ef0d572afc7a33b30b7888006df08794df9be0024170c0cddf3d91e6e09c0",
+            "summary": "75549d8adb7df80e8cbd8249f820a6c755bcea065935a7ad7179b0f99c68cd3d",
             "factorization": "64abc90dd95922614b5e8c39a5808efe31d455aa9cf1fec34e9cc5302c55ea81",
             "bilinear": "1e2c56cb30ffd1486bf6221622a7cff09b84dec0b2781b0621ef7e6633a10ef2",
             "mirror": "78729acfc1b92189c2bc9cf8887ec046b92be2a24e0d397e705cced1afac2d23",
-            "modular": "f26e9c53b1ccade2f3013dd6185dc395f7543ac68e0a2f4e56d946dc8c202768",
+            "modular": "d9dfe15320d6a6b015c74c3b446418f02c86a077ed82353c5b28617a91ac7b14",
             "flatness": "9ffb71bcfd85d08da4cde2e9b48d7e3c1a390cd8153dd84ea72a1eadd48000da",
         },
         1: {
-            "summary": "7ef50e6482bba0166c488ce0fd71d607b7386897ad86fb249ab4962c83904fec",
+            "summary": "7d2f4ceaafb734c17fb5d008d983631debbccec03cfa30b60b39b07eb1fe1d3b",
             "factorization": "be438d3adca5d8c0b31d72b0777973e5d6160c4b31441717b7fe46aee18b65ed",
             "bilinear": "8293983cfb6f7381fbfc6dfd5738696949eadaf4346f2d30000a877280dfdce2",
             "mirror": "8817e4976141887b0935515e58d64424906e95d610d337a0fbffda8d47f143c4",
-            "modular": "1b5ff3e23e3a1eef698476f3e4817f236e704f545073de202aa3696d2f35288b",
+            "modular": "d5bda5030a28ab6e0f78b118747fdd52a1759eefdcbfce62c96b061fb64ae6b8",
             "flatness": "2accd47c880943da4a2a6687ab8ccd70d5aa89cc1c32ce9b3c9cbc860bd7968d",
         },
         2: {
-            "summary": "60cd6a0ae9569bdccd340437f940cbcce8691fc3dc14436c9b348600d1455274",
+            "summary": "06957b72bf047d2a5668255c963536262e2d1dd0baa376ac20bd8f905073420a",
             "factorization": "ea5fd9ec060b948125770abfe8c866af3d9c225ced3fe604c8144e1665ac0918",
             "bilinear": "e344d79334d6ec88b4e68d12a7429eec0bbe384e41cdf76d6b2b7da4179ea234",
             "mirror": "fc4123613ae7e6f994139d35ca8e8dbfcd30f1749f7a55a54f27134377d59e05",
-            "modular": "a78fb7f749a5f613c5785087a733efd49c04954f0ec454e440e674c70b80a972",
+            "modular": "caf5b3a76e1f2892f7b1ddb5f8939ec5edf7521636ae7272ece80c3dbef4a22b",
             "flatness": "e45f9cd0abf3a4575da29791111cf3ecfacc106165355c5c8c741804e8536117",
         },
         3: {
-            "summary": "504e80f5a566d2bcbca6bef130f171b9f9eda3d99e6975fd5af3da038c7e4212",
+            "summary": "f734f2f000a958ed5d90c5654ac82664980f7617f1b81521d8ae27fce738943d",
             "factorization": "5b802792420c62045dc696f8c30418b5fd79c2ab4c0fea443b8507a874304cd8",
             "bilinear": "981d1979ed9d7842eab82f212211692313ad4be4a8b138abbf4bd772beb041a0",
             "mirror": "95ab9c33ad09c07111c7b3ddc194c96237b9bc22e6512d85d06901cee3314762",
-            "modular": "30b71aaf892d318d6815b87ad56aaca0e2abd304cbcfc74e38e1fa52a6755183",
+            "modular": "fec2d164d12287cdca2ae34e249e44c36a53425ed60de1826f6962acf4ccb28f",
             "flatness": "91b7e75778933dfd908829257bad150c511664848d91aa8fa9b81d4d101b8909",
         },
         4: {
-            "summary": "8733c918e4833e225d0324b8bc9628b2a41dc296d1ef6c4d5ea8c9e207c03fc9",
+            "summary": "c333b3482d67523ca61ef771b7fa4d4eb0cc003b282bcb1abedfc64dfb523bea",
             "factorization": "099c1d9a2e8ad3c66bb73900a65b1582a294d7951ffa4b0ad0de24b407c65c5d",
             "bilinear": "a9a0c0453c1028fcfb545a97110e940ff98e51d7c04e7434eac57ea0f7cefbb3",
             "mirror": "a035abb4118cd29821c3234d7edcff5879f5659f08be662ae2bed5209cc66025",
-            "modular": "edccd3e43f8db020e56e3d46a3d61319c952ec8013e46c8bed30fce555891e4f",
+            "modular": "86d0283e713b716af0d33464e4f582b320d6ce1a51c8ba883fa47935acfd4782",
             "flatness": "3a07fd81949d912360daab9543b87580ca741dd8a7d93df52360f5cac74813f1",
         },
         5: {
-            "summary": "f2bf87b3922f7e7b526f55ffd0552759aa7315916357611a4636752908537497",
+            "summary": "4f90f0a24e148b19c45ed101a3b5c20d1f8e923f7920b4d09bf3104ece4d0dfc",
             "factorization": "4fe974258e6c237d36af9c19737790d95bcb324f0910d042e47a8079a6450e5a",
             "bilinear": "d02723ac069136909f065e478646dd8ab85659bcdcd54432b25399a2b0dc9a5a",
             "mirror": "6bba30a28110eb655e170b6646c589f65c6ae8f91594046393702908bacb66e3",
-            "modular": "a61cb062bb75c6f9a445e21aa6be48770da92adddddd6bd5d6e3ad14dca1e6c3",
+            "modular": "961fc1cfeca2a20bf5312b1904bf54e8aa52d66f7404fc9746eb6fefc0575c98",
             "flatness": "c616f4811ead5bc6a887e3d93a380dc7b70f9921b2e385880094f7686a0c462b",
         },
         6: {
-            "summary": "9f3ec98129953e94e0d30a1e2972e447c63c303afe5301870b8873c5c1bb9503",
+            "summary": "7a06aa41db84267fdbfd79fef9d7d5195366494e3af9b3d16158c2bfae0ea263",
             "factorization": "986e7d60a9ab9dff16ce533f0aa6cbc8f6f48078669dfdebc6ec496bfc1ea7c2",
             "bilinear": "26299b4b1ad705740103ad1f8683651d1b21b5d8074e331025a3dc8f6e722c4a",
             "mirror": "bdab85aa9bf850b01658efb491d96404c0668d75226ca5040f0e0a19cad1539b",
-            "modular": "c181d7acdf1e7b56afe8d60d5638a962461b81740092773a8f31faec9e7856dc",
+            "modular": "1b047fbe48b7469264beabe3ac0619624f53cacddc33b80745ab8d1076cad2ed",
             "flatness": "0f44c71d5b6bca7e542a43cea855168b6311852d4e827ad105b409cf2d1f6729",
         },
         7: {
-            "summary": "0b7b779d761c465c470c74a732c0277d5cc03d36bcc404c0ef72c69d7bbe3a87",
+            "summary": "a354ef935c7ad940d514a21224616b5bd8389b34326953ad91de44a7115940ec",
             "factorization": "342dc81a125419dd08514e94be3029d19139d5d4f3a780ab7e3a7f9c78387860",
             "bilinear": "ff5de6ea2eac984b2768388ecee98fb8725773bb131182f09e1561239116459a",
             "mirror": "40beaf59cb8d79115d45c672b8c528b00f0eae39c333946debe9b328bf968d55",
-            "modular": "73501e1288cfb5a09a2056fbca8b402db4fcc590313af27de955f36c2ed0fb40",
+            "modular": "5e62e82e55835407f0d4e08f551f6d79d250994ef1be8fce4f21d711945a2cf5",
             "flatness": "8431e7f2958ea10561d7ba6f47071d67de949a697387e54511871af506c2eb62",
         },
         8: {
-            "summary": "20ff3d024c12381e75a7fa32893d83809f5cbc2d725f70c3fa08610364b55cb4",
+            "summary": "532d42e25bffefa2703266f5449898742e9dec5ed4f8f9b329c94731c688baf1",
             "factorization": "3e9227fe82004148f2ace6d7f9eb4f83643c48b894cc9303bdb1db36bf9007eb",
             "bilinear": "8e2f52ef15d9233092d940a1617abcdb7269ccd0ec66fab5b0fe2cb4de7d8ef3",
             "mirror": "a1704aeebad6b1d4ec76d7cc63f18234e54fb6aae4016befb8944edbab090869",
-            "modular": "409c694a8a15a0c196985da4c00d582c430cc842459b72dc553b95a4463282a1",
+            "modular": "142141d175f8ca0807311c881896ea6438fdb37f9e01fb9a90eed49faefbf86a",
             "flatness": "32a2054a64bea38ba4ba08ec38d8c48e25c031c2655e9d0b5900d13832f30744",
         },
         9: {
-            "summary": "0fc008a998a8b043bf9647d30695dbc662d099859eaad00c0d302adbc1fb6461",
+            "summary": "fe296625054a196ba2ee84b6c5490f5616019a38d14be5e99e1dcb3c56e5ff1b",
             "factorization": "b6163afaab956b48eb61db87532bef23bcbbff79c4115f27aa87ee4514293703",
             "bilinear": "eb411d8aeda2f0b3ff30446d94698df7c683da45e1170cd33e337fa6ddb7a63f",
             "mirror": "32b98adc514d7de49e850733df4ce1a38067f8232732c5e50907c92f598e782a",
-            "modular": "9140c9ec3676a7bab54ccc343cda65baccaf0703e17691fe754540aa2c24bc65",
+            "modular": "3fdfcb981ab16ec1ac96559e1fd82c3a46543b965a10a6aca96f1db67517f516",
             "flatness": "92035971472051820b81bda52b8734e2a46627484697acb2c864eba26b5f0de0",
         },
         10: {
-            "summary": "960a28ebbb9d988894636f3c74f7d8b43954b96db8a65378649cbd03188c3518",
+            "summary": "99ed9f5d3cad35b939bf9f0ab063d0448a6aad3cbcede3689ddccc2a13635f30",
             "factorization": "a08cab293ad1ebdb58d9e1c0523994153660a34de86ed34ea0d665f95534b83f",
             "bilinear": "186b15192f468d125caac14047aabd2f89abf27fa6e5a04f12544bad7a34d4b2",
             "mirror": "ce0be93cab6368e7fafd36f8e1d3a7220fa0be2e3195e4b6b1ccb1218a1dd8ed",
-            "modular": "6c151f99dcc2fa5b5b65d125d118d69cbcff6738c2efe065d6d461598f560917",
+            "modular": "b48da43fce15b7f0aa6a1d0b0e395e4f386a7005a187a013ca40b5c1690a9ca0",
             "flatness": "b6f143ccaa335adbd87210b6f64d6cea906601d2bd9a531b1b1a59416e99f5a0",
         },
         31: {
-            "summary": "b625ccc0a8d0073aea76f8e499d2caa0ed2dd72b97d84a756c0e0dc19cbc9007",
+            "summary": "e778400d89937614e1709435de77c7284ebaf00758ea2c45dbde1aaebeef98bd",
             "factorization": "f5978ab8e47f15e5b8599cc208a0663e34f260d843ebd3387105746ebb281f34",
             "bilinear": "de998da9b10649e3b1b1fa29ed03199ef1f35887ad239959ecc88fb5c37114b3",
             "mirror": "f13374fb7a8f73495221739dd61e139ba29f21da552e8924d59f5455a90b4740",
-            "modular": "54592245d6ede755b2f6b36d9fd3ef4a079a91f2283169d14747fa6912b89fee",
+            "modular": "62ca1730cb271e1b1555972c40407359db74f86f43b6481cbb3f2e1e5ebfc01c",
             "flatness": "770fae3eb773c7f073b973965e15522f62c2ef6942da89011016a7e41f0f5214",
         },
     }
@@ -488,6 +489,20 @@ class TestVerify:
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 3
         assert "tau1_re" in rows[0] and "tau1_im" in rows[0]
+
+    def test_rows_are_formed_only_for_csv(self, tmp_path, monkeypatch):
+        calls = []
+        report_rows = cli._report_rows
+
+        def counted(report_dict):
+            calls.append(1)
+            return report_rows(report_dict)
+
+        monkeypatch.setattr(cli, "_report_rows", counted)
+        for fmt, count in (("json", 0), ("csv", 1)):
+            out = tmp_path / f"r.{fmt}"
+            assert main(["verify", "mirror", "--format", fmt, "--output", str(out)]) == 0
+            assert len(calls) == count
 
     def test_all_csv_has_one_row_per_suite(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -569,23 +584,22 @@ class TestVerify:
 
     @staticmethod
     def _modular_scalar_loop(rng, n):
-        """suite_modular's draws as a scalar rejection loop: each pair, then tau
-        redrawn until lambda(tau) is off the cut; then the weight probes.  Also
-        the samples at which tau was redrawn."""
-        rows, redrawn = [], []
-        for i in range(n):
-            l1, l2 = rng.uniform((0.05, 0.4), (0.7, 0.95)).tolist()
-            while True:
-                tau = rng.uniform(-0.9, 0.9) + 1j * rng.uniform(0.5, 2.0)
-                lam = lambda_hauptmodul(tau)
-                if not (lam.real > 0.95 and abs(lam.imag) < 0.01):
-                    break
-                redrawn.append(i)
-            rows.append([l1, l2, tau])
+        """suite_modular's draws as a scalar rejection loop: the weight probes,
+        then rows (lambda1, lambda2, tau), each drawn again whole while
+        lambda(tau) is on the cut.  Also the samples at which a row was redrawn."""
         probes = []
         for _ in range(verify._WEIGHT_PROBES):
             a, b, c, d = (rng.uniform(lo, hi) for lo, hi in ((-0.3, 0.3), (0.8, 1.6)) * 2)
             probes.append((a + 1j * b, c + 1j * d))
+        rows, redrawn = [], []
+        while len(rows) < n:
+            l1, l2 = rng.uniform(0.05, 0.7), rng.uniform(0.4, 0.95)
+            tau = rng.uniform(-0.9, 0.9) + 1j * rng.uniform(0.5, 2.0)
+            lam = lambda_hauptmodul(tau)
+            if lam.real > 0.95 and abs(lam.imag) < 0.01:
+                redrawn.append(len(rows))
+            else:
+                rows.append([l1, l2, tau])
         return rows, probes, redrawn
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 31])
@@ -609,15 +623,24 @@ class TestVerify:
             (a + 1j * b, c + 1j * d) for a, b, c, d in draws
         ]
         rows, probes, redrawn = self._modular_scalar_loop(verify._rng(seed), 50)
-        assert redrawn == {5: [48], 31: [38]}.get(seed, [])
+        assert redrawn == {5: [43], 31: [33]}.get(seed, [])
         assert self._modular_draws(monkeypatch, cfg) == (rows, probes)
 
     def test_modular_draws_across_two_redraws(self, monkeypatch):
-        # a block that redraws, a second block that redraws, and a last block
-        rows, probes, redrawn = self._modular_scalar_loop(verify._rng(5), 200)
-        assert redrawn == [48, 163]
-        cfg = verify.RunConfig(rng_seed=5, sample_count=200)
+        # seed 113 is the one seed below 300 that redraws two rows of 50
+        rows, probes, redrawn = self._modular_scalar_loop(verify._rng(113), 50)
+        assert redrawn == [8, 17]
+        cfg = verify.RunConfig(rng_seed=113)
         assert self._modular_draws(monkeypatch, cfg) == (rows, probes)
+
+    def test_modular_fails_one_probe_at_every_seed(self):
+        # the [[1,0],[2,1]] slot-2 probe fails by design, and nothing else
+        # fails, whatever the draws: the verify_all benchmark item checks
+        # this failing set, and one seed alone would not guard it
+        for seed in range(100):
+            cases = verify.suite_modular(verify.RunConfig(rng_seed=seed)).cases
+            failing = [c.inputs for c in cases if not c.passed]
+            assert failing == [{"generator": [1, 0, 2, 1], "slot": 2}], seed
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         path = tmp_path / "missing" / "r.json"
@@ -669,7 +692,8 @@ class TestTraintrack:
 
 def _scan_per_point(args):
     """The rows of ``scan`` for parsed arguments, formed point by point by the
-    scalar wrappers: the reference the array path must equal byte for byte."""
+    scalar wrappers, each complex value split into <name>_re and <name>_im:
+    the reference the array path must equal byte for byte."""
     l1_vals = np.linspace(args.lambda1_min, args.lambda1_max, args.n1).tolist()
     l2_vals = np.linspace(args.lambda2_min, args.lambda2_max, args.n2).tolist()
     rows = []
@@ -694,7 +718,29 @@ def _scan_per_point(args):
                 row["status"] = "ok"
             except DomainError as exc:
                 row["status"] = f"domain_error: {exc}"
-    return [cli._flat_row(row) for row in rows]
+
+    def flat(row):
+        out = {}
+        for key, val in row.items():
+            if isinstance(val, complex):
+                out[f"{key}_re"], out[f"{key}_im"] = val.real, val.imag
+            else:
+                out[key] = val
+        return out
+
+    return [flat(row) for row in rows]
+
+
+def _scan_bytes(rows, fmt):
+    """The bytes ``scan`` writes for rows, formed here rather than by the CLI's writer."""
+    if fmt == "json":
+        return (json.dumps(rows, indent=2, sort_keys=True) + "\n").encode()
+    buf = io.StringIO()
+    fieldnames = sorted({key for row in rows for key in row} | {"status"})
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue().encode()
 
 
 def _scan_argv(l1_lo, l1_hi, l2_lo, l2_hi, n1, n2):
@@ -730,10 +776,9 @@ class TestScanArrayPath:
         argv = SCAN_GRIDS[grid] + ["--quantity", quantity]
         rows = _scan_per_point(build_parser().parse_args(argv))
         for fmt in ("csv", "json"):
-            got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
+            got = tmp_path / f"got.{fmt}"
             assert main(argv + ["--format", fmt, "--output", str(got)]) == 0
-            assert cli._write_report(rows, rows, str(want), fmt, columns=("status",)) == 0
-            assert got.read_bytes() == want.read_bytes()
+            assert got.read_bytes() == _scan_bytes(rows, fmt)
 
     def test_grids_reach_every_status(self):
         def statuses(grid):

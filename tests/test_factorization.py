@@ -275,7 +275,7 @@ class TestPeriodBasis:
                 if not lp.in_theorem_domain:
                     continue
                 pt = map_T(lp)
-                if pt.series_norm < 0.95:
+                if abs(pt.x) + abs(pt.y) < 0.95:
                     out.append((l1, l2, pt.x, pt.y))
             return out
 
