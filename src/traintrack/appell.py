@@ -390,8 +390,8 @@ def _inverse_sqrt(re, im):
     return out
 
 
-def _f2_euler(p: F2Params, pt: ModuliPoint):
-    """F2 by the Euler integral, and the error bound of its quadrature.
+def _f2_euler(p: F2Params, x, y):
+    """F2 at (x, y) by the Euler integral, and the error bound of its quadrature.
 
     The endpoint powers t^(b-1) (1-t)^(g-b-1) go into the weights of
     ``integrate_01_2d``, and the kernel is w^-a, w = 1 - x t2 - y t1: where
@@ -406,7 +406,7 @@ def _f2_euler(p: F2Params, pt: ModuliPoint):
     for b, g in ((p.beta1, p.gamma1), (p.beta2, p.gamma2)):
         if not (complex(g).real > complex(b).real > 0):
             raise DomainError("Euler integral needs Re(gamma) > Re(beta) > 0")
-    x, y, a = complex(pt.x), complex(pt.y), complex(p.alpha)
+    x, y, a = complex(x), complex(y), complex(p.alpha)
     if not (cmath.isfinite(x) and cmath.isfinite(y)):
         raise DomainError(f"Euler integral needs finite x and y, not {x}, {y}")
     dist = _distance_from_one(x, y)
@@ -443,7 +443,7 @@ def f2_euler_integral(p: F2Params, pt: ModuliPoint) -> complex:
     Requires Re(gamma_i) > Re(beta_i) > 0 and the linear factor
     1 - x t2 - y t1 to be zero-free on the closed square.
     """
-    return _f2_euler(p, pt)[0]
+    return _f2_euler(p, pt.x, pt.y)[0]
 
 
 def f2_pde_residual(p: F2Params, d, x, y):

@@ -15,12 +15,13 @@ import time
 
 import numpy as np
 
-from .appell import F2Params, ModuliPoint, _f2_euler, _f2_row_sum
+from .appell import F2Params, _f2_euler, _f2_row_sum
 from .errors import ConvergenceError, DomainError
 from .factorization import (
-    _map_T_arrays, _pairing_arrays, invert_T, period_basis, periods_from_lambdas
+    _OUTSIDE_DOMAIN, _in_theorem_domain, _map_T_arrays, _pairing_arrays, invert_T_arrays,
+    periods_from_lambdas,
 )
-from .modular import _MIRROR_ERRORS, _mirror_map_rows, lambda_hauptmodul, mirror_map
+from .modular import _MIRROR_ERRORS, _mirror_map_rows, lambda_hauptmodul, mirror_map_arrays
 from .verify import SUITES, RunConfig, _monodromy_cases, run_all, run_suite
 
 _BOUNDARY_EPS = 1e-9
@@ -120,50 +121,49 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_f2_eval(args) -> int:
     params = F2Params(args.alpha, args.beta1, args.beta2, args.gamma1, args.gamma2)
-    pt = ModuliPoint(args.x, args.y)
     if args.method == "series":
-        value, err = _f2_row_sum(params, pt.x, pt.y)
+        value, err = _f2_row_sum(params, args.x, args.y)
         value, err = complex(value), float(err)
     else:
-        value, err = _f2_euler(params, pt)
+        value, err = _f2_euler(params, args.x, args.y)
     print(f"F2({args.method}) = {_fmt_complex(value)}")
     print(f"estimated_error <= {err:.3e}")
     return 0
 
 
-def _flat_row(values):
-    """The values, each complex one or its {re, im} form split into <name>_re and <name>_im."""
-    row = {}
-    for key, val in values.items():
-        if isinstance(val, complex):
-            val = {"re": val.real, "im": val.imag}
-        if isinstance(val, dict) and set(val) == {"re", "im"}:
-            row[f"{key}_re"], row[f"{key}_im"] = val["re"], val["im"]
-        else:
-            row[key] = val
-    return row
+def _parts(value):
+    """(value, None, None), or (None, re, im) for a complex value or its {re, im} form."""
+    if isinstance(value, complex):
+        return None, value.real, value.imag
+    if isinstance(value, dict) and set(value) == {"re", "im"}:
+        return None, value["re"], value["im"]
+    return value, None, None
 
 
-def _report_rows(report_dict):
-    head = ("index", "residual", "passed")
-    cases = report_dict.get("cases", [])
-    return [_flat_row({k: c[k] for k in head} | c["inputs"] | c["outputs"]) for c in cases]
+def _flat_table(columns):
+    """The columns, with None where a row has no value, made flat: each complex value, or its
+    {re, im} form, goes to <name>_re and <name>_im and any other value stays under <name>.  A
+    column that no row fills is left out."""
+    table = {}
+    for name, values in columns.items():
+        for suffix, column in zip(("", "_re", "_im"), zip(*map(_parts, values))):
+            if any(value is not None for value in column):
+                table[name + suffix] = column
+    return table
 
 
-def _write_report(payload, rows, path, fmt, columns=()) -> int:
-    """Write payload as JSON, or rows as CSV, to path or else to stdout.
-
-    The CSV header is the sorted union of the row keys and ``columns``.
-    Returns the exit code: 0, or 2 when path cannot be written.
-    """
+def _write_report(payload, path, fmt) -> int:
+    """Write payload as JSON, or a table (a dict of equal-length columns) as CSV with its names
+    sorted and None as an empty cell, to path or else to stdout.  Returns the exit code: 0, or
+    2 when path cannot be written."""
     if fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        fieldnames = sorted({k for row in rows for k in row}.union(columns))
+        names = sorted(payload)
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows(zip(*(payload[name] for name in names)))
         text = buf.getvalue()
     if not path:
         sys.stdout.write(text)
@@ -196,8 +196,13 @@ def cmd_verify(args) -> int:
     failing = [case for case in report_dict["cases"] if not case["passed"]]
     if failing and args.suite != "all":
         print("failing case:", json.dumps(failing[0]))
-    rows = _report_rows(report_dict) if args.format == "csv" else None
-    written = _write_report(report_dict, rows, args.output, args.format)
+    payload = report_dict
+    if args.format == "csv":  # one row per case: its index, residual, passed, inputs and outputs
+        head = ("index", "residual", "passed")
+        cases = [{k: c[k] for k in head} | c["inputs"] | c["outputs"] for c in report_dict["cases"]]
+        names = dict.fromkeys(name for case in cases for name in case)
+        payload = _flat_table({name: [case.get(name) for case in cases] for name in names})
+    written = _write_report(payload, args.output, args.format)
     print(
         f"wall clock: {1000.0 * (time.perf_counter() - started):.0f} ms",
         file=sys.stderr,
@@ -206,8 +211,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_traintrack(args) -> int:
-    lp = invert_T(ModuliPoint(args.z1, 1.0 - args.z2))
-    l1, l2 = complex(lp.lambda1), complex(lp.lambda2)
+    l1, l2 = (complex(v) for v in invert_T_arrays(args.z1, 1.0 - args.z2))
     if (
         abs(l1) < _BOUNDARY_EPS
         or abs(l2 - 1.0) < _BOUNDARY_EPS
@@ -221,52 +225,48 @@ def cmd_traintrack(args) -> int:
             file=sys.stderr,
         )
         return 2
-    value = _pairing_arrays(period_basis(lp).as_array())[1]
-    tp = mirror_map(lp)
+    if not _in_theorem_domain(l1, l2):
+        raise DomainError(_OUTSIDE_DOMAIN)
+    value = _pairing_arrays(np.array(periods_from_lambdas(l1, l2)))[1]
+    t1, t2 = mirror_map_arrays(l1, l2)
     print(f"pairing = {float(value.real):.15e}")
     print(f"imag_residue = {abs(float(value.imag)):.3e}")
     print(f"lambda1 = {_fmt_complex(l1)}")
     print(f"lambda2 = {_fmt_complex(l2)}")
-    print(f"tau1 = {_fmt_complex(tp.tau1)}")
-    print(f"tau2 = {_fmt_complex(tp.tau2)}")
+    print(f"tau1 = {_fmt_complex(complex(t1))}")
+    print(f"tau2 = {_fmt_complex(complex(t2))}")
     return 0
 
 
-def _scan_rows(rows, quantity):
-    """Fill in x, y, tau1, tau2, the quantity and "ok" on rows, one call per array core.
-
-    A row that fails a check of the mirror map takes as its status the
-    error a call on that row alone raises, and goes no further.  Every
-    value, x and y included, is its row's element of the batched call, so
-    it equals a call of the scalar wrapper on that row alone.
-    """
-    l1, l2 = (np.array([row[key] for row in rows]) for key in ("lambda1", "lambda2"))
-    t1, t2, code = _mirror_map_rows(l1, l2)
-    for row, c in zip(rows, code.tolist()):
-        if c:
-            row["status"] = f"domain_error: {_MIRROR_ERRORS[c - 1][1]}"
-    good = code == 0
-    l1, l2, t1, t2 = l1[good], l2[good], t1[good], t2[good]
-    if quantity == "lambda_map":
-        value = lambda_hauptmodul(t1)
-    else:
-        periods = np.stack(periods_from_lambdas(l1, l2), 1)
-        value = periods[:, 0] if quantity == "pi0" else _pairing_arrays(periods)[1].real
-    columns = (*_map_T_arrays(l1, l2), t1, t2, value)
-    rows = [row for row in rows if "status" not in row]
-    for row, *values in zip(rows, *(c.tolist() for c in columns)):
-        row.update(zip(("x", "y", "tau1", "tau2", quantity), values), status="ok")
+_SCAN_STATUS = ("ok", *(f"domain_error: {message}" for _, message in _MIRROR_ERRORS), "degenerate")
 
 
 def cmd_scan(args) -> int:
-    l1_vals = np.linspace(args.lambda1_min, args.lambda1_max, args.n1).tolist()
-    l2_vals = np.linspace(args.lambda2_min, args.lambda2_max, args.n2).tolist()
-    rows = [{"lambda1": complex(l1), "lambda2": complex(l2)} for l1 in l1_vals for l2 in l2_vals]
-    live = [row for row in rows if abs(row["lambda1"] + row["lambda2"]) >= 1e-12]
-    if live:
-        _scan_rows(live, args.quantity)  # gives each of them its status
-    rows = [_flat_row({"status": "degenerate"} | row) for row in rows]
-    return _write_report(rows, rows, args.output, args.format, columns=("status",))
+    """One call per array core for all rows.  A row is "degenerate" where |L1 + L2| < 1e-12,
+    else takes the error a mirror map call on it alone raises, else is "ok"; only "ok" rows go
+    on to T, the periods or the Hauptmodul, and each value equals a scalar call on its row."""
+    l1 = np.repeat(np.linspace(args.lambda1_min, args.lambda1_max, args.n1), args.n2)
+    l2 = np.tile(np.linspace(args.lambda2_min, args.lambda2_max, args.n2), args.n1)
+    l1, l2 = l1.astype(complex), l2.astype(complex)
+    t1, t2, code = _mirror_map_rows(l1, l2)
+    code[np.abs(l1 + l2) < 1e-12] = len(_SCAN_STATUS) - 1
+    good = code == 0
+    l1_ok, l2_ok, t1, t2 = l1[good], l2[good], t1[good], t2[good]
+    if args.quantity == "lambda_map":
+        value = lambda_hauptmodul(t1)
+    else:
+        periods = np.stack(periods_from_lambdas(l1_ok, l2_ok), 1)
+        value = periods[:, 0] if args.quantity == "pi0" else _pairing_arrays(periods)[1].real
+    columns = {"lambda1": l1.tolist(), "lambda2": l2.tolist()}
+    names = ("x", "y", "tau1", "tau2", args.quantity)
+    for name, values in zip(names, (*_map_T_arrays(l1_ok, l2_ok), t1, t2, value)):
+        columns[name] = np.full(code.size, None, dtype=object)
+        columns[name][good] = values  # Python complex or float, None off the good rows
+    table = {"status": [_SCAN_STATUS[c] for c in code.tolist()]} | _flat_table(columns)
+    if args.format == "json":  # a list of rows, each with the names it has a value for
+        rows = zip(*table.values())
+        table = [{k: v for k, v in zip(table, row) if v is not None} for row in rows]
+    return _write_report(table, args.output, args.format)
 
 
 def cmd_monodromy(args) -> int:

@@ -739,7 +739,7 @@ class TestEulerIntegral:
     def test_error_covers_mpmath(self, x, y):
         # the last-level delta alone read 0 to 3.6e-16 here, against errors
         # of 1.1e-15 to 2.0e-15: the rounding of the last level dominates
-        value, err = _f2_euler(CONFORMAL, ModuliPoint(x, y))
+        value, err = _f2_euler(CONFORMAL, x, y)
         assert abs(value - _mp_f2(CONFORMAL, x, y)) <= err
 
     def test_parameter_precondition(self):
@@ -760,14 +760,14 @@ class TestEulerIntegral:
     def test_zero_of_the_linear_factor_is_found(self, x, y):
         # zeros between the points of a grid scan, and on an edge of the square
         with pytest.raises(SingularityError):
-            _f2_euler(CONFORMAL, ModuliPoint(x, y))
+            _f2_euler(CONFORMAL, x, y)
 
     def test_benchmark_points_are_not_singular(self):
         spec = importlib.util.spec_from_file_location("workloads", _BENCH / "workloads.py")
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
         for x, y in workloads.WORKLOADS["f2_hard"].items(0):
-            _, err = _f2_euler(CONFORMAL, ModuliPoint(x, y))
+            _, err = _f2_euler(CONFORMAL, x, y)
             assert err < 1e-13
 
     @pytest.mark.parametrize(
@@ -778,7 +778,7 @@ class TestEulerIntegral:
     def test_endpoint_exponents_below_minus_half(self, p, x, y):
         # the endpoint powers overflowed at the outermost nodes when they
         # were applied to the integrand instead of the weights
-        value, err = _f2_euler(p, ModuliPoint(x, y))
+        value, err = _f2_euler(p, x, y)
         ref = _mp_f2(p, x, y, dps=30)
         assert abs(value - ref) <= 1e-13 * abs(ref)
         assert abs(value - ref) <= err
@@ -790,7 +790,7 @@ class TestEulerIntegral:
          (F2Params(0.6 + 0.1j, 0.5, 0.5, 1.0, 1.0), 0.2 + 0.3j, -0.1)],
     )
     def test_complex_alpha(self, p, x, y):
-        value, err = _f2_euler(p, ModuliPoint(x, y))
+        value, err = _f2_euler(p, x, y)
         ref = _mp_f2(p, x, y, dps=30)
         assert abs(value - ref) <= min(err, 1e-13 * abs(ref))
 
@@ -801,23 +801,23 @@ class TestEulerIntegral:
     def test_half_integer_alpha_against_mpmath(self, a, x, y):
         p = F2Params(a, 0.5, 0.5, 1.0, 1.0)
         ref = _mp_f2(p, x, y, dps=30)
-        assert abs(_f2_euler(p, ModuliPoint(x, y))[0] - ref) <= 1e-14 * abs(ref)
+        assert abs(_f2_euler(p, x, y)[0] - ref) <= 1e-14 * abs(ref)
 
     @pytest.mark.parametrize("a", [0.5, 1.5])
     @pytest.mark.parametrize("x, y", [(0.5 + 0.3j, 0.2), (1.5 + 1j, 0.1), (1.5 - 1j, 0.1)])
     def test_half_integer_alpha_against_the_log_form(self, a, x, y, monkeypatch):
         # Re(1 - x t2 - y t1) < 0 on part of the square at x = 1.5 +- i,
         # outside the ball where the series and mpmath converge
-        p, pt = F2Params(a, 0.5, 0.5, 1.0, 1.0), ModuliPoint(x, y)
+        p = F2Params(a, 0.5, 0.5, 1.0, 1.0)
         calls = []
 
         def log_form(re, im):
             calls.append(np.count_nonzero(re < 0))
             return np.exp(-0.5 * np.log(re + 1j * im))
 
-        got = _f2_euler(p, pt)[0]
+        got = _f2_euler(p, x, y)[0]
         monkeypatch.setattr(appell, "_inverse_sqrt", log_form)
-        want = _f2_euler(p, pt)[0]
+        want = _f2_euler(p, x, y)[0]
         assert calls and (sum(calls) > 0) == (complex(x).real > 1)
         assert abs(got - want) <= 1e-14 * abs(want)
 
@@ -848,7 +848,7 @@ class TestEulerIntegral:
 
         integrate = appell.integrate_01_2d
         monkeypatch.setattr(appell, "integrate_01_2d", recording)
-        _f2_euler(F2Params(a, 0.5, 0.5, 1.0, 1.0), ModuliPoint(x, y))
+        _f2_euler(F2Params(a, 0.5, 0.5, 1.0, 1.0), x, y)
         t = np.linspace(0.0, 1.0, 401)
         top = np.max(np.abs((1.0 - x * t[None, :] - y * t[:, None]) ** -a))
         (bound,) = bounds

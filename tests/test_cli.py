@@ -21,6 +21,7 @@ from traintrack import (
     mirror_map,
     period_basis,
     positivity_pairing,
+    traintrack_value,
 )
 from traintrack import appell, cli, verify
 from traintrack.appell import _euler_prefactor, _f2_row_sum
@@ -492,17 +493,30 @@ class TestVerify:
 
     def test_rows_are_formed_only_for_csv(self, tmp_path, monkeypatch):
         calls = []
-        report_rows = cli._report_rows
+        flat_table = cli._flat_table
 
-        def counted(report_dict):
+        def counted(columns):
             calls.append(1)
-            return report_rows(report_dict)
+            return flat_table(columns)
 
-        monkeypatch.setattr(cli, "_report_rows", counted)
+        monkeypatch.setattr(cli, "_flat_table", counted)
         for fmt, count in (("json", 0), ("csv", 1)):
             out = tmp_path / f"r.{fmt}"
             assert main(["verify", "mirror", "--format", fmt, "--output", str(out)]) == 0
             assert len(calls) == count
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("suite", verify.SUITES + ("all",))
+    def test_csv_bytes_equal_a_per_row_writer(self, tmp_path, suite, seed):
+        out = tmp_path / "r.csv"
+        rc = main(["verify", suite, "--seed", str(seed), "--format", "csv", "--output", str(out)])
+        assert rc == (1 if suite in ("modular", "all") else 0)  # the modular probe, by design
+        cfg = verify.RunConfig(rng_seed=seed)
+        if suite == "all":
+            report = verify.run_all(cfg)[1]
+        else:
+            report = verify.run_suite(suite, cfg).to_dict()
+        assert out.read_bytes() == _report_csv_bytes(report)
 
     def test_all_csv_has_one_row_per_suite(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -655,14 +669,21 @@ class TestVerify:
         assert a.read_bytes() == b.read_bytes()
 
 
+BRANCH_CUT = (
+    "domain error: x, y or x + y is real and >= 1: the segment from the base point "
+    "meets a branch cut of T^-1\n"
+)
+
+
 class TestTraintrack:
     def test_matches_module_composition(self, capsys):
         rc = main(["traintrack", "--z1", "0.36", "--z2", "1.1881"])
         assert rc == 0
         out = capsys.readouterr().out
-        printed = float(out.splitlines()[0].split("=")[1])
+        line = out.splitlines()[0]
+        assert line == f"pairing = {traintrack_value(0.36, 1.1881):.15e}"
         want = positivity_pairing(period_basis(LambdaPair(0.1, 0.9)))
-        assert printed == pytest.approx(want, rel=1e-12)
+        assert float(line.split("=")[1]) == pytest.approx(want, rel=1e-12)
         assert "tau1" in out and "lambda1" in out
 
     def test_output_is_pinned(self, capsys):
@@ -682,6 +703,38 @@ class TestTraintrack:
         rc = main(["traintrack", "--z1", "0", "--z2", "1"])
         assert rc == 2
         assert "limit-domain" in capsys.readouterr().err
+
+    # (z1, z2) -> (exit code, stdout, stderr): a complex point, three points
+    # whose segment from the base point meets a cut of T^-1, the base point
+    # (a boundary warning) and a preimage outside the theorem domain
+    PINNED = {
+        ("0.5+0.3i", "0.8"): (0, (
+            "pairing = 1.405651894029881e+01\n"
+            "imag_residue = 2.528e-18\n"
+            "lambda1 = +1.496642882115229e-01+1.611668455357013e-01j\n"
+            "lambda2 = +1.150956029065296e+00+5.551289338545768e-02j\n"
+            "tau1 = +5.311993437459567e-01+1.847353693635987e+00j\n"
+            "tau2 = -8.957720567181739e-01+1.266483943663471e+00j\n"
+        ), ""),
+        ("2", "0.5"): (2, "", BRANCH_CUT),
+        ("0.9", "0.05"): (2, "", BRANCH_CUT),
+        ("0", "1"): (2, "", (
+            "limit-domain warning: preimage sits on the boundary (lambda1, lambda2) = "
+            "(+0.000000000000000e+00+0.000000000000000e+00j, "
+            "+1.000000000000000e+00+0.000000000000000e+00j); the pairing involves K at "
+            "its singular argument and is reported only as a limit\n"
+        )),
+        ("-3", "-2"): (2, "", BRANCH_CUT),
+        ("-1", "-1i"): (2, "", (
+            "domain error: lambda pair outside the domain |L1^2| < 1, |1 - L2^2| < 1\n"
+        )),
+    }
+
+    @pytest.mark.parametrize("z1, z2", sorted(PINNED))
+    def test_output_and_exit_code_are_pinned(self, capsys, z1, z2):
+        rc = main(["traintrack", f"--z1={z1}", f"--z2={z2}"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == self.PINNED[z1, z2]
 
     def test_imag_residue_printed(self, capsys):
         main(["traintrack", "--z1", "0.36", "--z2", "1.1881"])
@@ -743,6 +796,33 @@ def _scan_bytes(rows, fmt):
     return buf.getvalue().encode()
 
 
+def _flat_row(values):
+    """The values, each complex one or its {re, im} form split into <name>_re and <name>_im."""
+    row = {}
+    for key, val in values.items():
+        if isinstance(val, complex):
+            val = {"re": val.real, "im": val.imag}
+        if isinstance(val, dict) and set(val) == {"re", "im"}:
+            row[f"{key}_re"], row[f"{key}_im"] = val["re"], val["im"]
+        else:
+            row[key] = val
+    return row
+
+
+def _report_csv_bytes(report):
+    """The bytes ``verify --format csv`` writes for a report, one row per case,
+    formed here by a per-row flattener and ``csv.DictWriter`` rather than by
+    the CLI's column writer."""
+    head = ("index", "residual", "passed")
+    rows = [_flat_row({k: c[k] for k in head} | c["inputs"] | c["outputs"]) for c in report["cases"]]
+    buf = io.StringIO()
+    fieldnames = sorted({key for row in rows for key in row})
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
 def _scan_argv(l1_lo, l1_hi, l2_lo, l2_hi, n1, n2):
     return ["scan", f"--lambda1-min={l1_lo}", f"--lambda1-max={l1_hi}",
             f"--lambda2-min={l2_lo}", f"--lambda2-max={l2_hi}", "--n1", str(n1), "--n2", str(n2)]
@@ -752,7 +832,7 @@ def _scan_argv(l1_lo, l1_hi, l2_lo, l2_hi, n1, n2):
 # wide grid with those, rows on K(1) at lambda2 = +-1 and degenerate rows,
 # the grid of test_degenerate_rows_marked, the single points lambda1 = 0 and
 # 1e-9 (where 1 - lambda1^2 rounds to 1), a grid whose lambda1 = 2e154 rows
-# overflow T and lambda1^2, and an empty grid
+# overflow T and lambda1^2, a grid whose last lambda1 is -0.0, and an empty grid
 SCAN_GRIDS = {
     "mixed": _scan_argv(-0.5, 1.2, -0.2, 1.5, 41, 41),
     "overflow": _scan_argv(0.1, 2e154, 0.5, 0.9, 2, 3),
@@ -760,6 +840,7 @@ SCAN_GRIDS = {
     "degenerate": _scan_argv(-0.5, 0.5, 0.5, 0.5, 3, 1),
     "lambda1_zero": _scan_argv(0, 0, 0.5, 0.5, 1, 1),
     "lambda1_tiny": _scan_argv(1e-9, 1e-9, 0.5, 0.5, 1, 1),
+    "negative_zero": _scan_argv(0.5, -0.0, 0.5, 0.8, 3, 2),
     "empty": _scan_argv(0, 1, 0, 1, 0, 0),
 }
 K1_STATUS = "domain_error: K(m) is singular at m = 1"
