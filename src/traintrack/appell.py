@@ -7,6 +7,13 @@ double-exponential evaluation of the Euler integral.  A third check is the
 residual of the defining second-order system, ``f2_pde_residual``, on a
 table of exact partial derivatives.
 
+Each point's rows run in the variable whose rows fall faster: in x, or,
+by F2(a; b1, b2; c1, c2; x, y) = F2(a; b2, b1; c2, c1; y, x), in y.  The
+ladder's two seeds are Gauss functions of the other variable.  Where their
+parameters are (1/2, 1/2, 1), as in the conformal case, they are the
+Legendre functions 2 K / pi and 2 E / (pi (1 - y)) (DLMF 19.5.1, 19.5.2 and
+15.8.1), from one AGM; elsewhere they are summed as a Gauss series.
+
 The row sum and its seeds form their terms in blocks, 32 at a time over an
 array of points; a call at one point sizes its first block from the point's
 own ratio, so that one block of each usually holds every term it needs.  The
@@ -45,6 +52,7 @@ from .special import (
     _CHECK_EVERY,
     _blocks,
     _converged,
+    _ellint_KE,
     _factors,
     _first_block,
     _first_stop,
@@ -140,9 +148,13 @@ def _f2_row_sum(p, x, y):
     """F2 and its tail estimate by rows of Gauss functions (Burchnall–Chaundy).
 
     F2 = sum_m (a)_m (b1)_m / ((c1)_m m!) x^m G_m with the ladder
-    G_m = 2F1(a + m, b2; c2; y).  G_0 and G_1 come from one pass of the
-    series of ``gauss_2f1`` (``special._gauss_seeds``), and Gauss's
-    contiguous relation in a advances the ladder:
+    G_m = 2F1(a + m, b2; c2; y), for a point whose rows run in x.  A point
+    whose rows fall faster in y is summed with x and y, b1 and b2, c1 and
+    c2 exchanged (``_oriented``), so below x is the variable of the rows
+    and y that of the ladder.  G_0 and G_1 are 2 K(y) / pi and
+    2 E(y) / (pi (1 - y)) from one AGM where (a, b2, c2) = (1/2, 1/2, 1),
+    and elsewhere come from one pass of the series of ``gauss_2f1``
+    (``_seeds``).  Gauss's contiguous relation in a advances the ladder:
 
         G_{m+1} = [(c2-a-m) G_{m-1} + (2(a+m) - c2 + (b2-a-m) y) G_m] / ((a+m)(1-y)).
 
@@ -167,11 +179,11 @@ def _f2_row_sum(p, x, y):
     and the terms coef V_m; the ladder steps and the Kahan steps stay one
     row after another (``_ladder``, ``_compensated``).  The stop test runs on all the
     checks of a block at once, and points that stop leave the working arrays.
-    Where all five parameters are shared, the coefficients come from a
-    memoized table of them (``special._factors``): all 2,000 rows, formed
-    whole at the first call at those parameters by the same arithmetic, so
-    later calls pay nothing for them; at most 16 such tables of at most
-    128 kB are kept.
+    Where all five parameters are shared, after the exchange too, the
+    coefficients come from a memoized table of them (``special._factors``):
+    all 2,000 rows, formed whole at the first call at those parameters by
+    the same arithmetic, so later calls pay nothing for them; at most 16
+    such tables of at most 128 kB are kept.
 
     Forward recurrence is the stable direction: its characteristic roots are
     1 and 1 / (1 - y), and the ladder contains the solution growing like the
@@ -194,11 +206,12 @@ def _f2_row_sum(p, x, y):
     if not rho < 1.0:  # NaN, where x or y is not finite, fails it too
         raise DomainError(f"F2 series needs finite x, y with max(|x|+|y|) < 1, not {rho:.4f}")
     a, b1, b2, g1, g2 = _parameters(p, shape)
+    xf, yf, b1, b2, g1, g2 = _oriented(xf, yf, b1, b2, g1, g2)
     # the rows m at which a + m = 0 for some point
     stops_at = {
         int(-v.real) for v in set(a.tolist()) if v.imag == 0 and v.real < 0 and v.real.is_integer()
     }
-    g0, g1_seed = _gauss_seeds(a, b2, g2, yf)
+    g0, g1_seed = _seeds(a, b2, g2, yf)
     x1 = xf / (1.0 - yf)
     x2, xy = xf * x1, yf * x1
     v_prev, v = g0, xf * g1_seed  # V_0, V_1
@@ -210,7 +223,7 @@ def _f2_row_sum(p, x, y):
     factors = _factors(_row_coefficients, 1, a, b1, b2, g1, g2)
     head = None
     if xf.size == 1:
-        # a conformal point needed 0.76 to 1.39 n_hat rows, the fewer the more
+        # a conformal point needed 0.76 to 1.50 n_hat rows, the fewer the more
         # it needs (400 points of the f2_hard bench), and a row past its need
         # costs about 1/50 of a block, so the margin is narrow
         head = _first_block(abs(xf[0]) / min(1.0, abs(1.0 - yf[0])), 0.8, 4)
@@ -241,6 +254,60 @@ def _f2_row_sum(p, x, y):
     else:
         raise ConvergenceError("F2 row sum tail bound not met within max_terms")
     return value.reshape(shape), est.reshape(shape)
+
+
+def _oriented(x, y, b1, b2, g1, g2):
+    """The flat points and parameters, each point's rows put in its variable of smaller ratio.
+
+    The rows in x fall like |x| / min(1, |1 - y|) and the rows in y like
+    |y| / min(1, |1 - x|); the second is the smaller where
+    |y| min(1, |1 - y|) < |x| min(1, |1 - x|).  There the point is summed
+    as F2(a; b2, b1; c2, c1; y, x), which equals F2(a; b1, b2; c1, c2;
+    x, y) term by term; a tie keeps the rows in x.  The test is elementwise,
+    so a point's orientation does not depend on the other points.  A
+    parameter equal at every point after the exchange stays one element
+    (``_parameters``), as b1 = b2 and c1 = c2 keep the conformal tables.
+    """
+
+    def reach(u):
+        return np.abs(u) * np.minimum(1.0, np.abs(1.0 - u))
+
+    swap = reach(y) < reach(x)
+    if not swap.any():
+        return x, y, b1, b2, g1, g2
+    params = []
+    for u, v in ((b1, b2), (g1, g2)):
+        if not (u.size == v.size == 1 and u[0] == v[0]):  # else the exchange keeps both
+            u, v = _parameters((np.where(swap, v, u), np.where(swap, u, v)), swap.shape)
+        params += u, v
+    return np.where(swap, y, x), np.where(swap, x, y), *params
+
+
+def _seeds(a, b, c, y):
+    """The ladder's seeds G_0 = 2F1(a, b; c; y) and G_1 = 2F1(a + 1, b; c; y).
+
+    Where (a, b, c) = (1/2, 1/2, 1), the Legendre triple of the conformal
+    F2, they are G_0 = 2 K(y) / pi (DLMF 19.5.1) and, by Euler's
+    transformation (DLMF 15.8.1) of 2 E(y) / pi = 2F1(-1/2, 1/2; 1; y)
+    (DLMF 19.5.2), G_1 = 2 E(y) / (pi (1 - y)): K and E from one AGM
+    (``special._ellint_KE``).  Every other point sums the series of
+    ``special._gauss_seeds``.  The test is elementwise, as in ``_oriented``.
+    """
+    if a.size == b.size == c.size == 1:
+        legendre = (a[0], b[0], c[0]) == (0.5, 0.5, 1.0)
+        return _legendre_seeds(y) if legendre else _gauss_seeds(a, b, c, y)
+    legendre = (a == 0.5) & (b == 0.5) & (c == 1.0)
+    g0, g1 = np.empty((2, y.size), dtype=complex)
+    g0[legendre], g1[legendre] = _legendre_seeds(y[legendre])
+    rest = ~legendre
+    g0[rest], g1[rest] = _gauss_seeds(*(v if v.size == 1 else v[rest] for v in (a, b, c)), y[rest])
+    return g0, g1
+
+
+def _legendre_seeds(y):
+    """2F1(1/2, 1/2; 1; y) = 2 K(y) / pi and 2F1(3/2, 1/2; 1; y) = 2 E(y) / (pi (1 - y))."""
+    k, e = _ellint_KE(y)
+    return 2.0 * k / np.pi, 2.0 * e / (np.pi * (1.0 - y))
 
 
 def _ladder(v_prev, v, x2, alpha, beta_gamma):

@@ -137,7 +137,8 @@ def _agm_sequence(m, want_sum=False):
     live = np.arange(m.size)  # positions of the elements still iterating
     pow2 = 0.5
     for _ in range(_AGM_MAX_ITER):
-        done = np.abs(a - b) <= 4e-16 * np.abs(a)
+        diff = a - b
+        done = np.abs(diff) <= 4e-16 * np.abs(a)
         stopped = np.count_nonzero(done)
         if stopped == live.size:
             agm[live] = a
@@ -149,9 +150,9 @@ def _agm_sequence(m, want_sum=False):
             agm[out] = a[done]
             if want_sum:
                 sums[out], total = total[done], total[keep]
-            live, a, b = live[keep], a[keep], b[keep]
+            live, a, b, diff = live[keep], a[keep], b[keep], diff[keep]
         if want_sum:
-            c = (a - b) / 2.0
+            c = diff / 2.0
             pow2 *= 2.0
             total = total + pow2 * c * c
         a, b = (a + b) / 2.0, np.sqrt(a * b)
@@ -388,9 +389,9 @@ def _gauss_seeds(a, b, c, y):
     t, s = np.ones((2, y.size), dtype=complex), np.ones((2, y.size), dtype=complex)
     prev, ok = np.ones(y.size), np.zeros(y.size, dtype=bool)
     factors = _factors(_seed_factors, 0, a, c)
-    # a conformal point needed 0.98 to 1.42 n_hat terms (400 points of the
-    # f2_hard bench), and a term past its need costs about 1/800 of a block,
-    # so the margin is wide
+    # at (1/2, 1/2, 1) a point needed 0.98 to 1.42 n_hat terms (the 400
+    # points of the f2_hard bench, whose F2 seeds now come from the AGM), and
+    # a term past its need costs about 1/800 of a block, so the margin is wide
     head = _first_block(abs(z[0]), 1.25, 8) if y.size == 1 else None
     for ns in _blocks(0, head):
         (n, den, an, a1n), _ = factors(ns, None, a, c)

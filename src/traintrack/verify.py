@@ -178,13 +178,19 @@ def _first_accepted(rng, n: int, lows, highs, accept):
     A candidate is one rng.uniform(lo, hi) draw per (lo, hi) column, in
     order, so every candidate equals a scalar rejection loop's bit for bit.
     They are drawn in blocks; ``accept`` maps a block to a boolean mask over
-    its rows.  The rest of the last block is drawn but never read: each suite
-    draws from its own generator, and nothing after its rejection sampler.
+    its rows.  Each block is sized to yield the rows still wanted and 16
+    more at the share accepted so far, (accepted + 1) / (drawn + 1), so the
+    first is n + 16 rows.  The rest of the last block is drawn but never
+    read: each suite draws from its own generator, and nothing after its
+    rejection sampler.
     """
-    kept = np.empty((0, len(lows)))
+    kept, drawn, accepted = np.empty((0, len(lows))), 0, 0
     while len(kept) < n:
-        rows = rng.uniform(lows, highs, (4 * (n - len(kept)) + 16, len(lows)))
-        kept = np.concatenate((kept, rows[accept(rows)][: n - len(kept)]))
+        size = (n - len(kept) + 16) * (drawn + 1) // (accepted + 1)
+        rows = rng.uniform(lows, highs, (size, len(lows)))
+        passed = rows[accept(rows)]
+        drawn, accepted = drawn + size, accepted + len(passed)
+        kept = np.concatenate((kept, passed[: n - len(kept)]))
     return kept
 
 

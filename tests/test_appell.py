@@ -32,6 +32,8 @@ from traintrack.appell import _f2_euler, _f2_row_sum
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 CONFORMAL = F2Params.conformal_case()
+# seeds from the series of _gauss_seeds; the conformal ones come from the AGM
+GENERIC = F2Params(0.6, 0.35, 0.55, 1.3, 0.9)
 # one-point series: tiny, a few rows, y near 1 (about 250 seed terms), same
 # sign near the edge, complex
 ONE_POINTS = [(0.01, 0.01), (0.3, -0.2), (0.12, 0.82), (0.5, 0.4), (0.5 + 0.3j, -0.2 + 0.35j)]
@@ -143,21 +145,29 @@ class TestSeries:
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
     def test_array_evaluation_matches_scalar(self):
-        # Each point's arithmetic is elementwise and it stops on its own tail
-        # estimate, so its value is bit for bit its value alone, whichever
-        # points share its array: easy ones next to deep ones.
+        # Each point's arithmetic is elementwise, it picks the variable of its
+        # rows on its own, and it stops on its own tail estimate, so its value
+        # is bit for bit its value alone, whichever points share its array:
+        # easy ones next to deep ones, rows in x next to rows in y, a tie
+        # x = y, and x = 0 or y = 0.  At GENERIC parameters the points of an
+        # array whose rows run in y take b2, b1, c2, c1 per point, and alone
+        # they take them shared, from the memoized tables.
         xs = np.array([0.1, 0.2 + 0.05j, -0.3, 0.475, 0.089, 0.0, 0.01, -0.6])
         ys = np.array([0.2, -0.1, 0.15 - 0.02j, 0.475, 0.9, 0.5, 0.0, -0.35j])
+        xs = np.concatenate([xs, [0.66, 0.18, 0.3 - 0.1j, 0.7]])
+        ys = np.concatenate([ys, [0.18, 0.66, 0.3 - 0.1j, 0.0]])
         rng = _rng()
         more = rng.uniform(-0.45, 0.45, 40) + 0.05j * rng.uniform(-1, 1, 40)
         xs = np.concatenate([xs, more])
         ys = np.concatenate([ys, rng.uniform(-0.45, 0.45, 40)])
-        alone = np.array([f2_series(CONFORMAL, ModuliPoint(*pt)) for pt in zip(xs, ys)])
-        for order in (np.arange(48), np.arange(48)[::-1], rng.permutation(48)):
-            vals = f2_series_on_arrays(CONFORMAL, xs[order], ys[order])
-            assert np.array_equal(vals, alone[order])
-        grid = f2_series_on_arrays(CONFORMAL, xs.reshape(6, 8), ys.reshape(6, 8))
-        assert np.array_equal(grid, alone.reshape(6, 8))
+        n = len(xs)
+        for p in (CONFORMAL, GENERIC):
+            alone = np.array([f2_series(p, ModuliPoint(*pt)) for pt in zip(xs, ys)])
+            for order in (np.arange(n), np.arange(n)[::-1], rng.permutation(n)):
+                vals = f2_series_on_arrays(p, xs[order], ys[order])
+                assert np.array_equal(vals, alone[order])
+            grid = f2_series_on_arrays(p, xs.reshape(4, 13), ys.reshape(4, 13))
+            assert np.array_equal(grid, alone.reshape(4, 13))
 
     def test_against_mpmath_all_quadrants(self):
         # same-sign points near |x| + |y| = 0.95 are the hardest for the series
@@ -211,11 +221,12 @@ class TestSeries:
 
     def test_max_terms_exhausted(self, monkeypatch):
         monkeypatch.setattr(special, "_MAX_TERMS", 8)
+        # GENERIC sums its seeds as a series; the conformal seeds come from the AGM
         with pytest.raises(ConvergenceError, match="2F1 series"):
-            f2_series(CONFORMAL, ModuliPoint(0.45, 0.45))
-        # y = 0: the seeds stop at once, the rows in x = 0.9 do not
+            f2_series(GENERIC, ModuliPoint(0.45, 0.45))
+        # the rows of (0.45, 0.45) need more than 8 terms in x and in y
         with pytest.raises(ConvergenceError, match="row sum"):
-            f2_series(CONFORMAL, ModuliPoint(0.9, 0.0))
+            f2_series(CONFORMAL, ModuliPoint(0.45, 0.45))
 
     @given(
         st.tuples(_param, _param, _param, _bottom, _bottom),
@@ -320,7 +331,6 @@ class TestPrologue:
     raveled as they are, and a one-element parameter is shared untested; the
     values and tails are those of the broadcast_shapes/broadcast_to form."""
 
-    GENERIC = F2Params(0.6, 0.35, 0.55, 1.3, 0.9)
     X, Y = 0.3 + 0.1j, -0.45 + 0.2j
 
     def cases(self):
@@ -328,7 +338,7 @@ class TestPrologue:
         xs = np.array([[0.1], [-0.3 + 0.2j], [0.45]])
         col = np.array([0.2, -0.25 + 0.1j, 0.4])
         out = []
-        for p in (CONFORMAL, self.GENERIC):
+        for p in (CONFORMAL, GENERIC):
             one = [np.array([v], dtype=complex) for v in p]
             out += [
                 (p, np.array(self.X), np.array(self.Y)),  # 0-d
@@ -420,7 +430,8 @@ class TestBlocks:
 class TestFirstBlock:
     """A one-point series forms a first block sized from its point's ratio
     (``special._first_block``), which holds every term the point needs;
-    an array call forms blocks of special._BLOCK."""
+    an array call forms blocks of special._BLOCK.  The conformal seeds come
+    from the AGM and form no block; GENERIC sums them as a series."""
 
     @staticmethod
     def _formed(monkeypatch):
@@ -440,26 +451,47 @@ class TestFirstBlock:
     @pytest.mark.parametrize("x, y", ONE_POINTS)
     def test_one_point_forms_one_seed_block_and_one_row_block(self, x, y, monkeypatch):
         formed = self._formed(monkeypatch)
-        f2_series(CONFORMAL, ModuliPoint(x, y))
+        f2_series(GENERIC, ModuliPoint(x, y))
         assert [first for first, _ in formed] == [0, 1]  # the seeds from 0, the rows from 1
         assert all(n % special._CHECK_EVERY == 0 for _, n in formed)
+        formed.clear()
+        f2_series(CONFORMAL, ModuliPoint(x, y))
+        assert [first for first, _ in formed] == [1]  # the rows alone
 
     def test_deep_point_needs_more_than_a_fixed_block(self, monkeypatch):
         # about 250 seed terms and 80 rows at (0.12, 0.82)
         formed = self._formed(monkeypatch)
-        f2_series(CONFORMAL, ModuliPoint(0.12, 0.82))
-        assert all(n > 2 * special._BLOCK for _, n in formed)
+        f2_series(GENERIC, ModuliPoint(0.12, 0.82))
+        assert len(formed) == 2 and all(n > 2 * special._BLOCK for _, n in formed)
         formed.clear()
         gauss_2f1(Hyper2F1Params(0.5, 0.5, 1.0), 0.82)
         assert len(formed) == 1
 
     def test_array_call_forms_fixed_blocks(self, monkeypatch):
         formed = self._formed(monkeypatch)
-        f2_series_on_arrays(CONFORMAL, np.array([0.12, 0.3]), np.array([0.82, -0.2]))
+        f2_series_on_arrays(GENERIC, np.array([0.12, 0.3]), np.array([0.82, -0.2]))
         seeds = [n for first, n in formed if first == 0]
         rows = [n for first, n in formed if first == 1]
         assert len(seeds) > 2 and len(rows) > 2
         assert set(seeds + rows) == {special._BLOCK}
+        formed.clear()
+        f2_series_on_arrays(CONFORMAL, np.array([0.12, 0.3]), np.array([0.82, -0.2]))
+        assert len(formed) > 2 and set(formed) == {(1, special._BLOCK)}
+
+    @pytest.mark.parametrize("p", [CONFORMAL, GENERIC], ids=["conformal", "generic"])
+    def test_rows_run_in_the_variable_of_smaller_ratio(self, p, monkeypatch):
+        # the rows in x fall like |x| / min(1, |1 - y|): 0.66 / 0.82 at
+        # (0.66, 0.18), about 150 rows, and 0.18 / 0.34 in y, 56 rows
+        formed = self._formed(monkeypatch)
+        for x, y in ((0.66, 0.18), (0.18, 0.66)):
+            formed.clear()
+            f2_series(p, ModuliPoint(x, y))
+            rows = [n for first, n in formed if first == 1]
+            assert rows == [special._first_block(0.18 / 0.34, 0.8, 4)] and rows[0] <= 64
+        # at (0.12, 0.82) the rows stay in x: 0.12 / 0.18 against 0.82 / 0.88
+        formed.clear()
+        f2_series(p, ModuliPoint(0.12, 0.82))
+        assert [n for first, n in formed if first == 1] == [special._first_block(0.12 / 0.18, 0.8, 4)]
 
     @pytest.mark.parametrize(
         "ratio, size",
@@ -468,6 +500,44 @@ class TestFirstBlock:
     )
     def test_first_block_is_a_whole_number_of_checks(self, ratio, size):
         assert special._first_block(ratio, 0.8, 4) == size
+
+
+class TestLegendreSeeds:
+    """At (a, b, c) = (1/2, 1/2, 1) the row sum's seeds are 2 K(y) / pi and
+    2 E(y) / (pi (1 - y)), from one AGM, in place of the series."""
+
+    # small |y|, near 0.95, the Pfaff region |1 - y| > 1, and complex
+    YS = np.array(
+        [1e-3, -0.02 + 0.01j, 0.3, 0.9, 0.94 + 0.05j, -0.5, -0.95, -0.6 + 0.5j, 0.4j,
+         0.5 - 0.7j, 0.2 + 0.3j]
+    )
+
+    def test_against_the_series(self):
+        half, one = np.full(1, 0.5 + 0j), np.full(1, 1.0 + 0j)
+        got = appell._legendre_seeds(self.YS)
+        want = special._gauss_seeds(half, half, one, self.YS)
+        for g, w in zip(got, want):
+            assert np.all(np.abs(g - w) <= 2e-15 * np.abs(w))
+
+    def test_against_mpmath(self):
+        # at the real y = 0.95 the series' own G_1 is 11 ulp off (2.5e-15),
+        # so only the 30-digit reference covers that point
+        ys = np.append(self.YS, 0.95)
+        for a, values in zip((0.5, 1.5), appell._legendre_seeds(ys)):
+            for y, v in zip(ys, values):
+                ref = _mp_2f1(a, 0.5, 1.0, y)
+                assert abs(v - ref) <= 1e-15 * abs(ref), (a, y)
+
+    def test_per_point_parameters_take_them_point_by_point(self):
+        # alpha = 1/2 at some points of a per-point alpha: those points take
+        # the AGM seeds, the others the series, each with its one-point bits
+        alphas = np.array([0.5, 0.6, 0.5, -2.0, 0.5 + 0.1j])
+        xs = np.array([0.3, 0.3, -0.2 + 0.1j, 0.4, 0.1])
+        ys = np.array([0.2, 0.2, 0.7, -0.3, 0.5j])
+        vals, tails = _f2_row_sum((alphas, 0.5, 0.5, 1.0, 1.0), xs, ys)
+        for a, x, y, v, t in zip(alphas, xs, ys, vals, tails):
+            want, want_tail = _f2_row_sum((a, 0.5, 0.5, 1.0, 1.0), x, y)
+            assert v.tobytes() == want.tobytes() and t.tobytes() == want_tail.tobytes()
 
 
 def _clear_caches():
@@ -530,10 +600,11 @@ class TestMemo:
 
     def test_cached_arrays_are_read_only(self):
         _clear_caches()
-        f2_series(CONFORMAL, self.POINTS[1])
+        f2_series(CONFORMAL, self.POINTS[1])  # the rows' table; its seeds come from the AGM
+        f2_series(GENERIC, self.POINTS[1])  # and a seed table: the rows stay in x there
         f2_euler_integral(CONFORMAL, self.POINTS[1])
         rows = special._table(appell._row_coefficients, 1, _key(*CONFORMAL))
-        seeds = special._table(special._seed_factors, 0, _key(CONFORMAL.alpha, CONFORMAL.gamma2))
+        seeds = special._table(special._seed_factors, 0, _key(GENERIC.alpha, GENERIC.gamma2))
         assert special._table.cache_info().hits == 2  # both were made by the calls
         assert all(len(f) == special._MAX_TERMS for f in (*rows, *seeds))
         params = [np.array([v], dtype=complex) for v in CONFORMAL]
@@ -553,7 +624,8 @@ class TestMemo:
             p = F2Params(0.5, 0.4 + 0.01 * k, 0.5, 1.0, 1.0)
             f2_series(p, self.POINTS[0])
             f2_euler_integral(p, self.POINTS[0])
-        assert special._table.cache_info().misses == n + 1  # and one seed table
+        # the rows stay in x, and the seeds are the Legendre ones, from the AGM
+        assert special._table.cache_info().misses == n
         assert special._table.cache_info().currsize == special._TABLES
         assert quadrature._axis_of.cache_info().misses > quadrature._AXES
         assert quadrature._axis_of.cache_info().currsize == quadrature._AXES
@@ -599,12 +671,13 @@ class TestMemo:
         assert shared.tobytes() == per_point[0].tobytes()
         assert shared_tail.tobytes() == tails[0].tobytes()
         # further out the sum needs those rows and fails, with a warning
-        # where they enter the terms, as the per-point path does
+        # where they enter the terms, as the per-point path does; the rows
+        # of (0.3, 0.5) run in x, so their coefficients are the table's
         for action, error in (("error", RuntimeWarning), ("ignore", ConvergenceError)):
             with warnings.catch_warnings():
                 warnings.simplefilter(action, RuntimeWarning)
                 with pytest.raises(error):
-                    _f2_row_sum(p, 0.5, 0.3)
+                    _f2_row_sum(p, 0.3, 0.5)
 
 
 class TestDerivativeTable:
@@ -654,6 +727,15 @@ class TestDerivativeTable:
             f2_derivatives_on_arrays(CONFORMAL, xs, ys, -1)
         with pytest.raises(DomainError):
             f2_derivatives_on_arrays(CONFORMAL, 0.6, 0.5, 2)
+
+    def test_unshifted_entry_is_the_series(self):
+        # D[0, 0] sums its points at the unshifted parameters, among per-point
+        # shifted ones, with the bits of the series at shared ones
+        xs = np.array([0.1, 0.66, 0.18 + 0.05j, -0.3, 0.0, 0.3])
+        ys = np.array([0.2, 0.18, 0.66, 0.15 - 0.02j, 0.5, 0.0])
+        for p in (CONFORMAL, GENERIC):
+            d = f2_derivatives_on_arrays(p, xs, ys, 2)
+            assert np.array_equal(d[0, 0], f2_series_on_arrays(p, xs, ys))
 
     @pytest.mark.parametrize(
         "p",

@@ -323,18 +323,18 @@ class TestVerify:
     # SHA-256 of the `verify all` JSON, as the CLI and the benchmark write it,
     # taken with numpy 2.4.6; seeds 5 and 31 redraw a row in the modular suite
     ALL_REPORT_SHA256 = {
-        0: "442e881aec7b7b372e350d3854eea2b05ba9ec950cc6583cac41cd768e5f0dc0",
-        1: "1f7140743e293bd93d429935fb45149273c8dac55190c1daa865c1ab94797b87",
-        2: "12b941230732dac7ad447134e1b19fbfd564951b467637e5e8ffde003368ed16",
-        3: "2a09f06289390724bd18a8576b90dbc7a9e048d2009b8a43a8f4159c6d1ec70b",
-        4: "c0f99a5e2666ab0af0a0ee5b9e81198e79b4aa3857de87531ea943c3ab3f90a7",
-        5: "b18c0caebdd6d8f4766b9cc9cf4adefda23b7eca524dd1a8dc1460855fedee81",
-        6: "8578b0b8db9001ddd9eb4841d69be53380da9def90beada544fcbba2ab7f74d1",
-        7: "17f763ecc1bbe80ed5d08a5397e0b11612a8ada8fdc2dc12c4612e519ddf8b5c",
-        8: "632c6cc52fcf95cd0b8b1d9553b15c1b70e42d6e5f0bc8f85f0ef50ef5385382",
-        9: "c2ce585c6fb5c014915bc9b34ec0a2d40a2b33b395d5264c171563018d15000c",
-        10: "01d4ef8aedf95231148ffd51c2bf724c685ad00e0be469fe76bde2e3e995d9d1",
-        31: "5ef2c2b7bcb72b42788ab4703a10d8a6f841247df487640ba4f50d67098ee964",
+        0: "7edd3b130e417f0de74f64f826462bf4ec29eaadc19d2503e7e8290d9a4de765",
+        1: "5740a4750558bb01d809f3c99b04360ac523b720f64f603b89155afd764e7b84",
+        2: "8580d94b42c28f3a99dc77ec6571bd2d49798160d9b8aaecf9abe4d6d30d95cf",
+        3: "1b641df7e9537ee66087d4aa65d2ef62613b584144aac2c344d6d83e1d4701e5",
+        4: "3ec7c23c1eb68fe6d4f9940d1dd18746d4a0dea2c8d1528471357b33a4603c57",
+        5: "d06462dc34694e3f09b287143ba75d19f707b23107bfd2332eef3f058ecb1034",
+        6: "7e53c9868a875ae1fb07d482eaea0b117390cb602910f242868dcc87d230023c",
+        7: "c30a8df967223b394f3ab7a9f44496ba36ed7cd3902e6964df5124635250bcf7",
+        8: "45f66e637c81c246b1b2f91a82cb1a4ee3f6643742198b7ba9c7f7e254ff219a",
+        9: "731af1d48336543d89ab85108aa29fe0b2df9def692008ad18adec2d9a9d1fe6",
+        10: "d1721c06a780fdd6699d3f27cb7225554e69c737e5951db14f4c4d2839e294b3",
+        31: "16156cca3c703ce3d6dfe64276e15bd29aa53273015c0f49a83935d4976dcfdd",
     }
 
     @pytest.mark.parametrize("seed", sorted(ALL_REPORT_SHA256))
@@ -351,100 +351,100 @@ class TestVerify:
     # moves that suite's digests and the summary's, and no other.
     REPORT_PART_SHA256 = {
         0: {
-            "summary": "75549d8adb7df80e8cbd8249f820a6c755bcea065935a7ad7179b0f99c68cd3d",
-            "factorization": "64abc90dd95922614b5e8c39a5808efe31d455aa9cf1fec34e9cc5302c55ea81",
+            "summary": "cc573fd3280cd0395686a7d5c8506764d8e69ed5a27fe5d8fab28df26d9b11a5",
+            "factorization": "6c1a4d902c91dc8ca0c12db6e8c70ca72c6f5fd7099e290ec9ad4801ebcb00be",
             "bilinear": "1e2c56cb30ffd1486bf6221622a7cff09b84dec0b2781b0621ef7e6633a10ef2",
             "mirror": "78729acfc1b92189c2bc9cf8887ec046b92be2a24e0d397e705cced1afac2d23",
             "modular": "d9dfe15320d6a6b015c74c3b446418f02c86a077ed82353c5b28617a91ac7b14",
-            "flatness": "9ffb71bcfd85d08da4cde2e9b48d7e3c1a390cd8153dd84ea72a1eadd48000da",
+            "flatness": "aacd777538f078321ab7332d5eaa78a2b3ac4438fa283f08c84b01cf98e7e01f",
         },
         1: {
-            "summary": "7d2f4ceaafb734c17fb5d008d983631debbccec03cfa30b60b39b07eb1fe1d3b",
-            "factorization": "be438d3adca5d8c0b31d72b0777973e5d6160c4b31441717b7fe46aee18b65ed",
+            "summary": "17b3891fb7a675746485f4ec01150d167649ba6c8a222c417ad3ac50ca2030b3",
+            "factorization": "adac873d83e7917642ee76d937c12f1aca4a8c54caae7220743947462fed13ab",
             "bilinear": "8293983cfb6f7381fbfc6dfd5738696949eadaf4346f2d30000a877280dfdce2",
             "mirror": "8817e4976141887b0935515e58d64424906e95d610d337a0fbffda8d47f143c4",
             "modular": "d5bda5030a28ab6e0f78b118747fdd52a1759eefdcbfce62c96b061fb64ae6b8",
-            "flatness": "2accd47c880943da4a2a6687ab8ccd70d5aa89cc1c32ce9b3c9cbc860bd7968d",
+            "flatness": "10f5b175a79e828a4550504fbd07c8c26241b30456a8dea451dc5384ee978832",
         },
         2: {
-            "summary": "06957b72bf047d2a5668255c963536262e2d1dd0baa376ac20bd8f905073420a",
-            "factorization": "ea5fd9ec060b948125770abfe8c866af3d9c225ced3fe604c8144e1665ac0918",
+            "summary": "f89134a82f78bb5a7d31d24eccf5b92056d7a49f8ca1f67257474347ddcd5be1",
+            "factorization": "d08c58533349f6921009adf65ff66010179b06c8f812d388badc7093f9ea2b21",
             "bilinear": "e344d79334d6ec88b4e68d12a7429eec0bbe384e41cdf76d6b2b7da4179ea234",
             "mirror": "fc4123613ae7e6f994139d35ca8e8dbfcd30f1749f7a55a54f27134377d59e05",
             "modular": "caf5b3a76e1f2892f7b1ddb5f8939ec5edf7521636ae7272ece80c3dbef4a22b",
-            "flatness": "e45f9cd0abf3a4575da29791111cf3ecfacc106165355c5c8c741804e8536117",
+            "flatness": "1eca1c9195060ee18a4170a202f834f8cf17e7255234a3422ea419ac460873c3",
         },
         3: {
-            "summary": "f734f2f000a958ed5d90c5654ac82664980f7617f1b81521d8ae27fce738943d",
-            "factorization": "5b802792420c62045dc696f8c30418b5fd79c2ab4c0fea443b8507a874304cd8",
+            "summary": "587cf1a0b730fe05ac3b56041af542e94cfe54e73c76f8492e77a9ddef92eae8",
+            "factorization": "27c7fb871b061daff9f908b8b30343714bd08be6fb4e3858eee152ac3e7df4a7",
             "bilinear": "981d1979ed9d7842eab82f212211692313ad4be4a8b138abbf4bd772beb041a0",
             "mirror": "95ab9c33ad09c07111c7b3ddc194c96237b9bc22e6512d85d06901cee3314762",
             "modular": "fec2d164d12287cdca2ae34e249e44c36a53425ed60de1826f6962acf4ccb28f",
-            "flatness": "91b7e75778933dfd908829257bad150c511664848d91aa8fa9b81d4d101b8909",
+            "flatness": "8ca233d1e78cde728d266e5f30dd91698b2711c814a02df808e043f19a832eb0",
         },
         4: {
-            "summary": "c333b3482d67523ca61ef771b7fa4d4eb0cc003b282bcb1abedfc64dfb523bea",
-            "factorization": "099c1d9a2e8ad3c66bb73900a65b1582a294d7951ffa4b0ad0de24b407c65c5d",
+            "summary": "a00b2ff1e0d269577f1abfa92df3772bbd413365bff7cdc9a0c7d575106f0adb",
+            "factorization": "58732b6d7907700bdc98db779c447399f693d907bd2f8d52ef0b81ffff13d1d8",
             "bilinear": "a9a0c0453c1028fcfb545a97110e940ff98e51d7c04e7434eac57ea0f7cefbb3",
             "mirror": "a035abb4118cd29821c3234d7edcff5879f5659f08be662ae2bed5209cc66025",
             "modular": "86d0283e713b716af0d33464e4f582b320d6ce1a51c8ba883fa47935acfd4782",
-            "flatness": "3a07fd81949d912360daab9543b87580ca741dd8a7d93df52360f5cac74813f1",
+            "flatness": "9aaaf112b4c04f38e768cb1c0b5f667306db1413ed24e6319e7584fe8a7f9d74",
         },
         5: {
-            "summary": "4f90f0a24e148b19c45ed101a3b5c20d1f8e923f7920b4d09bf3104ece4d0dfc",
-            "factorization": "4fe974258e6c237d36af9c19737790d95bcb324f0910d042e47a8079a6450e5a",
+            "summary": "067daf7218ff660f1c939bd026f590662d5bdb18a577ed45d369ffa7324d6419",
+            "factorization": "d33b14322625e7a81db84b94ab870f894d58a4ec37f59c3d222598c0813c6413",
             "bilinear": "d02723ac069136909f065e478646dd8ab85659bcdcd54432b25399a2b0dc9a5a",
             "mirror": "6bba30a28110eb655e170b6646c589f65c6ae8f91594046393702908bacb66e3",
             "modular": "961fc1cfeca2a20bf5312b1904bf54e8aa52d66f7404fc9746eb6fefc0575c98",
-            "flatness": "c616f4811ead5bc6a887e3d93a380dc7b70f9921b2e385880094f7686a0c462b",
+            "flatness": "ac821c7622a8ade00eb339b3d85e19bbf277dddcf6511fbadbfabe00643b04ba",
         },
         6: {
-            "summary": "7a06aa41db84267fdbfd79fef9d7d5195366494e3af9b3d16158c2bfae0ea263",
-            "factorization": "986e7d60a9ab9dff16ce533f0aa6cbc8f6f48078669dfdebc6ec496bfc1ea7c2",
+            "summary": "26ae2afd36554c655274c169d7c9426e6a9d753ae51d1d4fc63852a83f7a8708",
+            "factorization": "2d60d1e3a5c17f935c5490b0b107f37c97084205ac7aaf8ae37503c1564d452c",
             "bilinear": "26299b4b1ad705740103ad1f8683651d1b21b5d8074e331025a3dc8f6e722c4a",
             "mirror": "bdab85aa9bf850b01658efb491d96404c0668d75226ca5040f0e0a19cad1539b",
             "modular": "1b047fbe48b7469264beabe3ac0619624f53cacddc33b80745ab8d1076cad2ed",
-            "flatness": "0f44c71d5b6bca7e542a43cea855168b6311852d4e827ad105b409cf2d1f6729",
+            "flatness": "7c6f57551a48105db4ca05899e4ef777ec76d07db2446b0a578ce153c5b770c8",
         },
         7: {
-            "summary": "a354ef935c7ad940d514a21224616b5bd8389b34326953ad91de44a7115940ec",
-            "factorization": "342dc81a125419dd08514e94be3029d19139d5d4f3a780ab7e3a7f9c78387860",
+            "summary": "37f28136995a291bbe55a10a8a32dd3737a5643d4d910400521caa2f322330d1",
+            "factorization": "fdc121556be142f4f5c900e9b4601f7c7ed229104940de3e441df8fa908c7fbd",
             "bilinear": "ff5de6ea2eac984b2768388ecee98fb8725773bb131182f09e1561239116459a",
             "mirror": "40beaf59cb8d79115d45c672b8c528b00f0eae39c333946debe9b328bf968d55",
             "modular": "5e62e82e55835407f0d4e08f551f6d79d250994ef1be8fce4f21d711945a2cf5",
-            "flatness": "8431e7f2958ea10561d7ba6f47071d67de949a697387e54511871af506c2eb62",
+            "flatness": "d5850afce91bdeb944e23903c3b3abef7de798602b508dfe4fd18fb04302cf12",
         },
         8: {
-            "summary": "532d42e25bffefa2703266f5449898742e9dec5ed4f8f9b329c94731c688baf1",
-            "factorization": "3e9227fe82004148f2ace6d7f9eb4f83643c48b894cc9303bdb1db36bf9007eb",
+            "summary": "7c85a43df98abcc8c1f8b6cfb2b1922182fee528f61507c15868d4343cebf930",
+            "factorization": "773a8c5456bcfe1ea3dee659ec70aa12b913cf562271ebff2d57019c497861bf",
             "bilinear": "8e2f52ef15d9233092d940a1617abcdb7269ccd0ec66fab5b0fe2cb4de7d8ef3",
             "mirror": "a1704aeebad6b1d4ec76d7cc63f18234e54fb6aae4016befb8944edbab090869",
             "modular": "142141d175f8ca0807311c881896ea6438fdb37f9e01fb9a90eed49faefbf86a",
-            "flatness": "32a2054a64bea38ba4ba08ec38d8c48e25c031c2655e9d0b5900d13832f30744",
+            "flatness": "5449c2688d99ade6c3dfd72274b0262cb66232575bdbc22f515168c1828b18af",
         },
         9: {
-            "summary": "fe296625054a196ba2ee84b6c5490f5616019a38d14be5e99e1dcb3c56e5ff1b",
-            "factorization": "b6163afaab956b48eb61db87532bef23bcbbff79c4115f27aa87ee4514293703",
+            "summary": "d44dbe9fff25463592ae173e0ca86244f30cf0ee09f8271cf25f30be034b5b39",
+            "factorization": "28e8e81c0ce42cbcfcaa49b73a6f67ab0fd83e3869b01fe2f0b7578f57c581fd",
             "bilinear": "eb411d8aeda2f0b3ff30446d94698df7c683da45e1170cd33e337fa6ddb7a63f",
             "mirror": "32b98adc514d7de49e850733df4ce1a38067f8232732c5e50907c92f598e782a",
             "modular": "3fdfcb981ab16ec1ac96559e1fd82c3a46543b965a10a6aca96f1db67517f516",
-            "flatness": "92035971472051820b81bda52b8734e2a46627484697acb2c864eba26b5f0de0",
+            "flatness": "3e3653fb8a835b862c71e1080e726b43c6f67f11b3455e3147d3dbc167b1bf98",
         },
         10: {
-            "summary": "99ed9f5d3cad35b939bf9f0ab063d0448a6aad3cbcede3689ddccc2a13635f30",
-            "factorization": "a08cab293ad1ebdb58d9e1c0523994153660a34de86ed34ea0d665f95534b83f",
+            "summary": "b6c17cd37be59a4989ed8002f0a744ed4c223edb294a571e4a4948f5e06d1627",
+            "factorization": "34333e890aee3ee32687c5ec7e3873c7f522e032686281a279e3f345b2f2bdbe",
             "bilinear": "186b15192f468d125caac14047aabd2f89abf27fa6e5a04f12544bad7a34d4b2",
             "mirror": "ce0be93cab6368e7fafd36f8e1d3a7220fa0be2e3195e4b6b1ccb1218a1dd8ed",
             "modular": "b48da43fce15b7f0aa6a1d0b0e395e4f386a7005a187a013ca40b5c1690a9ca0",
-            "flatness": "b6f143ccaa335adbd87210b6f64d6cea906601d2bd9a531b1b1a59416e99f5a0",
+            "flatness": "e5e9d46a2287d1db72ca96fb01cf31a70e3eaef254b8e0432e35d71d71999d45",
         },
         31: {
-            "summary": "e778400d89937614e1709435de77c7284ebaf00758ea2c45dbde1aaebeef98bd",
-            "factorization": "f5978ab8e47f15e5b8599cc208a0663e34f260d843ebd3387105746ebb281f34",
+            "summary": "65051ab2a9aa39bf2233ce1f5a03c81572241d3d9c63a832b3529b34ab0deb0a",
+            "factorization": "f68bf035fe635057ee61e96aee9d6f80ffddf160b6769ccf1acb56a693d2a60a",
             "bilinear": "de998da9b10649e3b1b1fa29ed03199ef1f35887ad239959ecc88fb5c37114b3",
             "mirror": "f13374fb7a8f73495221739dd61e139ba29f21da552e8924d59f5455a90b4740",
             "modular": "62ca1730cb271e1b1555972c40407359db74f86f43b6481cbb3f2e1e5ebfc01c",
-            "flatness": "770fae3eb773c7f073b973965e15522f62c2ef6942da89011016a7e41f0f5214",
+            "flatness": "3c1ada7d06fa9df9c4ff1db8fb4ec1da539aab0f9bb7ef53b15d556dbc372933",
         },
     }
 

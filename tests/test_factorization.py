@@ -287,7 +287,9 @@ class TestPeriodBasis:
             assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
 
     def test_sampler_maps_each_block_in_one_call(self, monkeypatch):
-        # T maps the 416 candidates of the one block, then the 100 kept pairs
+        # T maps each block of candidates, then the 100 kept pairs: the first
+        # block is 100 + 16 and keeps 40 at seed 0, so the second is sized
+        # for 60 + 16 more at the share kept so far, (60 + 16) * 117 // 41
         sizes = []
 
         def counted(l1, l2):
@@ -296,7 +298,7 @@ class TestPeriodBasis:
 
         monkeypatch.setattr(verify, "_map_T_arrays", counted)
         sample_theorem_domain(_rng_seeded(0), 100)
-        assert sizes == [416, 100]
+        assert sizes == [116, 216, 100]
 
     def test_batch_equals_per_point_calls(self):
         # one call on all points gives each point its scalar periods, bit for bit
